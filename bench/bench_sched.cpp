@@ -43,17 +43,20 @@ sched::SubscriptionSpec McmcSpec(double epsilon) {
   spec.epsilon = epsilon;
   spec.delta = 0.05;
   spec.fusion_key = "bench/complete8/node3/mcmc";
-  spec.factory = []() -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+  spec.factory = [](const CancellationToken* cancel)
+      -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
     auto wq = gadgets::RandomWalkQuery(gadgets::Complete(8), 0);
     if (!wq.ok()) return wq.status();
-    eval::ResumableMcmcOptions options;
-    options.num_chains = 4;
-    options.burn_in = 50;
-    options.max_samples = 1u << 17;
-    options.seed = 42;
+    auto compiled = eval::CompileOrFallBack(
+        wq->kernel, wq->initial, eval::Backend::kAuto, 1 << 12, cancel);
+    if (!compiled.ok()) return compiled.status();
+    eval::McmcParams params;
+    params.burn_in = 50;
+    params.max_samples = 1u << 17;
     return std::unique_ptr<eval::ResumableSampler>(
         new eval::ResumableMcmcChains(wq->kernel, wq->initial,
-                                      gadgets::WalkAtNode(3), options));
+                                      gadgets::WalkAtNode(3), *compiled,
+                                      params, /*num_chains=*/4, Rng(42)));
   };
   return spec;
 }
@@ -205,7 +208,8 @@ uint64_t RunPolicy(sched::Policy policy, double target,
     sched::SubscriptionSpec spec;
     spec.kind = "approx";
     spec.epsilon = 1e-9;  // never converges: the external target governs
-    spec.factory = [scale]() -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+    spec.factory = [scale](const CancellationToken*)
+        -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
       return std::unique_ptr<eval::ResumableSampler>(
           new SyntheticSampler(scale, 1u << 20));
     };

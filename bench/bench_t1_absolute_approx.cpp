@@ -24,7 +24,8 @@ int main() {
   std::printf(
       "T1-R2a: Thm 4.3 sampling on the SAT gadget (same workload as T1-R1)\n"
       "(fixed eps=%.2f delta=%.2f => %zu samples; time ~ poly(n))\n\n",
-      params.epsilon, params.delta, params.SampleCount());
+      params.epsilon, params.delta,
+      eval::HoeffdingCount(params.epsilon, params.delta).value());
   PrintRow({"n_vars", "time_ms", "estimate", "exact", "abs_err"});
   Rng rng(42);
   for (size_t n = 2; n <= 14; n += 2) {

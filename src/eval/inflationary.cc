@@ -1,14 +1,12 @@
 #include "eval/inflationary.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
-#include <thread>
+#include <limits>
+#include <memory>
 
-#include "util/fault_injection.h"
-#include "util/metrics.h"
-#include "util/trace.h"
+#include "eval/resumable.h"
 
 namespace pfql {
 namespace eval {
@@ -73,144 +71,57 @@ StatusOr<BigRational> ExactInflationaryOverPC(
   return total;
 }
 
-size_t ApproxParams::SampleCount() const {
-  const double m = std::log(2.0 / delta) / (2.0 * epsilon * epsilon);
-  return static_cast<size_t>(std::ceil(m));
+Status CheckDelta(double delta) {
+  if (delta > 0.0 && delta < 1.0) return Status::OK();
+  return Status::InvalidArgument("delta must be in (0, 1)");
+}
+
+StatusOr<size_t> HoeffdingCount(double epsilon, double delta,
+                                size_t max_samples) {
+  if (!(epsilon > 0.0 && epsilon <= 1.0)) {
+    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  }
+  PFQL_RETURN_NOT_OK(CheckDelta(delta));
+  const double m =
+      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon));
+  if (!(m < static_cast<double>(std::numeric_limits<size_t>::max()))) {
+    return Status::InvalidArgument("epsilon is too small to count samples");
+  }
+  return max_samples > 0 ? max_samples : static_cast<size_t>(m);
+}
+
+double HoeffdingHalfwidth(double delta, size_t k) {
+  if (k == 0) return 1.0;
+  return std::min(
+      1.0, std::sqrt(std::log(2.0 / delta) / (2.0 * static_cast<double>(k))));
 }
 
 namespace {
 
-// One worker's share of the Monte Carlo samples. `status` is a hard error
-// (evaluation failed; the whole run fails); `interruption` records a
-// cancel/deadline/injected fault that stopped this worker early when the
-// caller opted into partial results.
-struct WorkerTally {
-  size_t hits = 0;
-  size_t completed = 0;
-  size_t steps = 0;
-  Status status;
-  Status interruption;
-};
-
-void RunWorker(const datalog::Program& program, const QueryEvent& event,
-               size_t samples, Rng rng,
-               const std::function<StatusOr<Instance>(Rng*)>& draw_world,
-               const CancellationToken* cancel, bool allow_partial,
-               WorkerTally* tally) {
-  auto interrupt = [&](Status why) {
-    if (allow_partial) {
-      tally->interruption = std::move(why);
-    } else {
-      tally->status = std::move(why);
-    }
-  };
-  for (size_t i = 0; i < samples; ++i) {
-    if (cancel != nullptr) {
-      Status cancelled = cancel->Check();
-      if (!cancelled.ok()) {
-        interrupt(std::move(cancelled));
-        return;
-      }
-    }
-    if (fault::InjectFault(fault::points::kApproxSample)) {
-      interrupt(fault::InjectedError(fault::points::kApproxSample));
-      return;
-    }
-    auto world = draw_world(&rng);
-    if (!world.ok()) {
-      tally->status = world.status();
-      return;
-    }
-    auto engine = datalog::InflationaryEngine::Make(program, *world);
-    if (!engine.ok()) {
-      tally->status = engine.status();
-      return;
-    }
-    auto fixpoint = engine->RunToFixpoint(&rng);
-    if (!fixpoint.ok()) {
-      tally->status = fixpoint.status();
-      return;
-    }
-    tally->steps += engine->steps_taken();
-    if (event.Holds(*fixpoint)) ++tally->hits;
-    ++tally->completed;
-  }
-}
-
-StatusOr<ApproxResult> RunSamples(
-    const datalog::Program& program, const QueryEvent& event,
-    const ApproxParams& params, Rng* rng,
-    const std::function<StatusOr<Instance>(Rng*)>& draw_world) {
-  ApproxResult result;
-  result.samples_requested = params.BudgetedSamples();
-  const size_t workers =
-      std::max<size_t>(1, std::min(params.threads, result.samples_requested));
-  std::vector<WorkerTally> tallies(workers);
-  std::vector<size_t> shares(workers, result.samples_requested / workers);
-  for (size_t w = 0; w < result.samples_requested % workers; ++w) ++shares[w];
-
-  const auto started = std::chrono::steady_clock::now();
-  if (workers == 1) {
-    trace::Span worker_span("approx.worker");
-    RunWorker(program, event, shares[0], rng->Fork(), draw_world,
-              params.cancel, params.allow_partial, &tallies[0]);
-  } else {
-    // Sampler threads join the request's trace (one "approx.worker" span
-    // each) by installing the spawning thread's context.
-    const trace::Context ctx = trace::Current();
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w, rng_fork = rng->Fork()]() mutable {
-        trace::ScopedContext sc(ctx);
-        trace::Span worker_span("approx.worker");
-        RunWorker(program, event, shares[w], std::move(rng_fork), draw_world,
-                  params.cancel, params.allow_partial, &tallies[w]);
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
-
-  size_t hits = 0;
-  for (const auto& tally : tallies) {
-    PFQL_RETURN_NOT_OK(tally.status);
-    hits += tally.hits;
-    result.samples += tally.completed;
-    result.total_steps += tally.steps;
-    if (!tally.interruption.ok() && result.interruption.ok()) {
-      result.interruption = tally.interruption;
-    }
-  }
-
-  auto& registry = metrics::MetricRegistry::Instance();
-  static metrics::Counter* const samples_counter =
-      registry.GetCounter("pfql_sampler_samples_total", "kind=\"approx\"");
-  static metrics::Counter* const steps_counter =
-      registry.GetCounter("pfql_sampler_steps_total", "kind=\"approx\"");
-  static metrics::Gauge* const rate_gauge =
-      registry.GetGauge("pfql_sampler_samples_per_sec", "kind=\"approx\"");
-  samples_counter->Increment(result.samples);
-  steps_counter->Increment(result.total_steps);
-  const int64_t elapsed_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count();
-  if (elapsed_us > 0 && result.samples > 0) {
-    rate_gauge->Set(static_cast<int64_t>(result.samples) * 1000000 /
-                    elapsed_us);
-  }
-
-  if (!result.interruption.ok()) {
-    // An interruption with nothing completed is still a failure — there is
-    // no estimate to degrade to.
-    if (result.samples == 0) return result.interruption;
-    result.degraded = true;
-  }
-  result.estimate = result.samples == 0
-                        ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(result.samples);
-  return result;
+// Thm 4.3 through RunToBudget: K = threads ResumableApprox shards
+// over borrowed (non-owning) program and input pointers.
+StatusOr<ApproxResult> RunApprox(const datalog::Program& program,
+                                 const Instance* edb, const QueryEvent& event,
+                                 const ApproxParams& params, Rng* rng,
+                                 const WorldDraw& draw_world) {
+  PFQL_ASSIGN_OR_RETURN(
+      size_t budget,
+      HoeffdingCount(params.epsilon, params.delta, params.max_samples));
+  const std::shared_ptr<const datalog::Program> borrowed_program(
+      std::shared_ptr<void>(), &program);
+  const std::shared_ptr<const Instance> borrowed_edb(std::shared_ptr<void>(),
+                                                     edb);
+  PFQL_ASSIGN_OR_RETURN(
+      BudgetRun run,
+      RunToBudget(
+          "approx", budget, params.threads,
+          [&](size_t share, Rng shard_rng) {
+            return std::make_unique<ResumableApprox>(
+                borrowed_program, borrowed_edb, event, params, share,
+                shard_rng, draw_world);
+          },
+          params.delta, rng, params.cancel, params.allow_partial));
+  return run.result;
 }
 
 }  // namespace
@@ -220,20 +131,19 @@ StatusOr<ApproxResult> ApproxInflationary(const datalog::Program& program,
                                           const QueryEvent& event,
                                           const ApproxParams& params,
                                           Rng* rng) {
-  return RunSamples(program, event, params, rng,
-                    [&](Rng*) -> StatusOr<Instance> { return edb; });
+  return RunApprox(program, &edb, event, params, rng, nullptr);
 }
 
 StatusOr<ApproxResult> ApproxInflationaryOverPC(
     const datalog::Program& program, const PCDatabase& pc,
     const Instance& extra_edb, const QueryEvent& event,
     const ApproxParams& params, Rng* rng) {
-  return RunSamples(program, event, params, rng,
-                    [&](Rng* r) -> StatusOr<Instance> {
-                      PFQL_ASSIGN_OR_RETURN(Instance world, pc.SampleWorld(r));
-                      PFQL_RETURN_NOT_OK(MergeInstances(extra_edb, &world));
-                      return world;
-                    });
+  return RunApprox(program, nullptr, event, params, rng,
+                   [&](Rng* r) -> StatusOr<Instance> {
+                     PFQL_ASSIGN_OR_RETURN(Instance world, pc.SampleWorld(r));
+                     PFQL_RETURN_NOT_OK(MergeInstances(extra_edb, &world));
+                     return world;
+                   });
 }
 
 }  // namespace eval

@@ -52,17 +52,21 @@ struct ApproxParams {
   /// completed prefix instead of an error. With zero completed samples the
   /// interruption is still surfaced as an error.
   bool allow_partial = false;
-
-  /// The Hoeffding sample count m = ⌈ln(2/δ)/(2ε²)⌉ used by Thm 4.3.
-  /// (The paper states ln(1/δ)/(4ε²); we use the standard two-sided
-  /// Hoeffding constant, which differs only by constants.)
-  size_t SampleCount() const;
-
-  /// The actual sample budget: max_samples when set, else SampleCount().
-  size_t BudgetedSamples() const {
-    return max_samples > 0 ? max_samples : SampleCount();
-  }
 };
+
+/// InvalidArgument unless the CI confidence 1 − δ has δ ∈ (0, 1).
+Status CheckDelta(double delta);
+
+/// The sample budget of Thm 4.3/5.6: `max_samples` when > 0, else the
+/// Hoeffding count m = ⌈ln(2/δ)/(2ε²)⌉ (the paper's ln(1/δ)/(4ε²) differs
+/// only by constants). InvalidArgument, naming the field, unless
+/// ε ∈ (0, 1], δ ∈ (0, 1) and m fits a size_t.
+StatusOr<size_t> HoeffdingCount(double epsilon, double delta,
+                                size_t max_samples = 0);
+
+/// The Hoeffding half-width sqrt(ln(2/δ)/(2k)) of k iid [0, 1] samples at
+/// confidence 1 − δ, capped at 1.
+double HoeffdingHalfwidth(double delta, size_t k);
 
 /// Result of a sampling run. When `degraded` is false, `samples` equals
 /// `samples_requested` and the Thm 4.3 (epsilon, delta) guarantee applies.
@@ -73,6 +77,8 @@ struct ApproxResult {
   size_t samples = 0;            ///< samples actually completed
   size_t samples_requested = 0;  ///< the budget sampling aimed for
   size_t total_steps = 0;        ///< engine steps across all samples
+  /// Hoeffding half-width the completed samples support at 1 − delta.
+  double ci_halfwidth = 1.0;
   bool degraded = false;
   Status interruption;  ///< non-OK iff degraded
 };

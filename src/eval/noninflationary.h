@@ -7,6 +7,7 @@
 #define PFQL_EVAL_NONINFLATIONARY_H_
 
 #include "eval/backend.h"
+#include "eval/inflationary.h"
 #include "lang/event.h"
 #include "lang/interpretation.h"
 #include "markov/compiled_chain.h"
@@ -69,41 +70,22 @@ struct McmcParams {
   Backend backend = Backend::kInterpreted;
   /// State budget for compiling the chain (CompileOptions::max_states).
   size_t compile_max_states = 1 << 12;
-
-  size_t SampleCount() const;
-
-  /// The actual sample budget: max_samples when set, else SampleCount().
-  size_t BudgetedSamples() const {
-    return max_samples > 0 ? max_samples : SampleCount();
-  }
 };
 
 /// See ApproxResult for the degraded-result contract; identical here.
-struct McmcResult {
-  double estimate = 0.0;
-  size_t samples = 0;            ///< samples actually completed
-  size_t samples_requested = 0;  ///< the budget sampling aimed for
-  size_t total_steps = 0;
-  bool degraded = false;
-  Status interruption;  ///< non-OK iff degraded
+struct McmcResult : ApproxResult {
   /// True when the compiled chain tier produced this result.
   bool compiled = false;
   size_t compiled_states = 0;  ///< chain states, when compiled
   size_t compiled_edges = 0;   ///< chain transitions, when compiled
 };
 
-/// Thm 5.6: draws SampleCount() independent samples; each sample restarts
+/// Thm 5.6: draws HoeffdingCount() independent samples; each sample restarts
 /// from `initial`, applies the kernel burn_in times, and records the event.
 /// Valid when the induced chain is ergodic and burn_in ≥ its mixing time.
 StatusOr<McmcResult> McmcForever(const ForeverQuery& query,
                                  const Instance& initial,
                                  const McmcParams& params, Rng* rng);
-
-/// Decorates a compile failure when backend=compiled was forced: keeps the
-/// cause's status code (so ResourceExhausted stays actionable) and prefixes
-/// a PFQL-E060 message naming the knob to turn. Shared by the MCMC and
-/// trajectory samplers.
-Status ForcedCompileError(const Status& cause);
 
 /// Convenience: measures the mixing time t(ε) of the induced chain from the
 /// initial state by explicit state-space construction (only feasible for

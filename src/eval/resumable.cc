@@ -1,138 +1,240 @@
 #include "eval/resumable.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "datalog/engine.h"
-#include "eval/noninflationary.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace pfql {
 namespace eval {
 
 namespace {
 
-// Hoeffding count m = ⌈ln(2/δ)/(2ε²)⌉ (same constant as ApproxParams /
-// McmcParams::SampleCount).
-size_t HoeffdingCount(double epsilon, double delta) {
-  const double m = std::log(2.0 / delta) / (2.0 * epsilon * epsilon);
-  return static_cast<size_t>(std::ceil(m));
+double Ratio(size_t hits, size_t n) {
+  return n == 0 ? 0.0
+                : static_cast<double>(hits) / static_cast<double>(n);
 }
 
-// Two-sided Hoeffding halfwidth at confidence 1-δ after k iid samples.
-double HoeffdingHalfwidth(double delta, size_t k) {
-  if (k == 0) return 1.0;
-  return std::min(
-      1.0, std::sqrt(std::log(2.0 / delta) / (2.0 * static_cast<double>(k))));
+// Cancellation, deadlines and injected faults (Unavailable) interrupt a
+// run; every other code is a hard evaluation error.
+bool IsInterruption(const Status& status) {
+  return status.code() == StatusCode::kCancelled ||
+         status.code() == StatusCode::kDeadlineExceeded ||
+         status.code() == StatusCode::kUnavailable;
 }
 
-// Sub-Gaussian z-score: a bounded [0,1] mean is sub-Gaussian with σ² ≤ 1/4,
-// so z = sqrt(2 ln(2/δ)) gives a distribution-free two-sided bound without
-// an inverse-normal table.
-double SubGaussianZ(double delta) { return std::sqrt(2.0 * std::log(2.0 / delta)); }
-
-void CountSchedulerSamples(const char* kind, size_t n) {
-  if (n == 0) return;
+// The pfql_sampler_* metrics of one one-shot run, labeled by estimator
+// kind; compiled runs also count their chain steps.
+void CountRun(const std::string& kind, const SamplerSnapshot& run,
+              int64_t elapsed_us) {
   auto& registry = metrics::MetricRegistry::Instance();
-  std::string labels = std::string("kind=\"") + kind + "\"";
-  registry.GetCounter("pfql_sched_samples_total", labels)->Increment(n);
+  const std::string labels = "kind=\"" + kind + '"';
+  auto count = [&](const char* total, const char* per_sec, size_t n) {
+    registry.GetCounter(total, labels)->Increment(n);
+    if (elapsed_us > 0 && n > 0) {
+      registry.GetGauge(per_sec, labels)
+          ->Set(static_cast<int64_t>(n) * 1000000 / elapsed_us);
+    }
+  };
+  count("pfql_sampler_samples_total", "pfql_sampler_samples_per_sec",
+        run.samples);
+  registry.GetCounter("pfql_sampler_steps_total", labels)
+      ->Increment(run.total_steps);
+  if (run.backend == "compiled") {
+    count("pfql_compiled_steps_total", "pfql_compiled_steps_per_sec",
+          run.total_steps);
+  }
+  if (run.runs_completed > 0) {
+    registry.GetCounter("pfql_trajectory_runs_total")
+        ->Increment(run.runs_completed);
+  }
 }
 
 }  // namespace
+
+// ---- The tier rule -------------------------------------------------------
+
+StatusOr<std::shared_ptr<const CompiledSpace>> CompileOrFallBack(
+    const Interpretation& kernel, const Instance& initial, Backend backend,
+    size_t compile_max_states, const CancellationToken* cancel,
+    size_t threads) {
+  if (backend == Backend::kInterpreted) {
+    return std::shared_ptr<const CompiledSpace>();
+  }
+  CompileOptions copts;
+  copts.max_states = compile_max_states;
+  copts.threads = threads;
+  copts.cancel = cancel;
+  auto compiled = GetOrCompile(kernel, initial, copts);
+  if (compiled.ok()) return compiled;
+  if (backend == Backend::kCompiled) {
+    // Keep the cause's code, so ResourceExhausted stays actionable, and
+    // name the knob to turn.
+    return Status(compiled.status().code(),
+                  "PFQL-E060: backend 'compiled' was forced but chain "
+                  "compilation failed: " +
+                      compiled.status().message() +
+                      " (raise compile_max_states or use backend=auto)");
+  }
+  if (compiled.status().code() != StatusCode::kResourceExhausted) {
+    return compiled.status();
+  }
+  return std::shared_ptr<const CompiledSpace>();  // over budget: interpreted
+}
 
 // ---- ResumableApprox ---------------------------------------------------
 
 ResumableApprox::ResumableApprox(
     std::shared_ptr<const datalog::Program> program,
     std::shared_ptr<const Instance> edb, QueryEvent event,
-    const ResumableApproxOptions& options)
+    const ApproxParams& params, size_t budget, Rng rng, WorldDraw draw_world)
     : program_(std::move(program)),
       edb_(std::move(edb)),
       event_(std::move(event)),
-      delta_(options.delta),
-      rng_(options.seed) {
-  snap_.budget = options.max_samples > 0
-                     ? options.max_samples
-                     : HoeffdingCount(options.epsilon, options.delta);
+      delta_(params.delta),
+      draw_world_(std::move(draw_world)),
+      rng_(rng) {
+  snap_.budget = budget;
 }
 
 Status ResumableApprox::RunQuantum(size_t quantum,
                                    const CancellationToken* cancel) {
-  // One fault check per quantum (the scheduler's wave granularity); a fire
-  // surfaces as an error completion on every fused subscriber.
-  if (fault::InjectFault(fault::points::kApproxSample)) {
-    return fault::InjectedError(fault::points::kApproxSample);
-  }
-  size_t done = 0;
-  while (done < quantum && snap_.samples < snap_.budget) {
+  auto sample = [&]() -> Status {
     if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
-    auto engine = datalog::InflationaryEngine::Make(*program_, *edb_);
-    if (!engine.ok()) return engine.status();
-    auto fixpoint = engine->RunToFixpoint(&rng_);
-    if (!fixpoint.ok()) return fixpoint.status();
-    snap_.total_steps += engine->steps_taken();
-    if (event_.Holds(*fixpoint)) ++hits_;
+    if (fault::InjectFault(fault::points::kApproxSample)) {
+      return fault::InjectedError(fault::points::kApproxSample);
+    }
+    Instance world;
+    if (draw_world_) {
+      PFQL_ASSIGN_OR_RETURN(world, draw_world_(&rng_));
+    }
+    PFQL_ASSIGN_OR_RETURN(
+        datalog::InflationaryEngine engine,
+        datalog::InflationaryEngine::Make(*program_,
+                                          draw_world_ ? world : *edb_));
+    PFQL_ASSIGN_OR_RETURN(Instance fixpoint, engine.RunToFixpoint(&rng_));
+    snap_.total_steps += engine.steps_taken();
+    if (event_.Holds(fixpoint)) ++snap_.hits;
     ++snap_.samples;
-    ++done;
+    return Status::OK();
+  };
+  Status status;
+  for (size_t done = 0; status.ok() && done < quantum && !Exhausted();
+       ++done) {
+    status = sample();
   }
-  snap_.estimate = snap_.samples == 0 ? 0.0
-                                      : static_cast<double>(hits_) /
-                                            static_cast<double>(snap_.samples);
+  snap_.estimate = Ratio(snap_.hits, snap_.samples);
   snap_.ci_halfwidth = HoeffdingHalfwidth(delta_, snap_.samples);
-  CountSchedulerSamples("approx", done);
-  return Status::OK();
+  return status;
+}
+
+// ---- ResumableRestartMcmc ----------------------------------------------
+
+ResumableRestartMcmc::ResumableRestartMcmc(
+    Interpretation kernel, Instance initial, QueryEvent event,
+    std::shared_ptr<const CompiledSpace> compiled, const McmcParams& params,
+    size_t budget, Rng rng)
+    : kernel_(std::move(kernel)),
+      initial_(std::move(initial)),
+      event_(std::move(event)),
+      compiled_(std::move(compiled)),
+      burn_in_(params.burn_in),
+      delta_(params.delta),
+      rng_(rng) {
+  snap_.budget = budget;
+  snap_.backend = compiled_ != nullptr ? "compiled" : "interpreted";
+  if (compiled_ != nullptr) {
+    const std::vector<bool> indicator = compiled_->space.EventStates(event_);
+    event_states_.assign(indicator.begin(), indicator.end());
+  }
+}
+
+// A sample interrupted mid-burn-in is discarded, never counted. The
+// compiled tier advances samples as a batch of walkers, so one chain step
+// is an alias draw instead of a kernel interpretation; batches hold at most
+// 512 samples, so a deadline mid-quantum still leaves the earlier batches
+// as finished samples, and a fault at sample j of a batch runs the j
+// before it.
+Status ResumableRestartMcmc::RunQuantum(size_t quantum,
+                                        const CancellationToken* cancel) {
+  constexpr size_t kChunk = 512;
+  quantum = std::min(quantum, snap_.budget - snap_.samples);
+  CancelPoller poller(cancel);
+  auto interpreted_sample = [&]() -> StatusOr<bool> {
+    Instance state = initial_;
+    for (size_t t = 0; t < burn_in_; ++t) {
+      PFQL_RETURN_NOT_OK(poller.Tick());
+      PFQL_ASSIGN_OR_RETURN(state, kernel_.ApplySample(state, &rng_));
+    }
+    return event_.Holds(state);
+  };
+  std::vector<uint32_t> walkers;
+  Status status;
+  for (size_t done = 0, chunk = 0; status.ok() && done < quantum;
+       done += chunk) {
+    chunk = compiled_ != nullptr ? std::min(kChunk, quantum - done) : 1;
+    size_t planned = 0;
+    while (planned < chunk &&
+           !fault::InjectFault(fault::points::kMcmcSample)) {
+      ++planned;
+    }
+    if (compiled_ != nullptr) {
+      walkers.assign(planned, 0);  // every sample restarts from `initial`
+      status = compiled_->chain.StepBatch(&walkers, burn_in_, &rng_, cancel);
+      if (!status.ok()) break;
+      for (uint32_t w : walkers) snap_.hits += event_states_[w];
+    } else if (planned == 1) {
+      const StatusOr<bool> holds = interpreted_sample();
+      status = holds.status();
+      if (!status.ok()) break;
+      if (*holds) ++snap_.hits;
+    }
+    snap_.total_steps += planned * burn_in_;
+    snap_.samples += planned;
+    if (planned < chunk) {
+      status = fault::InjectedError(fault::points::kMcmcSample);
+    }
+  }
+  snap_.estimate = Ratio(snap_.hits, snap_.samples);
+  snap_.ci_halfwidth = HoeffdingHalfwidth(delta_, snap_.samples);
+  return status;
 }
 
 // ---- ResumableMcmcChains -----------------------------------------------
 
-ResumableMcmcChains::ResumableMcmcChains(Interpretation kernel,
-                                         Instance initial, QueryEvent event,
-                                         const ResumableMcmcOptions& options)
+ResumableMcmcChains::ResumableMcmcChains(
+    Interpretation kernel, Instance initial, QueryEvent event,
+    std::shared_ptr<const CompiledSpace> compiled, const McmcParams& params,
+    size_t num_chains, Rng rng)
     : kernel_(std::move(kernel)),
-      initial_(std::move(initial)),
       event_(std::move(event)),
-      options_(options),
-      master_rng_(options.seed) {
-  const size_t chains = std::max<size_t>(2, options_.num_chains);
-  const size_t recording =
-      options_.max_samples > 0
-          ? options_.max_samples
-          : 4 * HoeffdingCount(options_.epsilon, options_.delta) +
-                chains * options_.burn_in;
-  snap_.budget = recording;
-}
-
-Status ResumableMcmcChains::Initialize(const CancellationToken* cancel) {
-  const size_t chains = std::max<size_t>(2, options_.num_chains);
-  if (options_.backend != Backend::kInterpreted) {
-    CompileOptions copts;
-    copts.max_states = options_.compile_max_states;
-    copts.cancel = cancel;
-    auto compiled = GetOrCompile(kernel_, initial_, copts);
-    if (compiled.ok()) {
-      compiled_ = *compiled;
-      const std::vector<bool> indicator =
-          compiled_->space.EventStates(event_);
-      event_states_.assign(indicator.begin(), indicator.end());
-      state_ids_.assign(chains, 0);  // state 0 is the initial instance
-      snap_.backend = "compiled";
-    } else if (options_.backend == Backend::kCompiled) {
-      return ForcedCompileError(compiled.status());
-    } else if (compiled.status().code() != StatusCode::kResourceExhausted) {
-      return compiled.status();
-    }
-  }
-  if (compiled_ == nullptr) {
-    state_instances_.assign(chains, initial_);
+      delta_(params.delta),
+      compiled_(std::move(compiled)) {
+  const size_t chains = std::max<size_t>(2, num_chains);
+  // Callers validate (ε, δ) first (BuildSubscription does, before the
+  // subscribe ack); an invalid pair leaves no budget.
+  const StatusOr<size_t> iid = HoeffdingCount(params.epsilon, params.delta);
+  snap_.budget = params.max_samples > 0 ? params.max_samples
+                 : iid.ok()             ? 4 * *iid + chains * params.burn_in
+                                        : 0;
+  if (compiled_ != nullptr) {
+    const std::vector<bool> indicator = compiled_->space.EventStates(event_);
+    event_states_.assign(indicator.begin(), indicator.end());
+    state_ids_.assign(chains, 0);  // state 0 is the initial instance
+    snap_.backend = "compiled";
+  } else {
+    state_instances_.assign(chains, initial);
     snap_.backend = "interpreted";
   }
   chain_rngs_.reserve(chains);
-  for (size_t c = 0; c < chains; ++c) chain_rngs_.push_back(master_rng_.Fork());
-  burn_left_.assign(chains, options_.burn_in);
+  for (size_t c = 0; c < chains; ++c) chain_rngs_.push_back(rng.Fork());
+  burn_left_.assign(chains, params.burn_in);
   stats_.assign(chains, ChainStats{});
-  initialized_ = true;
-  return Status::OK();
 }
 
 Status ResumableMcmcChains::StepChain(size_t c) {
@@ -159,18 +261,17 @@ Status ResumableMcmcChains::StepChain(size_t c) {
 
 Status ResumableMcmcChains::RunQuantum(size_t quantum,
                                        const CancellationToken* cancel) {
+  // One fault check per quantum: a chain's unit is a single step.
   if (fault::InjectFault(fault::points::kMcmcSample)) {
     return fault::InjectedError(fault::points::kMcmcSample);
   }
-  if (!initialized_) PFQL_RETURN_NOT_OK(Initialize(cancel));
-  const size_t chains = stats_.size();
   CancelPoller poller(cancel);
-  size_t done = 0;
-  while (done < quantum && snap_.samples < snap_.budget) {
-    PFQL_RETURN_NOT_OK(poller.Tick());
-    PFQL_RETURN_NOT_OK(StepChain(next_chain_));
-    next_chain_ = (next_chain_ + 1) % chains;
-    ++done;
+  Status status;
+  for (size_t done = 0; done < quantum && !Exhausted(); ++done) {
+    status = poller.Tick();
+    if (status.ok()) status = StepChain(next_chain_);
+    if (!status.ok()) break;
+    next_chain_ = (next_chain_ + 1) % stats_.size();
   }
   // Checkpoint each chain at the quantum boundary so split-R̂ can halve the
   // recorded stream without a per-sample history. Compact geometrically if
@@ -191,8 +292,7 @@ Status ResumableMcmcChains::RunQuantum(size_t quantum,
     }
   }
   RefreshSnapshot();
-  CountSchedulerSamples("mcmc", done);
-  return Status::OK();
+  return status;
 }
 
 void ResumableMcmcChains::RefreshSnapshot() {
@@ -206,100 +306,91 @@ void ResumableMcmcChains::RefreshSnapshot() {
   // Optimistic iid bound over the pooled indicators; the scheduler replaces
   // it with the cross-chain var⁺ bound (sched/convergence.h) which also
   // accounts for between-chain disagreement.
-  snap_.ci_halfwidth = HoeffdingHalfwidth(options_.delta, count);
+  snap_.ci_halfwidth = HoeffdingHalfwidth(delta_, count);
 }
 
 // ---- ResumableTrajectory -----------------------------------------------
 
 ResumableTrajectory::ResumableTrajectory(
-    Interpretation kernel, Instance initial, QueryEvent event,
-    const ResumableTrajectoryOptions& options)
+    Interpretation kernel, Instance initial, EventExpr::Ptr event,
+    std::shared_ptr<const CompiledSpace> compiled,
+    const TrajectoryParams& params, Rng rng)
     : kernel_(std::move(kernel)),
       initial_(std::move(initial)),
       event_(std::move(event)),
-      options_(options),
-      rng_(options.seed) {
-  snap_.budget = options_.steps * options_.runs;
-}
-
-Status ResumableTrajectory::Initialize(const CancellationToken* cancel) {
-  if (options_.backend != Backend::kInterpreted) {
-    CompileOptions copts;
-    copts.max_states = options_.compile_max_states;
-    copts.cancel = cancel;
-    auto compiled = GetOrCompile(kernel_, initial_, copts);
-    if (compiled.ok()) {
-      compiled_ = *compiled;
-      const std::vector<bool> indicator =
-          compiled_->space.EventStates(event_);
-      event_states_.assign(indicator.begin(), indicator.end());
-      snap_.backend = "compiled";
-    } else if (options_.backend == Backend::kCompiled) {
-      return ForcedCompileError(compiled.status());
-    } else if (compiled.status().code() != StatusCode::kResourceExhausted) {
-      return compiled.status();
-    }
-  }
-  if (compiled_ == nullptr) {
-    state_instance_ = initial_;
-    snap_.backend = "interpreted";
-  }
-  per_run_.reserve(options_.runs);
-  initialized_ = true;
-  return Status::OK();
+      compiled_(std::move(compiled)),
+      params_(params),
+      discard_(static_cast<size_t>(params.discard_fraction *
+                                   static_cast<double>(params.steps))),
+      rng_(rng) {
+  snap_.budget = params.steps * params.runs;
+  snap_.backend = compiled_ != nullptr ? "compiled" : "interpreted";
+  per_run_.reserve(params.runs);
 }
 
 Status ResumableTrajectory::RunQuantum(size_t quantum,
                                        const CancellationToken* cancel) {
-  if (fault::InjectFault(fault::points::kTrajectoryRun)) {
-    return fault::InjectedError(fault::points::kTrajectoryRun);
+  if (compiled_ != nullptr && event_states_.empty()) {
+    std::vector<uint8_t> indicator;
+    indicator.reserve(compiled_->space.states.size());
+    for (const Instance& state : compiled_->space.states) {
+      PFQL_ASSIGN_OR_RETURN(bool holds, event_->Holds(state));
+      indicator.push_back(holds ? 1 : 0);
+    }
+    event_states_ = std::move(indicator);
   }
-  if (!initialized_) PFQL_RETURN_NOT_OK(Initialize(cancel));
-  const size_t discard = static_cast<size_t>(
-      options_.discard_fraction * static_cast<double>(options_.steps));
-  CancelPoller poller(cancel);
-  size_t done = 0;
-  while (done < quantum && snap_.samples < snap_.budget) {
-    PFQL_RETURN_NOT_OK(poller.Tick());
-    if (run_step_ == 0) {  // fresh run: restart the walker at the initial
-      if (compiled_ != nullptr) {
-        state_id_ = 0;
-      } else {
-        state_instance_ = initial_;
-      }
-      run_hits_ = 0;
-    }
-    bool holds = false;
-    if (compiled_ != nullptr) {
-      state_id_ = compiled_->chain.Step(state_id_, &rng_);
-      holds = event_states_[state_id_] != 0;
-    } else {
-      auto next = kernel_.ApplySample(state_instance_, &rng_);
-      if (!next.ok()) return next.status();
-      state_instance_ = std::move(next).value();
-      holds = event_.Holds(state_instance_);
-    }
-    ++snap_.total_steps;
-    ++snap_.samples;
-    ++run_step_;
-    ++done;
-    if (run_step_ > discard && holds) ++run_hits_;
-    if (run_step_ == options_.steps) FinishRun();
+  Status status;
+  for (size_t done = 0; status.ok() && done < quantum && !Exhausted();) {
+    const size_t n = std::min(quantum - done, params_.steps - run_step_);
+    status = Advance(n, cancel);
+    done += n;
   }
   RefreshSnapshot();
-  CountSchedulerSamples("trajectory", done);
-  return Status::OK();
+  return status;
 }
 
-void ResumableTrajectory::FinishRun() {
-  const size_t discard = static_cast<size_t>(
-      options_.discard_fraction * static_cast<double>(options_.steps));
-  const size_t counted = options_.steps - discard;
-  per_run_.push_back(counted == 0 ? 0.0
-                                  : static_cast<double>(run_hits_) /
-                                        static_cast<double>(counted));
-  run_step_ = 0;
-  run_hits_ = 0;
+Status ResumableTrajectory::Advance(size_t n,
+                                    const CancellationToken* cancel) {
+  if (run_step_ == 0) {  // fresh run: restart the walker at the initial
+    if (fault::InjectFault(fault::points::kTrajectoryRun)) {
+      return fault::InjectedError(fault::points::kTrajectoryRun);
+    }
+    if (compiled_ != nullptr) {
+      state_id_ = 0;
+    } else {
+      state_instance_ = initial_;
+    }
+    run_hits_ = 0;
+  }
+  if (compiled_ != nullptr) {
+    // One walker, polling the deadline every 4096 steps.
+    const CompiledChain& chain = compiled_->chain;
+    for (size_t t = run_step_; t < run_step_ + n; ++t) {
+      if (cancel != nullptr && t % 4096 == 0) {
+        PFQL_RETURN_NOT_OK(cancel->Check());
+      }
+      state_id_ = chain.Step(state_id_, &rng_);
+      if (t >= discard_) run_hits_ += event_states_[state_id_];
+    }
+  } else {
+    CancelPoller poller(cancel);
+    for (size_t t = run_step_; t < run_step_ + n; ++t) {
+      PFQL_RETURN_NOT_OK(poller.Tick());
+      PFQL_ASSIGN_OR_RETURN(state_instance_,
+                            kernel_.ApplySample(state_instance_, &rng_));
+      if (t < discard_) continue;
+      PFQL_ASSIGN_OR_RETURN(bool holds, event_->Holds(state_instance_));
+      if (holds) ++run_hits_;
+    }
+  }
+  run_step_ += n;
+  snap_.samples += n;
+  snap_.total_steps += n;
+  if (run_step_ == params_.steps) {
+    per_run_.push_back(Ratio(run_hits_, params_.steps - discard_));
+    run_step_ = 0;
+  }
+  return Status::OK();
 }
 
 void ResumableTrajectory::RefreshSnapshot() {
@@ -320,9 +411,90 @@ void ResumableTrajectory::RefreshSnapshot() {
   double ss = 0.0;
   for (double v : per_run_) ss += (v - mean) * (v - mean);
   const double var = ss / static_cast<double>(per_run_.size() - 1);
+  // A bounded [0,1] mean is sub-Gaussian with σ² ≤ 1/4, so z =
+  // sqrt(2 ln(2/δ)) gives a distribution-free two-sided bound without an
+  // inverse-normal table.
+  const double z = std::sqrt(2.0 * std::log(2.0 / params_.delta));
   snap_.ci_halfwidth = std::min(
-      1.0, SubGaussianZ(options_.delta) *
-               std::sqrt(var / static_cast<double>(per_run_.size())));
+      1.0, z * std::sqrt(var / static_cast<double>(per_run_.size())));
+}
+
+// ---- RunToBudget -------------------------------------------------------
+
+StatusOr<BudgetRun> RunToBudget(const char* kind, size_t budget,
+                                size_t threads, const ShardFactory& make,
+                                double delta, Rng* rng,
+                                const CancellationToken* cancel,
+                                bool allow_partial) {
+  const std::string name(kind);
+  const std::string span =
+      name == "trajectory" ? "trajectory.sample" : name + ".worker";
+  BudgetRun run;
+  const size_t k = std::max<size_t>(1, std::min(threads, budget));
+  for (size_t i = 0; i < k; ++i) {
+    run.shards.push_back(
+        make(budget / k + (i < budget % k ? 1 : 0), rng->Fork()));
+  }
+  std::vector<Status> statuses(k);
+  auto run_shard = [&](size_t i) {
+    trace::Span worker_span(span);
+    ResumableSampler& shard = *run.shards[i];
+    statuses[i] = shard.RunQuantum(shard.snapshot().budget, cancel);
+  };
+  const auto started = std::chrono::steady_clock::now();
+  // Shard 0 runs on the calling thread; the others join the request's trace
+  // (one worker span each) by installing the calling thread's context.
+  const trace::Context ctx = trace::Current();
+  std::vector<std::thread> pool;
+  for (size_t i = 1; i < k; ++i) {
+    pool.emplace_back([&, i] {
+      trace::ScopedContext sc(ctx);
+      run_shard(i);
+    });
+  }
+  run_shard(0);
+  for (auto& t : pool) t.join();
+  const int64_t elapsed_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count();
+
+  SamplerSnapshot merged = run.shards[0]->snapshot();
+  for (size_t i = 1; i < k; ++i) {
+    const SamplerSnapshot& s = run.shards[i]->snapshot();
+    merged.samples += s.samples;
+    merged.budget += s.budget;
+    merged.total_steps += s.total_steps;
+    merged.hits += s.hits;
+  }
+  if (k > 1) {
+    merged.estimate = Ratio(merged.hits, merged.samples);
+    merged.ci_halfwidth = HoeffdingHalfwidth(delta, merged.samples);
+  }
+  CountRun(name, merged, elapsed_us);
+
+  ApproxResult& result = run.result;
+  result.estimate = merged.estimate;
+  result.samples = merged.samples;
+  result.samples_requested = merged.budget;
+  result.total_steps = merged.total_steps;
+  result.ci_halfwidth = merged.ci_halfwidth;
+  for (const Status& status : statuses) {
+    if (status.ok()) continue;
+    if (!allow_partial || !IsInterruption(status)) return status;
+    if (result.interruption.ok()) result.interruption = status;
+  }
+  if (!result.interruption.ok()) {
+    // Nothing finished means no estimate to degrade to.
+    if (merged.samples == 0) return result.interruption;
+    result.degraded = true;
+    metrics::MetricRegistry::Instance()
+        .GetCounter("pfql_sampler_degraded_total",
+                    "kind=\"" + name + "\",cause=\"" +
+                        StatusCodeToString(result.interruption.code()) + '"')
+        ->Increment();
+  }
+  return run;
 }
 
 }  // namespace eval

@@ -1,123 +1,11 @@
 #include "eval/trajectory.h"
 
-#include <chrono>
-#include <utility>
+#include <memory>
 
-#include "eval/noninflationary.h"
-#include "markov/compiled_chain.h"
-#include "util/fault_injection.h"
-#include "util/metrics.h"
-#include "util/trace.h"
+#include "eval/resumable.h"
 
 namespace pfql {
 namespace eval {
-
-namespace {
-
-// Counts finished runs/steps once at return so the hot per-step loop stays
-// untouched; a scope guard catches every exit path (including errors).
-struct TrajectoryMetricsGuard {
-  const TrajectoryResult* result;
-  ~TrajectoryMetricsGuard() {
-    auto& registry = metrics::MetricRegistry::Instance();
-    static metrics::Counter* const runs_counter =
-        registry.GetCounter("pfql_trajectory_runs_total");
-    static metrics::Counter* const steps_counter =
-        registry.GetCounter("pfql_sampler_steps_total",
-                            "kind=\"trajectory\"");
-    runs_counter->Increment(result->per_run.size());
-    steps_counter->Increment(result->total_steps);
-  }
-};
-
-// Compiled-tier time averaging: all runs advance in one walker batch, hit
-// counting happens inside the wave loop (StepBatchCounting). The fault
-// point still fires once per run, before the batch starts; a fault at run
-// r truncates the batch to the completed prefix of r runs.
-StatusOr<TrajectoryResult> TimeAverageCompiled(const CompiledSpace& compiled,
-                                               const EventExpr::Ptr& event,
-                                               const TrajectoryParams& params,
-                                               size_t discard, Rng* rng) {
-  trace::Span span("trajectory.sample");
-  TrajectoryResult result;
-  TrajectoryMetricsGuard metrics_guard{&result};
-  result.compiled = true;
-  result.compiled_states = compiled.chain.num_states();
-  result.compiled_edges = compiled.chain.num_edges();
-  result.runs_requested = params.runs;
-
-  std::vector<uint8_t> event_states(compiled.space.states.size(), 0);
-  for (size_t s = 0; s < compiled.space.states.size(); ++s) {
-    PFQL_ASSIGN_OR_RETURN(bool holds,
-                          event->Holds(compiled.space.states[s]));
-    event_states[s] = holds ? 1 : 0;
-  }
-
-  size_t planned = params.runs;
-  Status fault_interruption;
-  for (size_t run = 0; run < params.runs; ++run) {
-    if (fault::InjectFault(fault::points::kTrajectoryRun)) {
-      fault_interruption = fault::InjectedError(fault::points::kTrajectoryRun);
-      planned = run;
-      break;
-    }
-  }
-
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<uint64_t> hits;
-  if (planned > 0) {
-    std::vector<uint32_t> walkers(planned, 0);  // all runs start at initial
-    Status stepped =
-        compiled.chain.StepBatchCounting(&walkers, params.steps, discard,
-                                         event_states, &hits, rng,
-                                         params.cancel);
-    if (!stepped.ok()) {
-      // Runs advance in lockstep: an interruption mid-batch leaves no
-      // completed run to salvage, degraded or not.
-      return stepped;
-    }
-  }
-
-  const size_t counted = params.steps - discard;
-  double total = 0.0;
-  for (size_t run = 0; run < planned; ++run) {
-    const double avg = counted == 0 ? 0.0
-                                    : static_cast<double>(hits[run]) /
-                                          static_cast<double>(counted);
-    result.per_run.push_back(avg);
-    total += avg;
-  }
-  result.total_steps = planned * params.steps;
-
-  auto& registry = metrics::MetricRegistry::Instance();
-  static metrics::Counter* const compiled_steps =
-      registry.GetCounter("pfql_compiled_steps_total", "kind=\"trajectory\"");
-  static metrics::Gauge* const compiled_rate =
-      registry.GetGauge("pfql_compiled_steps_per_sec", "kind=\"trajectory\"");
-  compiled_steps->Increment(result.total_steps);
-  const int64_t elapsed_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count();
-  if (elapsed_us > 0 && result.total_steps > 0) {
-    compiled_rate->Set(static_cast<int64_t>(result.total_steps) * 1000000 /
-                       elapsed_us);
-  }
-
-  if (!fault_interruption.ok()) {
-    if (!params.allow_partial || result.per_run.empty()) {
-      return fault_interruption;
-    }
-    result.degraded = true;
-    result.interruption = std::move(fault_interruption);
-    result.estimate = total / static_cast<double>(result.per_run.size());
-    return result;
-  }
-  result.estimate = total / static_cast<double>(params.runs);
-  return result;
-}
-
-}  // namespace
 
 StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
                                                const Instance& initial,
@@ -131,66 +19,35 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
   if (params.discard_fraction < 0.0 || params.discard_fraction >= 1.0) {
     return Status::InvalidArgument("discard_fraction must be in [0, 1)");
   }
-  const size_t discard =
-      static_cast<size_t>(params.discard_fraction *
-                          static_cast<double>(params.steps));
-
-  if (params.backend != Backend::kInterpreted) {
-    CompileOptions copts;
-    copts.max_states = params.compile_max_states;
-    copts.cancel = params.cancel;
-    auto compiled = GetOrCompile(kernel, initial, copts);
-    if (compiled.ok()) {
-      return TimeAverageCompiled(**compiled, event, params, discard, rng);
-    }
-    if (params.backend == Backend::kCompiled) {
-      return ForcedCompileError(compiled.status());
-    }
-    if (compiled.status().code() != StatusCode::kResourceExhausted) {
-      return compiled.status();
-    }
-    // kAuto and the chain exceeded the compile budget: interpreted tier.
-  }
-
-  trace::Span span("trajectory.sample");
+  PFQL_RETURN_NOT_OK(CheckDelta(params.delta));
+  PFQL_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledSpace> compiled,
+      CompileOrFallBack(kernel, initial, params.backend,
+                        params.compile_max_states, params.cancel));
+  // Trajectory runs on one thread: a single shard draws every run.
+  PFQL_ASSIGN_OR_RETURN(
+      BudgetRun run,
+      RunToBudget(
+          "trajectory", params.runs, /*threads=*/1,
+          [&](size_t, Rng shard_rng) {
+            return std::make_unique<ResumableTrajectory>(
+                kernel, initial, event, compiled, params, shard_rng);
+          },
+          params.delta, rng, params.cancel, params.allow_partial));
   TrajectoryResult result;
-  TrajectoryMetricsGuard metrics_guard{&result};
+  result.estimate = run.result.estimate;
+  result.per_run =
+      static_cast<const ResumableTrajectory&>(*run.shards[0]).per_run();
   result.runs_requested = params.runs;
-  result.per_run.reserve(params.runs);
-  CancelPoller poller(params.cancel);
-  double total = 0.0;
-  // An interruption (deadline/cancel/fault) mid-run discards that run; with
-  // allow_partial the completed runs still yield a degraded estimate.
-  auto interrupt = [&](Status why) -> StatusOr<TrajectoryResult> {
-    if (!params.allow_partial || result.per_run.empty()) return why;
-    result.degraded = true;
-    result.interruption = std::move(why);
-    result.estimate = total / static_cast<double>(result.per_run.size());
-    return result;
-  };
-  for (size_t run = 0; run < params.runs; ++run) {
-    if (fault::InjectFault(fault::points::kTrajectoryRun)) {
-      return interrupt(fault::InjectedError(fault::points::kTrajectoryRun));
-    }
-    Instance state = initial;
-    size_t hits = 0, counted = 0;
-    for (size_t t = 0; t < params.steps; ++t) {
-      Status cancelled = poller.Tick();
-      if (!cancelled.ok()) return interrupt(std::move(cancelled));
-      PFQL_ASSIGN_OR_RETURN(state, kernel.ApplySample(state, rng));
-      ++result.total_steps;
-      if (t < discard) continue;
-      PFQL_ASSIGN_OR_RETURN(bool holds, event->Holds(state));
-      ++counted;
-      if (holds) ++hits;
-    }
-    const double avg =
-        counted == 0 ? 0.0
-                     : static_cast<double>(hits) / static_cast<double>(counted);
-    result.per_run.push_back(avg);
-    total += avg;
+  result.total_steps = run.result.total_steps;
+  result.ci_halfwidth = run.result.ci_halfwidth;
+  result.degraded = run.result.degraded;
+  result.interruption = run.result.interruption;
+  if (compiled != nullptr) {
+    result.compiled = true;
+    result.compiled_states = compiled->chain.num_states();
+    result.compiled_edges = compiled->chain.num_edges();
   }
-  result.estimate = total / static_cast<double>(params.runs);
   return result;
 }
 

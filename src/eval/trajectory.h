@@ -34,6 +34,9 @@ struct TrajectoryParams {
   /// Initial fraction of each trajectory to discard before averaging
   /// (reduces the O(1/k) initialization bias); in [0, 1).
   double discard_fraction = 0.1;
+  /// The normal-approximation CI over per-run averages is stated at
+  /// confidence 1 − delta; in (0, 1).
+  double delta = 0.05;
   /// Optional cooperative cancel/deadline token, polled at a stride over
   /// simulation steps. Non-owning; may be null.
   const CancellationToken* cancel = nullptr;
@@ -42,9 +45,7 @@ struct TrajectoryParams {
   /// completed runs; a run interrupted mid-trajectory is discarded.
   bool allow_partial = false;
   /// Evaluation tier (see eval/backend.h). kInterpreted is the bit-stable
-  /// default; kAuto/kCompiled batch all runs as compiled-chain walkers.
-  /// Note the compiled tier advances runs in lockstep, so an interruption
-  /// discards the whole batch (no partially-completed-run prefix).
+  /// default; kAuto/kCompiled step a compiled-chain walker.
   Backend backend = Backend::kInterpreted;
   /// State budget for compiling the chain (CompileOptions::max_states).
   size_t compile_max_states = 1 << 12;
@@ -58,6 +59,9 @@ struct TrajectoryResult {
   std::vector<double> per_run;
   size_t runs_requested = 0;
   size_t total_steps = 0;
+  /// CI half-width over the completed runs at 1 − delta: the sub-Gaussian
+  /// sqrt(2 ln(2/δ)) times the standard error, and 1 below two runs.
+  double ci_halfwidth = 1.0;
   bool degraded = false;
   Status interruption;  ///< non-OK iff degraded
   /// True when the compiled chain tier produced this result.

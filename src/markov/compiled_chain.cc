@@ -205,45 +205,6 @@ Status CompiledChain::StepBatch(std::vector<uint32_t>* walkers, size_t steps,
   return Status::OK();
 }
 
-Status CompiledChain::StepBatchCounting(std::vector<uint32_t>* walkers,
-                                        size_t steps, size_t count_from,
-                                        const std::vector<uint8_t>& event_states,
-                                        std::vector<uint64_t>* hits, Rng* rng,
-                                        const CancellationToken* cancel) const {
-  if (walkers == nullptr || hits == nullptr || rng == nullptr) {
-    return Status::InvalidArgument("null walkers, hits, or rng");
-  }
-  if (event_states.size() != num_states()) {
-    return Status::InvalidArgument("event indicator size mismatch");
-  }
-  const size_t n = walkers->size();
-  for (uint32_t state : *walkers) {
-    if (state >= num_states()) {
-      return Status::InvalidArgument("walker state out of range");
-    }
-  }
-  hits->assign(n, 0);
-  if (n == 0 || steps == 0) return Status::OK();
-  const uint32_t stride =
-      static_cast<uint32_t>(std::max<size_t>(64, 4096 / n));
-  CancelPoller poller(cancel, stride);
-  uint32_t* w = walkers->data();
-  uint64_t* h = hits->data();
-  const uint8_t* ev = event_states.data();
-  for (size_t t = 0; t < steps; ++t) {
-    PFQL_RETURN_NOT_OK(poller.Tick());
-    if (t < count_from) {
-      for (size_t i = 0; i < n; ++i) w[i] = Step(w[i], rng);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        w[i] = Step(w[i], rng);
-        h[i] += ev[w[i]];
-      }
-    }
-  }
-  return Status::OK();
-}
-
 StatusOr<CompiledChain::StationaryResult> CompiledChain::Stationary(
     size_t max_iters, double tolerance) const {
   const size_t n = num_states();

@@ -78,15 +78,6 @@ class CompiledChain {
   Status StepBatch(std::vector<uint32_t>* walkers, size_t steps, Rng* rng,
                    const CancellationToken* cancel = nullptr) const;
 
-  /// StepBatch that also counts, per walker, the steps >= `count_from`
-  /// that land in a state with event_states[state] != 0. `hits` is
-  /// resized and zeroed. This is the trajectory sampler's inner loop.
-  Status StepBatchCounting(std::vector<uint32_t>* walkers, size_t steps,
-                           size_t count_from,
-                           const std::vector<uint8_t>& event_states,
-                           std::vector<uint64_t>* hits, Rng* rng,
-                           const CancellationToken* cancel = nullptr) const;
-
   /// Power-iteration stationary distribution on the lazy chain (P+I)/2
   /// over the quantized CSR rows — the compiled cross-check against the
   /// exact markov/matrix solvers (valid for irreducible chains).

@@ -60,7 +60,7 @@ struct SampleScheduler::Task {
   double epsilon = 0.05;
   double delta = 0.05;
   bool is_mcmc = false;
-  std::function<StatusOr<std::unique_ptr<eval::ResumableSampler>>()> factory;
+  decltype(SubscriptionSpec::factory) factory;
   std::unique_ptr<eval::ResumableSampler> sampler;
   std::vector<std::unique_ptr<Subscriber>> subs;
 
@@ -392,8 +392,14 @@ SampleScheduler::SettleQuantumLocked(Task* task, const Status& status) {
   task->last_service = std::chrono::steady_clock::now();
   task->last_tick = ++service_tick_;
   if (task->sampler != nullptr) {
-    total_samples_ += task->sampler->snapshot().samples - task->prev_samples;
-    task->prev_samples = task->sampler->snapshot().samples;
+    const uint64_t samples = task->sampler->snapshot().samples;
+    if (samples > task->prev_samples) {
+      registry
+          .GetCounter("pfql_sched_samples_total", "kind=\"" + task->kind + '"')
+          ->Increment(samples - task->prev_samples);
+    }
+    total_samples_ += samples - task->prev_samples;
+    task->prev_samples = samples;
   }
   if (task->subs.empty()) {  // everyone unsubscribed mid-quantum
     task->done = true;
@@ -486,7 +492,7 @@ void SampleScheduler::WorkerLoop() {
     Status status;
     std::unique_ptr<eval::ResumableSampler> built;
     if (sampler == nullptr) {
-      auto made = task->factory();
+      auto made = task->factory(&shutdown_token_);
       if (made.ok()) {
         built = std::move(*made);
         sampler = built.get();

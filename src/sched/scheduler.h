@@ -93,9 +93,12 @@ struct SubscriptionSpec {
   double delta = 0.05;
   bool is_mcmc = false;
   /// Builds the resumable sampler; called once, on the first quantum the
-  /// task is serviced (so Subscribe stays cheap). An error completes every
-  /// attached subscription with a structured error push.
-  std::function<StatusOr<std::unique_ptr<eval::ResumableSampler>>()> factory;
+  /// task is serviced (so Subscribe stays cheap), with the token that
+  /// Shutdown cancels. An error completes every attached subscription with
+  /// a structured error push.
+  std::function<StatusOr<std::unique_ptr<eval::ResumableSampler>>(
+      const CancellationToken* cancel)>
+      factory;
 };
 
 struct SubscribeResult {

@@ -1,7 +1,6 @@
 #include "server/executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -24,17 +23,6 @@ namespace pfql {
 namespace server {
 
 namespace {
-
-// One counter bump per degraded (partial) result, labeled by evaluator
-// kind and by what cut the evaluation short (deadline_exceeded, cancelled,
-// unavailable for injected faults, ...).
-void CountDegraded(const char* kind, StatusCode cause) {
-  const std::string labels = std::string("kind=\"") + kind + "\",cause=\"" +
-                             StatusCodeToString(cause) + '"';
-  metrics::MetricRegistry::Instance()
-      .GetCounter("pfql_sampler_degraded_total", labels)
-      ->Increment();
-}
 
 // ---- Analyzer-driven planning (src/analysis/cost_model.h) --------------
 //
@@ -139,20 +127,72 @@ void SetProbability(const BigRational& p, Json* payload) {
   payload->Set("probability_double", p.ToDouble());
 }
 
-// Degraded-response fields shared by the sampled kinds (schema in
-// docs/SERVER.md §degraded responses). The Hoeffding halfwidth
-// sqrt(ln(2/δ)/(2k)) is the absolute-error bound the k *completed* samples
-// still support at confidence 1 − δ — the honest replacement for the
-// requested epsilon.
-void SetDegradedSampling(const Status& interruption, size_t completed,
-                         double delta, Json* payload) {
-  payload->Set("degraded", true);
-  payload->Set("interrupted_by",
-               StatusCodeToString(interruption.code()));
-  payload->Set("ci_halfwidth",
-               std::sqrt(std::log(2.0 / delta) /
-                         (2.0 * static_cast<double>(completed))));
+// Degradation fields shared by the sampled kinds (schema in docs/SERVER.md
+// §degraded responses). A degraded payload reports the CI half-width the
+// completed samples still support at confidence 1 − δ, taken from the
+// sampler run — the honest replacement for the requested epsilon.
+void SetDegradation(bool degraded, const Status& interruption,
+                    double ci_halfwidth, double delta, Json* payload) {
+  payload->Set("degraded", degraded);
+  if (!degraded) return;
+  payload->Set("interrupted_by", StatusCodeToString(interruption.code()));
+  payload->Set("ci_halfwidth", ci_halfwidth);
   payload->Set("ci_confidence", 1.0 - delta);
+}
+
+// Tier fields of the chain-sampling kinds.
+void SetBackend(bool compiled, size_t states, size_t edges, Json* payload) {
+  payload->Set("backend", compiled ? "compiled" : "interpreted");
+  if (compiled) {
+    payload->Set("compiled_states", states);
+    payload->Set("compiled_edges", edges);
+  }
+}
+
+// Sampler options from a request, shared by the one-shot kinds and
+// subscriptions. `backend` is the planned tier (PlanBackend).
+eval::ApproxParams ApproxParamsFor(const Request& request,
+                                   const CancellationToken* cancel) {
+  eval::ApproxParams params;
+  params.epsilon = request.epsilon;
+  params.delta = request.delta;
+  params.threads = request.threads;
+  params.cancel = cancel;
+  params.max_samples = request.max_samples;
+  params.allow_partial = request.allow_partial;
+  return params;
+}
+
+eval::McmcParams McmcParamsFor(const Request& request, eval::Backend backend,
+                               const CancellationToken* cancel) {
+  eval::McmcParams params;
+  // "auto" burn-in: one-shot mcmc measures the TV mixing time instead;
+  // subscriptions keep 100, because R̂ *observes* mixing online instead of
+  // assuming a pre-measured bound.
+  params.burn_in = request.burn_in.value_or(100);
+  params.epsilon = request.epsilon;
+  params.delta = request.delta;
+  params.threads = request.threads;
+  params.cancel = cancel;
+  params.max_samples = request.max_samples;
+  params.allow_partial = request.allow_partial;
+  params.backend = backend;
+  params.compile_max_states = request.compile_max_states;
+  return params;
+}
+
+eval::TrajectoryParams TrajectoryParamsFor(const Request& request,
+                                           eval::Backend backend,
+                                           const CancellationToken* cancel) {
+  eval::TrajectoryParams params;
+  params.steps = request.steps;
+  params.runs = request.runs;
+  params.delta = request.delta;
+  params.cancel = cancel;
+  params.allow_partial = request.allow_partial;
+  params.backend = backend;
+  params.compile_max_states = request.compile_max_states;
+  return params;
 }
 
 StatusOr<Json> ExecuteRun(const Request& request,
@@ -194,13 +234,7 @@ StatusOr<Json> ExecuteApprox(const Request& request,
                              const datalog::Program& program,
                              const Instance& edb, const QueryEvent& event,
                              const CancellationToken* cancel) {
-  eval::ApproxParams params;
-  params.epsilon = request.epsilon;
-  params.delta = request.delta;
-  params.threads = request.threads;
-  params.cancel = cancel;
-  params.max_samples = request.max_samples;
-  params.allow_partial = request.allow_partial;
+  const eval::ApproxParams params = ApproxParamsFor(request, cancel);
   Rng rng(request.seed);
   PFQL_ASSIGN_OR_RETURN(
       eval::ApproxResult r,
@@ -213,12 +247,8 @@ StatusOr<Json> ExecuteApprox(const Request& request,
   payload.Set("total_steps", r.total_steps);
   payload.Set("epsilon", params.epsilon);
   payload.Set("delta", params.delta);
-  if (r.degraded) {
-    CountDegraded("approx", r.interruption.code());
-    SetDegradedSampling(r.interruption, r.samples, params.delta, &payload);
-  } else {
-    payload.Set("degraded", false);
-  }
+  SetDegradation(r.degraded, r.interruption, r.ci_halfwidth, params.delta,
+                 &payload);
   return payload;
 }
 
@@ -246,7 +276,11 @@ StatusOr<Json> ExecuteExactWithFallback(const Request& request,
   StatusOr<Json> approx =
       ExecuteApprox(approx_request, program, edb, event, cancel);
   if (!approx.ok()) return exact;
-  CountDegraded("exact", code);
+  metrics::MetricRegistry::Instance()
+      .GetCounter("pfql_sampler_degraded_total",
+                  std::string("kind=\"exact\",cause=\"") +
+                      StatusCodeToString(code) + '"')
+      ->Increment();
   Json payload = std::move(approx).value();
   payload.Set("degraded", true);
   payload.Set("fallback_from", "exact");
@@ -290,19 +324,14 @@ StatusOr<Json> ExecuteMcmc(const Request& request,
       PlanReport(request, program, edb, nullptr);
   PFQL_ASSIGN_OR_RETURN(datalog::TranslatedQuery tq,
                         datalog::TranslateNonInflationary(program, edb));
-  eval::McmcParams params;
-  params.epsilon = request.epsilon;
-  params.delta = request.delta;
-  params.threads = request.threads;
-  params.cancel = cancel;
-  params.max_samples = request.max_samples;
-  params.allow_partial = request.allow_partial;
-  PFQL_ASSIGN_OR_RETURN(params.backend, PlanBackend(plan, request, "mcmc"));
-  params.compile_max_states = request.compile_max_states;
-  bool measured = false;
-  if (request.burn_in.has_value()) {
-    params.burn_in = *request.burn_in;
-  } else {
+  PFQL_ASSIGN_OR_RETURN(eval::Backend backend,
+                        PlanBackend(plan, request, "mcmc"));
+  eval::McmcParams params = McmcParamsFor(request, backend, cancel);
+  // The mixing-time measurement reads epsilon too: reject bad values first.
+  PFQL_RETURN_NOT_OK(
+      eval::HoeffdingCount(params.epsilon, params.delta).status());
+  const bool measured = !request.burn_in.has_value();
+  if (measured) {
     // "auto": measure the TV mixing time on the explicit chain. The
     // measurement honours the same budget and deadline as the sampler —
     // and the same upfront rejection, since it enumerates the state space.
@@ -315,7 +344,6 @@ StatusOr<Json> ExecuteMcmc(const Request& request,
         params.burn_in,
         eval::MeasureMixingTimeTV(tq.kernel, tq.initial,
                                   params.epsilon / 2, options));
-    measured = true;
   }
   Rng rng(request.seed);
   PFQL_ASSIGN_OR_RETURN(
@@ -329,17 +357,9 @@ StatusOr<Json> ExecuteMcmc(const Request& request,
   payload.Set("burn_in", params.burn_in);
   payload.Set("burn_in_measured", measured);
   payload.Set("total_steps", r.total_steps);
-  payload.Set("backend", r.compiled ? "compiled" : "interpreted");
-  if (r.compiled) {
-    payload.Set("compiled_states", r.compiled_states);
-    payload.Set("compiled_edges", r.compiled_edges);
-  }
-  if (r.degraded) {
-    CountDegraded("mcmc", r.interruption.code());
-    SetDegradedSampling(r.interruption, r.samples, params.delta, &payload);
-  } else {
-    payload.Set("degraded", false);
-  }
+  SetBackend(r.compiled, r.compiled_states, r.compiled_edges, &payload);
+  SetDegradation(r.degraded, r.interruption, r.ci_halfwidth, params.delta,
+                 &payload);
   return payload;
 }
 
@@ -384,14 +404,10 @@ StatusOr<Json> ExecuteTrajectory(const Request& request,
       PlanReport(request, program, edb, nullptr);
   PFQL_ASSIGN_OR_RETURN(datalog::TranslatedQuery tq,
                         datalog::TranslateNonInflationary(program, edb));
-  eval::TrajectoryParams params;
-  params.steps = request.steps;
-  params.runs = request.runs;
-  params.cancel = cancel;
-  params.allow_partial = request.allow_partial;
-  PFQL_ASSIGN_OR_RETURN(params.backend,
+  PFQL_ASSIGN_OR_RETURN(eval::Backend backend,
                         PlanBackend(plan, request, "trajectory"));
-  params.compile_max_states = request.compile_max_states;
+  const eval::TrajectoryParams params =
+      TrajectoryParamsFor(request, backend, cancel);
   Rng rng(request.seed);
   PFQL_ASSIGN_OR_RETURN(
       eval::TrajectoryResult r,
@@ -404,30 +420,9 @@ StatusOr<Json> ExecuteTrajectory(const Request& request,
   payload.Set("runs_requested", r.runs_requested);
   payload.Set("steps_per_run", request.steps);
   payload.Set("total_steps", r.total_steps);
-  payload.Set("backend", r.compiled ? "compiled" : "interpreted");
-  if (r.compiled) {
-    payload.Set("compiled_states", r.compiled_states);
-    payload.Set("compiled_edges", r.compiled_edges);
-  }
-  if (r.degraded) {
-    // No Hoeffding bound for time averages; report a normal-approximation
-    // 95% CI over the completed per-run averages instead.
-    const size_t k = r.per_run.size();
-    double var = 0.0;
-    for (double avg : r.per_run) {
-      var += (avg - r.estimate) * (avg - r.estimate);
-    }
-    var = k > 1 ? var / static_cast<double>(k - 1) : 0.0;
-    CountDegraded("trajectory", r.interruption.code());
-    payload.Set("degraded", true);
-    payload.Set("interrupted_by",
-                StatusCodeToString(r.interruption.code()));
-    payload.Set("ci_halfwidth",
-                1.96 * std::sqrt(var / static_cast<double>(k)));
-    payload.Set("ci_confidence", 0.95);
-  } else {
-    payload.Set("degraded", false);
-  }
+  SetBackend(r.compiled, r.compiled_states, r.compiled_edges, &payload);
+  SetDegradation(r.degraded, r.interruption, r.ci_halfwidth, params.delta,
+                 &payload);
   return payload;
 }
 
@@ -517,22 +512,25 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
   PFQL_ASSIGN_OR_RETURN(RequestKind inner, request.TargetKind());
   PFQL_ASSIGN_OR_RETURN(QueryEvent event,
                         datalog::ParseGroundAtom(request.event));
+  // Every target reads epsilon (the CI target) and delta (its confidence):
+  // reject bad values here, before the subscribe ack.
+  PFQL_ASSIGN_OR_RETURN(const size_t budget,
+                        eval::HoeffdingCount(request.epsilon, request.delta,
+                                             request.max_samples));
   sched::SubscriptionSpec spec;
   spec.kind = request.target;
   spec.epsilon = request.epsilon;
   spec.delta = request.delta;
+  const uint64_t seed = request.seed;
 
   if (inner == RequestKind::kApprox) {
-    eval::ResumableApproxOptions options;
-    options.epsilon = request.epsilon;
-    options.delta = request.delta;
-    options.seed = request.seed;
-    options.max_samples = request.max_samples;
+    const eval::ApproxParams params = ApproxParamsFor(request, nullptr);
     spec.factory = [program = std::move(program), edb = std::move(edb),
-                    event = std::move(event), options]()
+                    event = std::move(event), params, budget,
+                    seed](const CancellationToken*)
         -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
-      return std::unique_ptr<eval::ResumableSampler>(
-          new eval::ResumableApprox(program, edb, event, options));
+      return std::unique_ptr<eval::ResumableSampler>(new eval::ResumableApprox(
+          program, edb, event, params, budget, Rng(seed)));
     };
     return spec;
   }
@@ -540,7 +538,8 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
   // Non-inflationary targets: translate now (cheap, and resolution errors
   // belong in the subscribe ack) and apply the analyzer's compile gating,
   // so a forced-compiled subscription over an over-budget chain fails at
-  // the front door like its one-shot counterpart.
+  // the front door like its one-shot counterpart. Compilation itself runs
+  // in the factory, on a scheduler thread.
   const analysis::CostReport plan =
       PlanReport(request, *program, *edb, nullptr);
   PFQL_ASSIGN_OR_RETURN(datalog::TranslatedQuery tq,
@@ -550,41 +549,40 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
 
   if (inner == RequestKind::kMcmc) {
     spec.is_mcmc = true;
-    eval::ResumableMcmcOptions options;
+    const eval::McmcParams params = McmcParamsFor(request, backend, nullptr);
     // >= 2 persistent chains so split-R̂ has cross-chain variance; more
     // chains sharpen the diagnostic at the cost of per-chain depth.
-    options.num_chains = std::max<size_t>(2, request.threads);
-    // "auto" burn-in means 100 here, not a TV-mixing-time measurement: the
-    // subscription's whole point is that R̂ *observes* mixing online
-    // instead of assuming a pre-measured bound.
-    options.burn_in = request.burn_in.value_or(100);
-    options.epsilon = request.epsilon;
-    options.delta = request.delta;
-    options.seed = request.seed;
-    options.max_samples = request.max_samples;
-    options.backend = backend;
-    options.compile_max_states = request.compile_max_states;
+    const size_t chains = std::max<size_t>(2, request.threads);
     spec.factory = [kernel = tq.kernel, initial = tq.initial,
-                    event = std::move(event), options]()
+                    event = std::move(event), params, chains,
+                    seed](const CancellationToken* cancel)
         -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+      PFQL_ASSIGN_OR_RETURN(
+          std::shared_ptr<const CompiledSpace> compiled,
+          eval::CompileOrFallBack(kernel, initial, params.backend,
+                                  params.compile_max_states, cancel));
       return std::unique_ptr<eval::ResumableSampler>(
-          new eval::ResumableMcmcChains(kernel, initial, event, options));
+          new eval::ResumableMcmcChains(kernel, initial, event,
+                                        std::move(compiled), params, chains,
+                                        Rng(seed)));
     };
     return spec;
   }
 
-  eval::ResumableTrajectoryOptions options;
-  options.steps = request.steps;
-  options.runs = request.runs;
-  options.delta = request.delta;
-  options.seed = request.seed;
-  options.backend = backend;
-  options.compile_max_states = request.compile_max_states;
+  const eval::TrajectoryParams params =
+      TrajectoryParamsFor(request, backend, nullptr);
   spec.factory = [kernel = tq.kernel, initial = tq.initial,
-                  event = std::move(event), options]()
+                  event = EventExpr::From(event), params,
+                  seed](const CancellationToken* cancel)
       -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+    PFQL_ASSIGN_OR_RETURN(
+        std::shared_ptr<const CompiledSpace> compiled,
+        eval::CompileOrFallBack(kernel, initial, params.backend,
+                                params.compile_max_states, cancel));
     return std::unique_ptr<eval::ResumableSampler>(
-        new eval::ResumableTrajectory(kernel, initial, event, options));
+        new eval::ResumableTrajectory(kernel, initial, event,
+                                      std::move(compiled), params,
+                                      Rng(seed)));
   };
   return spec;
 }

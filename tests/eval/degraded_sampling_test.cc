@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ostream>
 
 #include "datalog/program.h"
 #include "eval/inflationary.h"
@@ -16,6 +17,13 @@
 
 namespace pfql {
 namespace eval {
+
+// Names the tier in parameterized test names (found by argument-dependent
+// lookup; identical wherever a test binary defines it).
+inline void PrintTo(Backend backend, std::ostream* os) {
+  *os << BackendToString(backend);
+}
+
 namespace {
 
 Instance DiamondEdb() {
@@ -52,7 +60,7 @@ TEST_F(DegradedSamplingTest, ApproxFaultAtHalfBudgetDegrades) {
   params.epsilon = 0.2;
   params.delta = 0.2;
   params.allow_partial = true;
-  const size_t budget = params.SampleCount();
+  const size_t budget = HoeffdingCount(params.epsilon, params.delta).value();
   ASSERT_GE(budget, 4u);
   // The acceptance scenario: force the interruption at 50% of the budget.
   fault::ScopedFault fault(fault::points::kApproxSample,
@@ -166,40 +174,6 @@ TEST_F(DegradedSamplingTest, ApproxDeadlineMidSamplingDegrades) {
 
 // ---- mcmc (Thm 5.6) ----------------------------------------------------
 
-TEST_F(DegradedSamplingTest, McmcDegradedEstimateEqualsSameSeedPrefix) {
-  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
-  ASSERT_TRUE(wq.ok());
-  constexpr uint64_t kSeed = 55;
-  constexpr size_t kFaultAt = 9;
-
-  McmcParams degraded_params;
-  degraded_params.burn_in = 3;
-  degraded_params.allow_partial = true;
-  degraded_params.threads = 1;
-  auto degraded = [&] {
-    fault::ScopedFault fault(fault::points::kMcmcSample,
-                             fault::FaultSpec::NthHit(kFaultAt));
-    Rng rng(kSeed);
-    return McmcForever({wq->kernel, gadgets::WalkAtNode(1)}, wq->initial,
-                       degraded_params, &rng);
-  }();
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  ASSERT_TRUE(degraded->degraded);
-  EXPECT_EQ(degraded->samples, kFaultAt - 1);
-  EXPECT_EQ(degraded->total_steps, degraded_params.burn_in * (kFaultAt - 1));
-
-  McmcParams prefix_params;
-  prefix_params.burn_in = 3;
-  prefix_params.threads = 1;
-  prefix_params.max_samples = kFaultAt - 1;
-  Rng rng(kSeed);
-  auto prefix = McmcForever({wq->kernel, gadgets::WalkAtNode(1)},
-                            wq->initial, prefix_params, &rng);
-  ASSERT_TRUE(prefix.ok()) << prefix.status();
-  EXPECT_FALSE(prefix->degraded);
-  EXPECT_EQ(degraded->estimate, prefix->estimate);
-}
-
 TEST_F(DegradedSamplingTest, McmcSampleInterruptedMidBurnInIsDiscarded) {
   auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
   ASSERT_TRUE(wq.ok());
@@ -223,39 +197,6 @@ TEST_F(DegradedSamplingTest, McmcSampleInterruptedMidBurnInIsDiscarded) {
 
 // ---- trajectory (Def 3.2) ----------------------------------------------
 
-TEST_F(DegradedSamplingTest, TrajectoryDegradedEstimateEqualsSameSeedPrefix) {
-  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
-  ASSERT_TRUE(wq.ok());
-  constexpr uint64_t kSeed = 91;
-
-  TrajectoryParams degraded_params;
-  degraded_params.steps = 200;
-  degraded_params.runs = 8;
-  degraded_params.allow_partial = true;
-  auto degraded = [&] {
-    fault::ScopedFault fault(fault::points::kTrajectoryRun,
-                             fault::FaultSpec::NthHit(3));
-    Rng rng(kSeed);
-    return TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
-                               wq->initial, degraded_params, &rng);
-  }();
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  ASSERT_TRUE(degraded->degraded);
-  EXPECT_EQ(degraded->per_run.size(), 2u);
-  EXPECT_EQ(degraded->runs_requested, 8u);
-
-  TrajectoryParams prefix_params;
-  prefix_params.steps = 200;
-  prefix_params.runs = 2;  // exactly the completed prefix
-  Rng rng(kSeed);
-  auto prefix = TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
-                                    wq->initial, prefix_params, &rng);
-  ASSERT_TRUE(prefix.ok()) << prefix.status();
-  EXPECT_FALSE(prefix->degraded);
-  EXPECT_EQ(degraded->per_run, prefix->per_run);
-  EXPECT_EQ(degraded->estimate, prefix->estimate);
-}
-
 TEST_F(DegradedSamplingTest, TrajectoryWithoutAllowPartialStillFails) {
   auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
   ASSERT_TRUE(wq.ok());
@@ -269,6 +210,112 @@ TEST_F(DegradedSamplingTest, TrajectoryWithoutAllowPartialStillFails) {
                                     wq->initial, params, &rng);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+// ---- both tiers: the degraded prefix is the same-seed prefix run --------
+
+class DegradedBackendTest : public DegradedSamplingTest,
+                            public ::testing::WithParamInterface<Backend> {};
+
+TEST_P(DegradedBackendTest, McmcDegradedEstimateEqualsSameSeedPrefix) {
+  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
+  ASSERT_TRUE(wq.ok());
+  constexpr uint64_t kSeed = 55;
+  constexpr size_t kFaultAt = 9;
+
+  McmcParams degraded_params;
+  degraded_params.burn_in = 3;
+  degraded_params.allow_partial = true;
+  degraded_params.threads = 1;
+  degraded_params.backend = GetParam();
+  auto degraded = [&] {
+    fault::ScopedFault fault(fault::points::kMcmcSample,
+                             fault::FaultSpec::NthHit(kFaultAt));
+    Rng rng(kSeed);
+    return McmcForever({wq->kernel, gadgets::WalkAtNode(1)}, wq->initial,
+                       degraded_params, &rng);
+  }();
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  ASSERT_TRUE(degraded->degraded);
+  EXPECT_EQ(degraded->compiled, GetParam() == Backend::kCompiled);
+  EXPECT_EQ(degraded->samples, kFaultAt - 1);
+  EXPECT_EQ(degraded->total_steps, degraded_params.burn_in * (kFaultAt - 1));
+
+  McmcParams prefix_params = degraded_params;
+  prefix_params.allow_partial = false;
+  prefix_params.max_samples = kFaultAt - 1;
+  Rng rng(kSeed);
+  auto prefix = McmcForever({wq->kernel, gadgets::WalkAtNode(1)},
+                            wq->initial, prefix_params, &rng);
+  ASSERT_TRUE(prefix.ok()) << prefix.status();
+  EXPECT_FALSE(prefix->degraded);
+  EXPECT_EQ(degraded->estimate, prefix->estimate);
+}
+
+TEST_P(DegradedBackendTest, TrajectoryDegradedEstimateEqualsSameSeedPrefix) {
+  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
+  ASSERT_TRUE(wq.ok());
+  constexpr uint64_t kSeed = 91;
+
+  TrajectoryParams degraded_params;
+  degraded_params.steps = 200;
+  degraded_params.runs = 8;
+  degraded_params.allow_partial = true;
+  degraded_params.backend = GetParam();
+  auto degraded = [&] {
+    fault::ScopedFault fault(fault::points::kTrajectoryRun,
+                             fault::FaultSpec::NthHit(3));
+    Rng rng(kSeed);
+    return TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
+                               wq->initial, degraded_params, &rng);
+  }();
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  ASSERT_TRUE(degraded->degraded);
+  EXPECT_EQ(degraded->compiled, GetParam() == Backend::kCompiled);
+  EXPECT_EQ(degraded->per_run.size(), 2u);
+  EXPECT_EQ(degraded->runs_requested, 8u);
+
+  TrajectoryParams prefix_params = degraded_params;
+  prefix_params.allow_partial = false;
+  prefix_params.runs = 2;  // exactly the completed prefix
+  Rng rng(kSeed);
+  auto prefix = TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
+                                    wq->initial, prefix_params, &rng);
+  ASSERT_TRUE(prefix.ok()) << prefix.status();
+  EXPECT_FALSE(prefix->degraded);
+  EXPECT_EQ(degraded->per_run, prefix->per_run);
+  EXPECT_EQ(degraded->estimate, prefix->estimate);
+  EXPECT_EQ(degraded->total_steps, prefix->total_steps);
+  EXPECT_EQ(degraded->ci_halfwidth, prefix->ci_halfwidth);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DegradedBackendTest,
+    ::testing::Values(Backend::kInterpreted, Backend::kCompiled));
+
+TEST_F(DegradedSamplingTest, CompiledTrajectoryDeadlineKeepsFinishedRuns) {
+  // Runs are drawn one at a time on the compiled tier too, so a deadline
+  // mid-run keeps every run finished before it.
+  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
+  ASSERT_TRUE(wq.ok());
+  TrajectoryParams params;
+  params.steps = 200000;
+  params.runs = 100000;  // far more than 100ms of work
+  params.allow_partial = true;
+  params.backend = Backend::kCompiled;
+  CancellationToken token(std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(100));
+  params.cancel = &token;
+  Rng rng(17);
+  auto result = TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
+                                    wq->initial, params, &rng);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->compiled);
+  EXPECT_TRUE(result->degraded);
+  EXPECT_EQ(result->interruption.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(result->per_run.size(), 1u);
+  EXPECT_LT(result->per_run.size(), params.runs);
+  EXPECT_EQ(result->total_steps, result->per_run.size() * params.steps);
 }
 
 }  // namespace

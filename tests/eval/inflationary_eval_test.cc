@@ -19,9 +19,9 @@ TEST(ApproxParamsTest, HoeffdingSampleCount) {
   p.epsilon = 0.1;
   p.delta = 0.05;
   // ln(40)/(2*0.01) = 184.44 -> 185.
-  EXPECT_EQ(p.SampleCount(), 185u);
+  EXPECT_EQ(HoeffdingCount(p.epsilon, p.delta).value(), 185u);
   p.epsilon = 0.05;
-  EXPECT_EQ(p.SampleCount(), 738u);
+  EXPECT_EQ(HoeffdingCount(p.epsilon, p.delta).value(), 738u);
 }
 
 TEST(ExactInflationaryTest, DeterministicProgramYieldsZeroOrOne) {
@@ -121,9 +121,35 @@ TEST(ApproxInflationaryTest, Thm43EstimateWithinEpsilon) {
   auto result = ApproxInflationary(*program, edb, {"cur", Tuple{Value("b")}},
                                    params, &rng);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->samples, params.SampleCount());
+  EXPECT_EQ(result->samples,
+            HoeffdingCount(params.epsilon, params.delta).value());
   EXPECT_NEAR(result->estimate, 0.25, params.epsilon);
   EXPECT_GT(result->total_steps, 0u);
+}
+
+TEST(ApproxInflationaryTest, RejectsEpsilonAndDeltaOutsideTheirRanges) {
+  // The Hoeffding count needs epsilon in (0, 1] and delta in (0, 1); any
+  // other value would give a non-finite or meaningless sample budget.
+  auto program = datalog::ParseProgram("cur(a).");
+  ASSERT_TRUE(program.ok());
+  const std::pair<double, double> bad[] = {
+      {0.0, 0.05}, {-0.1, 0.05}, {1.5, 0.05}, {1e-300, 0.05},
+      {0.1, 0.0},  {0.1, 1.0},   {0.1, 3.0},
+  };
+  for (const auto& [epsilon, delta] : bad) {
+    ApproxParams params;
+    params.epsilon = epsilon;
+    params.delta = delta;
+    params.max_samples = 4;  // the range check holds with a budget override
+    Rng rng(1);
+    auto result = ApproxInflationary(*program, Instance{},
+                                     {"cur", Tuple{Value("a")}}, params, &rng);
+    ASSERT_FALSE(result.ok()) << epsilon << " " << delta;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    const std::string field = delta > 0.0 && delta < 1.0 ? "epsilon" : "delta";
+    EXPECT_NE(result.status().message().find(field), std::string::npos)
+        << result.status();
+  }
 }
 
 TEST(ApproxInflationaryOverPCTest, Thm43OverCTables) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/inflationary.h"
 #include "gadgets/graphs.h"
 
 namespace pfql {
@@ -70,7 +71,7 @@ TEST(McmcParamsTest, SampleCount) {
   McmcParams p;
   p.epsilon = 0.1;
   p.delta = 0.05;
-  EXPECT_EQ(p.SampleCount(), 185u);
+  EXPECT_EQ(HoeffdingCount(p.epsilon, p.delta).value(), 185u);
 }
 
 TEST(McmcForeverTest, Thm56EstimateMatchesStationary) {
@@ -87,6 +88,28 @@ TEST(McmcForeverTest, Thm56EstimateMatchesStationary) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_NEAR(result->estimate, 0.25, params.epsilon);
   EXPECT_EQ(result->total_steps, params.burn_in * result->samples);
+}
+
+TEST(McmcForeverTest, RejectsEpsilonAndDeltaOutsideTheirRanges) {
+  auto wq = RandomWalkQuery(Complete(4), 0);
+  ASSERT_TRUE(wq.ok());
+  const std::pair<double, double> bad[] = {
+      {0.0, 0.05}, {1e-300, 0.05}, {0.1, 0.0}, {0.1, 3.0}};
+  for (Backend backend : {Backend::kInterpreted, Backend::kCompiled}) {
+    for (const auto& [epsilon, delta] : bad) {
+      McmcParams params;
+      params.burn_in = 2;
+      params.epsilon = epsilon;
+      params.delta = delta;
+      params.max_samples = 4;  // the range check holds with an override
+      params.backend = backend;
+      Rng rng(1);
+      auto result = McmcForever({wq->kernel, WalkAtNode(2)}, wq->initial,
+                                params, &rng);
+      ASSERT_FALSE(result.ok()) << epsilon << " " << delta;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(McmcForeverTest, ShortBurnInIsBiased) {

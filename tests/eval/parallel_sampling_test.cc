@@ -44,7 +44,8 @@ TEST_P(ThreadCountTest, ApproxInflationaryConsistentAcrossThreadCounts) {
   auto result = ApproxInflationary(ReachProgram(), DiamondEdb(),
                                    {"cur", Tuple{Value(2)}}, params, &rng);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->samples, params.SampleCount());
+  EXPECT_EQ(result->samples,
+            HoeffdingCount(params.epsilon, params.delta).value());
   EXPECT_NEAR(result->estimate, 0.75, params.epsilon + 0.01);
   EXPECT_GT(result->total_steps, 0u);
 }
@@ -77,7 +78,8 @@ TEST(ParallelSamplingTest, MoreThreadsThanSamplesClamped) {
   auto result = ApproxInflationary(ReachProgram(), DiamondEdb(),
                                    {"cur", Tuple{Value(2)}}, params, &rng);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->samples, params.SampleCount());
+  EXPECT_EQ(result->samples,
+            HoeffdingCount(params.epsilon, params.delta).value());
 }
 
 TEST(ParallelSamplingTest, WorkerErrorsPropagate) {

@@ -91,6 +91,28 @@ TEST(TrajectoryTest, GeneralEventWithNonEmptyQuery) {
   EXPECT_EQ(exact->probability, BigRational(1, 4));
 }
 
+TEST(TrajectoryTest, CountsEventStepsAfterTheDiscardOnBothTiers) {
+  // The 2-cycle walk is deterministic: step t (0-indexed) lands on node
+  // (t+1) % 2. With 10 steps and a discard of 3, steps 3..9 are counted
+  // and three of those seven land on node 1.
+  auto wq = gadgets::RandomWalkQuery(gadgets::Cycle(2), 0);
+  ASSERT_TRUE(wq.ok());
+  for (Backend backend : {Backend::kInterpreted, Backend::kCompiled}) {
+    TrajectoryParams params;
+    params.steps = 10;
+    params.runs = 2;
+    params.discard_fraction = 0.3;
+    params.backend = backend;
+    Rng rng(1);
+    auto result = TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(1)},
+                                      wq->initial, params, &rng);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->compiled, backend == Backend::kCompiled);
+    EXPECT_EQ(result->per_run, (std::vector<double>{3.0 / 7, 3.0 / 7}));
+    EXPECT_EQ(result->total_steps, 20u);
+  }
+}
+
 TEST(TrajectoryTest, ParameterValidation) {
   auto wq = gadgets::RandomWalkQuery(gadgets::Complete(3), 0);
   ASSERT_TRUE(wq.ok());
@@ -102,6 +124,11 @@ TEST(TrajectoryTest, ParameterValidation) {
                    .ok());
   bad = {};
   bad.discard_fraction = 1.5;
+  EXPECT_FALSE(TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(0)},
+                                   wq->initial, bad, &rng)
+                   .ok());
+  bad = {};
+  bad.delta = 0.0;  // the CI confidence 1 - delta must lie in (0, 1)
   EXPECT_FALSE(TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(0)},
                                    wq->initial, bad, &rng)
                    .ok());

@@ -182,26 +182,6 @@ TEST(CompiledChainTest, StepBatchHonorsCancellation) {
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
 }
 
-TEST(CompiledChainTest, StepBatchCountingCountsEventSteps) {
-  // Deterministic 2-cycle: the walker alternates 0, 1, 0, 1, ...
-  MarkovChain mc(2);
-  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1)).ok());
-  ASSERT_TRUE(mc.AddTransition(1, 0, BigRational(1)).ok());
-  auto compiled = CompiledChain::Compile(mc, Hashes(2));
-  ASSERT_TRUE(compiled.ok());
-  Rng rng(1);
-  std::vector<uint32_t> walkers = {0};
-  std::vector<uint64_t> hits;
-  // Step t (0-indexed) lands on state (t+1) % 2; counting from t=3
-  // covers t=3..9 = {0,1,0,1,0,1,0}: three hits on state 1.
-  ASSERT_TRUE(compiled
-                  ->StepBatchCounting(&walkers, 10, 3, {0, 1}, &hits, &rng)
-                  .ok());
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 3u);
-  EXPECT_EQ(walkers[0], 0u);  // 10 steps from 0 ends back at 0
-}
-
 TEST(CompiledChainTest, StationaryMatchesExactSolver) {
   MarkovChain mc = TwoState();
   auto compiled = CompiledChain::Compile(mc, Hashes(2));

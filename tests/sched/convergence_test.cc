@@ -108,13 +108,16 @@ eval::ResumableMcmcChains MakeWalkSampler(const gadgets::Graph& graph,
                                           uint64_t seed) {
   auto wq = gadgets::RandomWalkQuery(graph, 0);
   EXPECT_TRUE(wq.ok()) << wq.status();
-  eval::ResumableMcmcOptions options;
-  options.num_chains = num_chains;
-  options.burn_in = burn_in;
-  options.max_samples = max_samples;
-  options.seed = seed;
+  auto compiled = eval::CompileOrFallBack(wq->kernel, wq->initial,
+                                          eval::Backend::kAuto, 1 << 12,
+                                          nullptr);
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  eval::McmcParams params;
+  params.burn_in = burn_in;
+  params.max_samples = max_samples;
   return eval::ResumableMcmcChains(wq->kernel, wq->initial,
-                                   gadgets::WalkAtNode(event_node), options);
+                                   gadgets::WalkAtNode(event_node), *compiled,
+                                   params, num_chains, Rng(seed));
 }
 
 void RunToExhaustion(eval::ResumableMcmcChains* sampler) {

@@ -147,7 +147,8 @@ SubscriptionSpec FakeSpec(const std::string& fusion_key, double epsilon,
   spec.fusion_key = fusion_key;
   spec.epsilon = epsilon;
   spec.factory = [budget, ci_fn = std::move(ci_fn), delay,
-                  quanta]() -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+                  quanta](const CancellationToken*)
+      -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
     return std::unique_ptr<eval::ResumableSampler>(
         new FakeSampler(budget, ci_fn, delay, quanta));
   };
@@ -215,7 +216,8 @@ TEST(SampleSchedulerTest, FusionSharesOneSamplerAndStreamsMatch) {
   spec.fusion_key = "prog-h/inst-h/approx/params";
   spec.epsilon = 0.05;
   spec.factory =
-      [&factory_calls]() -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+      [&factory_calls](const CancellationToken*)
+      -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
     factory_calls.fetch_add(1);
     // Slow factory: the second Subscribe lands while the sampler is still
     // being built, so neither subscriber gets a snapshot catch-up push and
@@ -352,7 +354,8 @@ TEST(SampleSchedulerTest, FactoryErrorPushesStructuredError) {
   SubscriptionSpec spec;
   spec.kind = "approx";
   spec.epsilon = 0.05;
-  spec.factory = []() -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
+  spec.factory = [](const CancellationToken*)
+      -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
     return Status::Internal("sampler build exploded");
   };
 
@@ -425,21 +428,36 @@ TEST(SampleSchedulerTest, StatsJsonReportsPolicyAndCounts) {
 
 // ---- R̂-gated completion with the real persistent-chain sampler ---------
 
+// Persistent chains over a random walk, on the compiled tier when the
+// chain fits (backend auto).
+StatusOr<std::unique_ptr<eval::ResumableMcmcChains>> MakeChains(
+    const gadgets::Graph& graph, int64_t event_node,
+    const eval::McmcParams& params, size_t num_chains, uint64_t seed) {
+  auto wq = gadgets::RandomWalkQuery(graph, 0);
+  if (!wq.ok()) return wq.status();
+  auto compiled = eval::CompileOrFallBack(wq->kernel, wq->initial,
+                                          eval::Backend::kAuto, 1 << 12,
+                                          nullptr);
+  if (!compiled.ok()) return compiled.status();
+  return std::make_unique<eval::ResumableMcmcChains>(
+      wq->kernel, wq->initial, gadgets::WalkAtNode(event_node), *compiled,
+      params, num_chains, Rng(seed));
+}
+
 SubscriptionSpec McmcSpec(const gadgets::Graph& graph, int64_t event_node,
-                          const eval::ResumableMcmcOptions& mcmc_options,
-                          double epsilon) {
+                          const eval::McmcParams& params, size_t num_chains,
+                          uint64_t seed, double epsilon) {
   SubscriptionSpec spec;
   spec.kind = "mcmc";
   spec.is_mcmc = true;
   spec.epsilon = epsilon;
-  spec.delta = mcmc_options.delta;
-  spec.factory = [graph, event_node, mcmc_options]()
+  spec.delta = params.delta;
+  spec.factory = [graph, event_node, params, num_chains,
+                  seed](const CancellationToken*)
       -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
-    auto wq = gadgets::RandomWalkQuery(graph, 0);
-    if (!wq.ok()) return wq.status();
-    return std::unique_ptr<eval::ResumableSampler>(new eval::ResumableMcmcChains(
-        wq->kernel, wq->initial, gadgets::WalkAtNode(event_node),
-        mcmc_options));
+    auto chains = MakeChains(graph, event_node, params, num_chains, seed);
+    if (!chains.ok()) return chains.status();
+    return std::unique_ptr<eval::ResumableSampler>(std::move(*chains));
   };
   return spec;
 }
@@ -451,14 +469,14 @@ TEST(SampleSchedulerRhatTest, FastMixerCompletesEarlyWithRhatNearOne) {
   Stream stream;
   SampleScheduler scheduler(options);
 
-  eval::ResumableMcmcOptions mcmc;
-  mcmc.num_chains = 4;
+  eval::McmcParams mcmc;
   mcmc.burn_in = 10;
   mcmc.max_samples = 1u << 16;
-  mcmc.seed = 7;
 
-  auto sub = scheduler.Subscribe(McmcSpec(gadgets::Complete(4), 2, mcmc, 0.1),
-                                 stream.Sink());
+  auto sub = scheduler.Subscribe(
+      McmcSpec(gadgets::Complete(4), 2, mcmc, /*num_chains=*/4, /*seed=*/7,
+               0.1),
+      stream.Sink());
   ASSERT_TRUE(sub.ok()) << sub.status();
 
   ASSERT_TRUE(stream.WaitTerminal(milliseconds(30000)));
@@ -481,25 +499,21 @@ TEST(SampleSchedulerRhatTest, SlowMixerNeverConvergesDespiteTightPerChainCi) {
   lobes.num_nodes = 3;
   lobes.edges = {{0, 1, 1.0}, {0, 2, 1.0}, {1, 1, 1.0}, {2, 2, 1.0}};
 
-  eval::ResumableMcmcOptions mcmc;
-  mcmc.num_chains = 4;
+  eval::McmcParams mcmc;
   mcmc.burn_in = 2;
   mcmc.max_samples = 2048;
-  mcmc.seed = 5;
 
   // Premise check on a twin sampler (same seed => same chain fates): the
   // diagnostic only has signal when chains are absorbed in both lobes.
   {
-    auto wq = gadgets::RandomWalkQuery(lobes, 0);
-    ASSERT_TRUE(wq.ok()) << wq.status();
-    eval::ResumableMcmcChains twin(wq->kernel, wq->initial,
-                                   gadgets::WalkAtNode(2), mcmc);
-    while (!twin.Exhausted()) {
-      ASSERT_TRUE(twin.RunQuantum(256, nullptr).ok());
+    auto twin = MakeChains(lobes, 2, mcmc, /*num_chains=*/4, /*seed=*/5);
+    ASSERT_TRUE(twin.ok()) << twin.status();
+    while (!(*twin)->Exhausted()) {
+      ASSERT_TRUE((*twin)->RunQuantum(256, nullptr).ok());
     }
     bool saw_lobe1 = false;
     bool saw_lobe2 = false;
-    for (const eval::ChainStats& chain : twin.chains()) {
+    for (const eval::ChainStats& chain : (*twin)->chains()) {
       if (chain.sum == 0.0) saw_lobe1 = true;
       if (chain.sum == static_cast<double>(chain.count)) saw_lobe2 = true;
     }
@@ -514,7 +528,7 @@ TEST(SampleSchedulerRhatTest, SlowMixerNeverConvergesDespiteTightPerChainCi) {
   SampleScheduler scheduler(options);
 
   auto sub =
-      scheduler.Subscribe(McmcSpec(lobes, 2, mcmc, 0.05), stream.Sink());
+      scheduler.Subscribe(McmcSpec(lobes, 2, mcmc, 4, 5, 0.05), stream.Sink());
   ASSERT_TRUE(sub.ok()) << sub.status();
 
   ASSERT_TRUE(stream.WaitTerminal(milliseconds(30000)));

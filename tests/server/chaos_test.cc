@@ -130,6 +130,26 @@ TEST_F(ChaosTest, DegradedResponsesAreServedButNeverCached) {
   EXPECT_TRUE(service.Call(request).cached);
 }
 
+TEST_F(ChaosTest, DegradedTrajectoryWithOneRunReportsAnUninformativeCi) {
+  // One finished run has no spread to estimate: the CI must say "nothing
+  // known" (half-width 1) at the stated confidence 1 - delta, not claim a
+  // zero-width interval.
+  QueryService service;
+  Request request = CoinRequest(RequestKind::kTrajectory);
+  request.runs = 8;
+  request.steps = 200;
+  request.backend = "interpreted";
+  fault::ScopedFault fault(fault::points::kTrajectoryRun,
+                           fault::FaultSpec::NthHit(2));
+  const Response response = service.Call(request);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_TRUE(response.result.Find("degraded")->AsBool());
+  EXPECT_EQ(response.result.Find("runs")->AsInt(), 1);
+  EXPECT_EQ(response.result.Find("ci_halfwidth")->AsDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(response.result.Find("ci_confidence")->AsDouble(),
+                   1.0 - request.delta);
+}
+
 TEST_F(ChaosTest, AllowPartialFalseOnTheWireRestoresHardErrors) {
   QueryService service;
   fault::ScopedFault fault(fault::points::kApproxSample,

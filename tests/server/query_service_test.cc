@@ -187,6 +187,30 @@ TEST(QueryServiceTest, FailedRequestsAreNotCached) {
   EXPECT_EQ(service.StatsJson().Find("cache")->Find("entries")->AsInt(), 0);
 }
 
+TEST(QueryServiceTest, SampledKindsRejectEpsilonAndDeltaOutsideTheirRanges) {
+  // Checked before any sampling; for mcmc also before the auto burn-in
+  // measurement, which reads epsilon too.
+  QueryService service;
+  std::vector<Request> requests;
+  Request approx = CoinRequest(RequestKind::kApprox);
+  approx.epsilon = 0.0;
+  requests.push_back(approx);
+  Request mcmc = CoinRequest(RequestKind::kMcmc);
+  mcmc.epsilon = 0.0;
+  requests.push_back(mcmc);  // auto burn-in
+  mcmc.burn_in = 4;
+  requests.push_back(mcmc);
+  Request trajectory = CoinRequest(RequestKind::kTrajectory);
+  trajectory.delta = 0.0;
+  requests.push_back(trajectory);
+  for (const Request& request : requests) {
+    const Response response = service.Call(request);
+    ASSERT_FALSE(response.status.ok()) << RequestKindToString(request.kind);
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+        << response.status.ToString();
+  }
+}
+
 TEST(QueryServiceTest, StateSpaceBudgetErrorReportsExploredStates) {
   QueryService service;
   Request request;

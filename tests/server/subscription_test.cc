@@ -185,6 +185,27 @@ TEST(SubscriptionServiceTest, SubscribeStreamsUpdatesThenCompletes) {
   }
 }
 
+TEST(SubscriptionServiceTest, SubscribeRejectsEpsilonAndDeltaOutsideTheirRanges) {
+  // Checked before the ack, so no stream starts with a meaningless budget.
+  QueryService service;
+  LineStream stream;
+  const std::pair<double, double> bad[] = {
+      {0.0, 0.05}, {1e-300, 0.05}, {0.1, 0.0}, {0.1, 3.0}};
+  for (const char* target : {"approx", "mcmc", "trajectory"}) {
+    for (const auto& [epsilon, delta] : bad) {
+      Json request = SubscribeJson(target, epsilon, 0);
+      request.Set("delta", delta);
+      const Response ack =
+          service.CallLineWithSink(request.Dump(), stream.Sink());
+      ASSERT_FALSE(ack.status.ok()) << target << " " << request.Dump();
+      EXPECT_EQ(ack.status.code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_EQ(service.scheduler().ActiveSubscriptions(), 0u);
+  std::lock_guard<std::mutex> lock(stream.mu);
+  EXPECT_TRUE(stream.lines.empty());
+}
+
 TEST(SubscriptionServiceTest, IdenticalRequestsFuseOntoOneTask) {
   LineStream a;
   LineStream b;
