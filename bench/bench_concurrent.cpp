@@ -3,7 +3,8 @@
 // contention.
 //   (a) interner: interned-states/sec at 1 and N threads — the striped
 //       ConcurrentInterner vs the faithful mutex baseline (a global
-//       std::mutex around the sequential InstanceInterner), on a
+//       std::mutex around the sequential open-addressing table that
+//       BuildStateSpace used before, reproduced below), on a
 //       read-mostly stream (dedup hits dominate, as in wave BFS re-visits)
 //       with a fresh-instance tail that keeps the grow path live.
 //   (b) cache: probe (hit-path) throughput with N reader threads while one
@@ -24,6 +25,7 @@
 //   bench_concurrent [threads] [ops_per_thread]
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,7 +39,6 @@
 
 #include "bench/bench_util.h"
 #include "markov/concurrent_interner.h"
-#include "markov/instance_interner.h"
 #include "server/result_cache.h"
 #include "util/epoch.h"
 #include "util/json.h"
@@ -60,6 +61,67 @@ Instance KeyInstance(uint64_t k) {
   return db;
 }
 
+// The sequential interner BuildStateSpace used before the striped one,
+// reproduced: an open-addressing table (linear probing, power-of-two size,
+// 3/4 load) of (hash, id) slots over an external instance store.
+class SequentialInterner {
+ public:
+  static constexpr size_t kNotFound = SIZE_MAX;
+
+  std::pair<size_t, bool> Intern(Instance&& instance,
+                                 std::vector<Instance>* store) {
+    if ((count_ + 1) * 4 > slots_.size() * 3) Grow();
+    const size_t hash = instance.Hash();
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i].id != kNotFound) {
+      if (slots_[i].hash == hash && (*store)[slots_[i].id] == instance) {
+        return {slots_[i].id, false};
+      }
+      i = (i + 1) & mask;
+    }
+    const size_t id = count_++;
+    slots_[i] = {hash, id};
+    store->push_back(std::move(instance));
+    return {id, true};
+  }
+
+  size_t Find(const Instance& instance,
+              const std::vector<Instance>& store) const {
+    const size_t hash = instance.Hash();
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i].id != kNotFound) {
+      if (slots_[i].hash == hash && store[slots_[i].id] == instance) {
+        return slots_[i].id;
+      }
+      i = (i + 1) & mask;
+    }
+    return kNotFound;
+  }
+
+ private:
+  struct Slot {
+    size_t hash = 0;
+    size_t id = kNotFound;  // kNotFound marks an empty slot
+  };
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.id == kNotFound) continue;
+      size_t i = s.hash & mask;
+      while (slots_[i].id != kNotFound) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(64);  // power of two
+  size_t count_ = 0;
+};
+
 // The pre-PR10 interning discipline: one mutex serializes every probe.
 class MutexInterner {
  public:
@@ -74,7 +136,7 @@ class MutexInterner {
 
  private:
   std::mutex mu_;
-  InstanceInterner interner_;
+  SequentialInterner interner_;
   std::vector<Instance> store_;
 };
 

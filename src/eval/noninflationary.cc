@@ -1,5 +1,6 @@
 #include "eval/noninflationary.h"
 
+#include <functional>
 #include <memory>
 
 #include "eval/resumable.h"
@@ -7,34 +8,14 @@
 namespace pfql {
 namespace eval {
 
-StatusOr<ExactForeverResult> ExactForever(const ForeverQuery& query,
-                                          const Instance& initial,
-                                          const StateSpaceOptions& options) {
-  PFQL_ASSIGN_OR_RETURN(StateSpace space,
-                        BuildStateSpace(query.kernel, initial, options));
-  ExactForeverResult result;
-  result.num_states = space.states.size();
+namespace {
 
-  SccDecomposition scc = space.chain.DecomposeScc();
-  result.num_components = scc.components.size();
-  for (bool b : scc.is_bottom) {
-    if (b) ++result.num_bottom;
-  }
-  result.irreducible = result.num_components == 1;
-  result.aperiodic = space.chain.IsAperiodic();
-
-  std::vector<bool> event_states = space.EventStates(query.event);
-  PFQL_ASSIGN_OR_RETURN(
-      result.probability,
-      space.chain.ExactLongRunProbability(
-          0, [&](size_t s) { return event_states[s]; }));
-  return result;
-}
-
-StatusOr<ExactForeverResult> ExactForeverEvent(
+// Thm 5.5 over the chain explored from `initial`; `holds` marks the event
+// states.
+StatusOr<ExactForeverResult> ExactForeverImpl(
     const Interpretation& kernel, const Instance& initial,
-    const EventExpr::Ptr& event, const StateSpaceOptions& options) {
-  if (event == nullptr) return Status::InvalidArgument("null event");
+    const StateSpaceOptions& options,
+    const std::function<StatusOr<bool>(const Instance&)>& holds) {
   PFQL_ASSIGN_OR_RETURN(StateSpace space,
                         BuildStateSpace(kernel, initial, options));
   ExactForeverResult result;
@@ -48,15 +29,37 @@ StatusOr<ExactForeverResult> ExactForeverEvent(
   result.irreducible = result.num_components == 1;
   result.aperiodic = space.chain.IsAperiodic();
 
-  std::vector<bool> indicator(space.states.size(), false);
+  std::vector<bool> event_states(space.states.size(), false);
   for (size_t s = 0; s < space.states.size(); ++s) {
-    PFQL_ASSIGN_OR_RETURN(bool holds, event->Holds(space.states[s]));
-    indicator[s] = holds;
+    PFQL_ASSIGN_OR_RETURN(bool marked, holds(space.states[s]));
+    event_states[s] = marked;
   }
-  PFQL_ASSIGN_OR_RETURN(result.probability,
-                        space.chain.ExactLongRunProbability(
-                            0, [&](size_t s) { return indicator[s]; }));
+  PFQL_ASSIGN_OR_RETURN(
+      result.probability,
+      space.chain.ExactLongRunProbability(
+          0, [&](size_t s) { return event_states[s]; }, options.cancel));
   return result;
+}
+
+}  // namespace
+
+StatusOr<ExactForeverResult> ExactForever(const ForeverQuery& query,
+                                          const Instance& initial,
+                                          const StateSpaceOptions& options) {
+  return ExactForeverImpl(
+      query.kernel, initial, options,
+      [&](const Instance& state) -> StatusOr<bool> {
+        return query.event.Holds(state);
+      });
+}
+
+StatusOr<ExactForeverResult> ExactForeverEvent(
+    const Interpretation& kernel, const Instance& initial,
+    const EventExpr::Ptr& event, const StateSpaceOptions& options) {
+  if (event == nullptr) return Status::InvalidArgument("null event");
+  return ExactForeverImpl(
+      kernel, initial, options,
+      [&](const Instance& state) { return event->Holds(state); });
 }
 
 StatusOr<McmcResult> McmcForever(const ForeverQuery& query,
@@ -95,7 +98,7 @@ StatusOr<size_t> MeasureMixingTime(const Interpretation& kernel,
                                    size_t max_steps) {
   PFQL_ASSIGN_OR_RETURN(StateSpace space,
                         BuildStateSpace(kernel, initial, options));
-  return space.chain.MixingTimeFrom(0, epsilon, max_steps);
+  return space.chain.MixingTimeFrom(0, epsilon, max_steps, options.cancel);
 }
 
 StatusOr<size_t> MeasureMixingTimeTV(const Interpretation& kernel,
@@ -104,7 +107,7 @@ StatusOr<size_t> MeasureMixingTimeTV(const Interpretation& kernel,
                                      size_t max_steps) {
   PFQL_ASSIGN_OR_RETURN(StateSpace space,
                         BuildStateSpace(kernel, initial, options));
-  return space.chain.TvMixingTimeFrom(0, epsilon, max_steps);
+  return space.chain.TvMixingTimeFrom(0, epsilon, max_steps, options.cancel);
 }
 
 }  // namespace eval

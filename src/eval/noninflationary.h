@@ -97,6 +97,9 @@ StatusOr<size_t> MeasureMixingTime(const Interpretation& kernel,
 
 /// Total-variation variant: the right burn-in bound when the query event
 /// aggregates many database states (TV bounds the bias of any event).
+/// Measured against the long-run distribution of the walk from `initial`
+/// (MarkovChain::TvMixingTimeFrom), so a transient initial instance is
+/// fine; fails only when the walk reaches a periodic bottom SCC.
 StatusOr<size_t> MeasureMixingTimeTV(const Interpretation& kernel,
                                      const Instance& initial, double epsilon,
                                      const StateSpaceOptions& options = {},

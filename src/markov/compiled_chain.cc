@@ -169,15 +169,6 @@ StatusOr<CompiledChain> CompiledChain::Compile(
   return out;
 }
 
-StatusOr<CompiledChain> CompiledChain::Compile(const StateSpace& space) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(space.states.size());
-  for (const Instance& state : space.states) {
-    hashes.push_back(static_cast<uint64_t>(state.Hash()));
-  }
-  return Compile(space.chain, hashes);
-}
-
 Status CompiledChain::StepBatch(std::vector<uint32_t>* walkers, size_t steps,
                                 Rng* rng,
                                 const CancellationToken* cancel) const {

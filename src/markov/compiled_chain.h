@@ -3,10 +3,10 @@
 // instead of a datalog interpretation. The layout is a CSR transition
 // matrix with fixed-point uint16 probabilities (0..kProbScale, largest-
 // remainder rounded so every row sums exactly to kProbScale) plus per-row
-// Walker alias tables for O(1) sampling. State ids are the interner ids of
-// the source StateSpace, so compiled results decode back through the
-// existing InstanceInterner. Quantization error is bounded by 1/kProbScale
-// per transition entry (docs/INTERNALS.md §7 propagates the bound).
+// Walker alias tables for O(1) sampling. State ids are the state ids of
+// the source StateSpace, so compiled results decode back through
+// `space.states`. Quantization error is bounded by 1/kProbScale per
+// transition entry (docs/INTERNALS.md §7 propagates the bound).
 #ifndef PFQL_MARKOV_COMPILED_CHAIN_H_
 #define PFQL_MARKOV_COMPILED_CHAIN_H_
 
@@ -36,9 +36,6 @@ class CompiledChain {
   /// the chain does not fit the uint32 CSR layout.
   static StatusOr<CompiledChain> Compile(
       const MarkovChain& chain, const std::vector<uint64_t>& state_hashes);
-  /// Convenience: compiles `space.chain` with the instances' structural
-  /// hashes; state id i is exactly interner id i of `space.index`.
-  static StatusOr<CompiledChain> Compile(const StateSpace& space);
 
   size_t num_states() const { return row_offsets_.size() - 1; }
   size_t num_edges() const { return col_.size(); }
@@ -79,8 +76,9 @@ class CompiledChain {
                    const CancellationToken* cancel = nullptr) const;
 
   /// Power-iteration stationary distribution on the lazy chain (P+I)/2
-  /// over the quantized CSR rows — the compiled cross-check against the
-  /// exact markov/matrix solvers (valid for irreducible chains).
+  /// over the quantized CSR rows: the one iterative stationary solver,
+  /// cross-checked against MarkovChain's Gaussian elimination (valid for
+  /// irreducible chains, periodic ones too).
   struct StationaryResult {
     std::vector<double> pi;
     size_t iterations = 0;
@@ -106,7 +104,7 @@ class CompiledChain {
 
 /// A compiled chain together with the state space it was frozen from, so
 /// callers can evaluate events on states and decode state ids back to
-/// instances through `space.index`.
+/// instances through `space.states`.
 struct CompiledSpace {
   StateSpace space;
   CompiledChain chain;

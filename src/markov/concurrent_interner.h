@@ -1,7 +1,6 @@
-// Concurrent instance interning for wave-parallel state-space exploration.
-// The sequential InstanceInterner (instance_interner.h) forces BuildStateSpace
-// to defer all successor deduplication to the single-threaded merge pass;
-// this table lets every expansion worker intern successor instances as it
+// Instance interning for wave-parallel state-space exploration, and the
+// only interner: BuildStateSpace maps every successor instance to a dense
+// id here. Every expansion worker interns successor instances as it
 // discovers them, with no global lock:
 //
 //   * The table is hash-partitioned into cache-line-padded stripes (an
@@ -19,8 +18,8 @@
 //     snapshot and linearize before the racing inserts.
 //
 // Ids are claimed from one atomic counter, so they are dense (0..n-1) and
-// stable for the interner's lifetime, but — unlike the sequential interner —
-// their order is racy under concurrency. BuildStateSpace restores its
+// stable for the interner's lifetime, but their order is racy under
+// concurrency. BuildStateSpace restores its
 // deterministic first-seen-in-merge-order numbering with an integer remap
 // (state_space.cc); standalone users that need deterministic ids must
 // intern from one thread.

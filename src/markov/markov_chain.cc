@@ -4,6 +4,9 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <type_traits>
+
+#include "markov/matrix.h"
 
 namespace pfql {
 
@@ -43,16 +46,6 @@ Status MarkovChain::Validate() const {
     }
   }
   return Status::OK();
-}
-
-DenseMatrix MarkovChain::ToDenseMatrix() const {
-  DenseMatrix m(num_states(), num_states(), 0.0);
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    for (const auto& [j, p] : rows_[i]) {
-      m.at(i, j) += p.ToDouble();
-    }
-  }
-  return m;
 }
 
 std::vector<double> MarkovChain::StepDistribution(
@@ -187,86 +180,26 @@ bool MarkovChain::IsAperiodic() const {
   return true;
 }
 
-StatusOr<std::vector<double>> MarkovChain::StationaryDistribution() const {
-  if (!IsIrreducible()) {
-    return Status::FailedPrecondition(
-        "stationary distribution requires an irreducible chain; use "
-        "LongRunProbability for the general case");
+namespace {
+
+template <typename F>
+F FromRational(const BigRational& p) {
+  if constexpr (std::is_same_v<F, double>) {
+    return p.ToDouble();
+  } else {
+    return p;
   }
-  const size_t n = num_states();
-  // Solve (P^T - I) pi = 0 with the last equation replaced by sum(pi) = 1.
-  DenseMatrix a(n, n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& [j, p] : rows_[i]) a.at(j, i) += p.ToDouble();
-    a.at(i, i) -= 1.0;
-  }
-  std::vector<double> b(n, 0.0);
-  for (size_t j = 0; j < n; ++j) a.at(n - 1, j) = 1.0;
-  b[n - 1] = 1.0;
-  return SolveLinearSystem(std::move(a), std::move(b));
 }
 
-StatusOr<std::vector<BigRational>> MarkovChain::ExactStationaryDistribution()
-    const {
-  if (!IsIrreducible()) {
-    return Status::FailedPrecondition(
-        "stationary distribution requires an irreducible chain");
-  }
-  const size_t n = num_states();
-  std::vector<std::vector<BigRational>> a(n, std::vector<BigRational>(n));
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& [j, p] : rows_[i]) a[j][i] += p;
-    a[i][i] -= BigRational(1);
-  }
-  std::vector<BigRational> b(n);
-  for (size_t j = 0; j < n; ++j) a[n - 1][j] = BigRational(1);
-  b[n - 1] = BigRational(1);
-  return SolveLinearSystemField<BigRational>(std::move(a), std::move(b));
-}
-
-StatusOr<std::vector<double>> MarkovChain::StationaryByIteration(
-    size_t max_iters, double tolerance) const {
-  if (!IsIrreducible()) {
-    return Status::FailedPrecondition(
-        "stationary distribution requires an irreducible chain");
-  }
-  const size_t n = num_states();
-  std::vector<double> current(n, 1.0 / static_cast<double>(n));
-  // Iterate the lazy chain P' = (P + I)/2: it has the same stationary
-  // distribution but is aperiodic, so plain power iteration converges
-  // geometrically even for periodic chains (e.g. directed cycles).
-  DenseMatrix p = ToDenseMatrix();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) p.at(i, j) *= 0.5;
-    p.at(i, i) += 0.5;
-  }
-  for (size_t t = 1; t <= max_iters; ++t) {
-    PFQL_ASSIGN_OR_RETURN(std::vector<double> next, p.LeftMultiply(current));
-    double tv = TotalVariation(next, current);
-    current = std::move(next);
-    if (tv < tolerance) return current;
-  }
-  return Status::ResourceExhausted("power iteration did not converge in " +
-                                   std::to_string(max_iters) + " iterations");
-}
-
-StatusOr<std::vector<double>> MarkovChain::DistributionAfter(
-    std::vector<double> start, size_t steps) const {
-  if (start.size() != num_states()) {
-    return Status::InvalidArgument("start distribution size mismatch");
-  }
-  for (size_t t = 0; t < steps; ++t) {
-    start = StepDistribution(start);
-  }
-  return start;
-}
-
-MarkovChain MarkovChain::RestrictTo(const std::vector<size_t>& states) const {
-  std::vector<size_t> local(num_states(), SIZE_MAX);
+// Restriction of the chain to the states of one closed component, renumbered
+// by their position in `states`.
+MarkovChain RestrictTo(const MarkovChain& chain,
+                       const std::vector<size_t>& states) {
+  std::vector<size_t> local(chain.num_states(), SIZE_MAX);
   for (size_t i = 0; i < states.size(); ++i) local[states[i]] = i;
   MarkovChain out(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
-    for (const auto& [j, p] : rows_[states[i]]) {
+    for (const auto& [j, p] : chain.Row(states[i])) {
       if (local[j] != SIZE_MAX) {
         Status st = out.AddTransition(i, local[j], p);
         (void)st;  // in-range by construction
@@ -276,13 +209,29 @@ MarkovChain MarkovChain::RestrictTo(const std::vector<size_t>& states) const {
   return out;
 }
 
-namespace {
-
-// Shared skeleton for absorption probabilities over field F.
+// πP = π, Σπ = 1 over field F for an irreducible chain (unchecked): solves
+// (P^T - I) π = 0 with the last equation replaced by Σπ = 1.
 template <typename F>
-StatusOr<std::vector<F>> AbsorptionImpl(
-    const MarkovChain& chain, const SccDecomposition& scc, size_t start,
-    const std::function<F(const BigRational&)>& convert) {
+StatusOr<std::vector<F>> StationaryImpl(const MarkovChain& chain,
+                                        const CancellationToken* cancel) {
+  const size_t n = chain.num_states();
+  std::vector<std::vector<F>> a(n, std::vector<F>(n, F(0)));
+  for (size_t i = 0; i < n; ++i) {
+    for (const auto& [j, p] : chain.Row(i)) a[j][i] += FromRational<F>(p);
+    a[i][i] -= F(1);
+  }
+  std::vector<F> b(n, F(0));
+  for (size_t j = 0; j < n; ++j) a[n - 1][j] = F(1);
+  b[n - 1] = F(1);
+  return SolveLinearSystemField<F>(std::move(a), std::move(b), cancel);
+}
+
+// Absorption probabilities from `start` into each bottom SCC over field F.
+template <typename F>
+StatusOr<std::vector<F>> AbsorptionImpl(const MarkovChain& chain,
+                                        const SccDecomposition& scc,
+                                        size_t start,
+                                        const CancellationToken* cancel) {
   const size_t num_comps = scc.components.size();
   std::vector<F> result(num_comps, F(0));
 
@@ -310,7 +259,7 @@ StatusOr<std::vector<F>> AbsorptionImpl(
     for (size_t ti = 0; ti < m; ++ti) {
       a[ti][ti] = F(1);
       for (const auto& [j, p] : chain.Row(transient[ti])) {
-        F pj = convert(p);
+        F pj = FromRational<F>(p);
         if (transient_index[j] != SIZE_MAX) {
           a[ti][transient_index[j]] = a[ti][transient_index[j]] - pj;
         } else if (scc.component_of[j] == comp) {
@@ -318,72 +267,110 @@ StatusOr<std::vector<F>> AbsorptionImpl(
         }
       }
     }
-    PFQL_ASSIGN_OR_RETURN(std::vector<F> h,
-                          SolveLinearSystemField<F>(std::move(a),
-                                                    std::move(b)));
+    PFQL_ASSIGN_OR_RETURN(
+        std::vector<F> h,
+        SolveLinearSystemField<F>(std::move(a), std::move(b), cancel));
     result[comp] = h[transient_index[start]];
   }
   return result;
 }
 
+// Thm 5.5 from `start`: calls visit(states, weight, pi) for every bottom
+// SCC the walk is absorbed into with probability weight > 0, where pi is
+// that SCC's stationary distribution over its `states`.
+template <typename F, typename Visit>
+Status ForEachReachedBottom(const MarkovChain& chain, size_t start,
+                            const CancellationToken* cancel, Visit visit) {
+  if (start >= chain.num_states()) {
+    return Status::OutOfRange("start out of range");
+  }
+  const SccDecomposition scc = chain.DecomposeScc();
+  PFQL_ASSIGN_OR_RETURN(std::vector<F> absorb,
+                        AbsorptionImpl<F>(chain, scc, start, cancel));
+  for (size_t comp = 0; comp < scc.components.size(); ++comp) {
+    if (!scc.is_bottom[comp] || absorb[comp] <= F(0)) continue;
+    const std::vector<size_t>& states = scc.components[comp];
+    PFQL_ASSIGN_OR_RETURN(
+        std::vector<F> pi,
+        StationaryImpl<F>(RestrictTo(chain, states), cancel));
+    PFQL_RETURN_NOT_OK(visit(states, absorb[comp], pi));
+  }
+  return Status::OK();
+}
+
+template <typename F>
+StatusOr<std::vector<F>> CheckedStationary(const MarkovChain& chain) {
+  if (!chain.IsIrreducible()) {
+    return Status::FailedPrecondition(
+        "stationary distribution requires an irreducible chain; use "
+        "LongRunProbability for the general case");
+  }
+  return StationaryImpl<F>(chain, nullptr);
+}
+
+template <typename F>
+StatusOr<F> LongRunImpl(const MarkovChain& chain, size_t start,
+                        const std::function<bool(size_t)>& event,
+                        const CancellationToken* cancel) {
+  F total(0);
+  PFQL_RETURN_NOT_OK(ForEachReachedBottom<F>(
+      chain, start, cancel,
+      [&](const std::vector<size_t>& states, const F& weight,
+          const std::vector<F>& pi) {
+        F mass(0);
+        for (size_t local = 0; local < states.size(); ++local) {
+          if (event(states[local])) mass += pi[local];
+        }
+        total += weight * mass;
+        return Status::OK();
+      }));
+  return total;
+}
+
 }  // namespace
+
+StatusOr<std::vector<double>> MarkovChain::StationaryDistribution() const {
+  return CheckedStationary<double>(*this);
+}
+
+StatusOr<std::vector<BigRational>> MarkovChain::ExactStationaryDistribution()
+    const {
+  return CheckedStationary<BigRational>(*this);
+}
+
+StatusOr<std::vector<double>> MarkovChain::DistributionAfter(
+    std::vector<double> start, size_t steps) const {
+  if (start.size() != num_states()) {
+    return Status::InvalidArgument("start distribution size mismatch");
+  }
+  for (size_t t = 0; t < steps; ++t) {
+    start = StepDistribution(start);
+  }
+  return start;
+}
 
 StatusOr<std::vector<double>> MarkovChain::AbsorptionProbabilities(
     size_t start) const {
   if (start >= num_states()) return Status::OutOfRange("start out of range");
-  SccDecomposition scc = DecomposeScc();
-  return AbsorptionImpl<double>(
-      *this, scc, start, [](const BigRational& p) { return p.ToDouble(); });
+  return AbsorptionImpl<double>(*this, DecomposeScc(), start, nullptr);
 }
 
 StatusOr<std::vector<BigRational>> MarkovChain::ExactAbsorptionProbabilities(
     size_t start) const {
   if (start >= num_states()) return Status::OutOfRange("start out of range");
-  SccDecomposition scc = DecomposeScc();
-  return AbsorptionImpl<BigRational>(
-      *this, scc, start, [](const BigRational& p) { return p; });
+  return AbsorptionImpl<BigRational>(*this, DecomposeScc(), start, nullptr);
 }
 
 StatusOr<double> MarkovChain::LongRunProbability(
-    size_t start, const std::function<bool(size_t)>& event) const {
-  if (start >= num_states()) return Status::OutOfRange("start out of range");
-  SccDecomposition scc = DecomposeScc();
-  PFQL_ASSIGN_OR_RETURN(std::vector<double> absorb,
-                        AbsorptionProbabilities(start));
-  double total = 0.0;
-  for (size_t comp = 0; comp < scc.components.size(); ++comp) {
-    if (!scc.is_bottom[comp] || absorb[comp] <= 0.0) continue;
-    MarkovChain sub = RestrictTo(scc.components[comp]);
-    PFQL_ASSIGN_OR_RETURN(std::vector<double> pi,
-                          sub.StationaryDistribution());
-    double mass = 0.0;
-    for (size_t local = 0; local < scc.components[comp].size(); ++local) {
-      if (event(scc.components[comp][local])) mass += pi[local];
-    }
-    total += absorb[comp] * mass;
-  }
-  return total;
+    size_t start, const std::function<bool(size_t)>& event,
+    const CancellationToken* cancel) const {
+  return LongRunImpl<double>(*this, start, event, cancel);
 }
 
 StatusOr<BigRational> MarkovChain::ExactLongRunProbability(
-    size_t start, const std::function<bool(size_t)>& event) const {
-  if (start >= num_states()) return Status::OutOfRange("start out of range");
-  SccDecomposition scc = DecomposeScc();
-  PFQL_ASSIGN_OR_RETURN(std::vector<BigRational> absorb,
-                        ExactAbsorptionProbabilities(start));
-  BigRational total;
-  for (size_t comp = 0; comp < scc.components.size(); ++comp) {
-    if (!scc.is_bottom[comp] || absorb[comp].IsZero()) continue;
-    MarkovChain sub = RestrictTo(scc.components[comp]);
-    PFQL_ASSIGN_OR_RETURN(std::vector<BigRational> pi,
-                          sub.ExactStationaryDistribution());
-    BigRational mass;
-    for (size_t local = 0; local < scc.components[comp].size(); ++local) {
-      if (event(scc.components[comp][local])) mass += pi[local];
-    }
-    total += absorb[comp] * mass;
-  }
-  return total;
+    size_t start, const std::function<bool(size_t)>& event,
+    const CancellationToken* cancel) const {
+  return LongRunImpl<BigRational>(*this, start, event, cancel);
 }
 
 StatusOr<double> MarkovChain::ExpectedHittingTime(
@@ -448,52 +435,88 @@ double MarkovChain::TotalVariation(const std::vector<double>& a,
   return sum / 2.0;
 }
 
-StatusOr<size_t> MarkovChain::MixingTimeFrom(size_t start, double epsilon,
-                                             size_t max_steps) const {
-  if (start >= num_states()) return Status::OutOfRange("start out of range");
-  if (!IsErgodic()) {
-    return Status::FailedPrecondition("mixing time requires an ergodic chain");
+namespace {
+
+double MaxNormDistance(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  double max_diff = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
   }
-  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, StationaryDistribution());
-  std::vector<double> dist(num_states(), 0.0);
+  return max_diff;
+}
+
+// The stepping loop of both mixing times: the smallest t ≤ max_steps with
+// distance(P^t(start, ·), target) < epsilon.
+StatusOr<size_t> StepsUntilWithin(
+    const MarkovChain& chain, size_t start, const std::vector<double>& target,
+    double epsilon, size_t max_steps,
+    double (*distance)(const std::vector<double>&, const std::vector<double>&),
+    const CancellationToken* cancel) {
+  std::vector<double> dist(chain.num_states(), 0.0);
   dist[start] = 1.0;
+  CancelPoller poller(cancel);
   for (size_t t = 0; t <= max_steps; ++t) {
-    double max_diff = 0.0;
-    for (size_t i = 0; i < num_states(); ++i) {
-      max_diff = std::max(max_diff, std::fabs(dist[i] - pi[i]));
-    }
-    if (max_diff < epsilon) return t;
-    dist = StepDistribution(dist);
+    PFQL_RETURN_NOT_OK(poller.Tick());
+    if (distance(dist, target) < epsilon) return t;
+    dist = chain.StepDistribution(dist);
   }
   return Status::ResourceExhausted("chain did not mix within " +
                                    std::to_string(max_steps) + " steps");
 }
 
-StatusOr<size_t> MarkovChain::TvMixingTimeFrom(size_t start, double epsilon,
-                                               size_t max_steps) const {
-  if (start >= num_states()) return Status::OutOfRange("start out of range");
-  if (!IsErgodic()) {
+// The paper's t(ε) is defined against π of an ergodic chain.
+StatusOr<std::vector<double>> ErgodicStationary(const MarkovChain& chain) {
+  if (!chain.IsErgodic()) {
     return Status::FailedPrecondition("mixing time requires an ergodic chain");
   }
-  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, StationaryDistribution());
-  std::vector<double> dist(num_states(), 0.0);
-  dist[start] = 1.0;
-  for (size_t t = 0; t <= max_steps; ++t) {
-    if (TotalVariation(dist, pi) < epsilon) return t;
-    dist = StepDistribution(dist);
-  }
-  return Status::ResourceExhausted("chain did not mix within " +
-                                   std::to_string(max_steps) + " steps");
+  return chain.StationaryDistribution();
+}
+
+}  // namespace
+
+StatusOr<size_t> MarkovChain::MixingTimeFrom(
+    size_t start, double epsilon, size_t max_steps,
+    const CancellationToken* cancel) const {
+  if (start >= num_states()) return Status::OutOfRange("start out of range");
+  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, ErgodicStationary(*this));
+  return StepsUntilWithin(*this, start, pi, epsilon, max_steps,
+                          &MaxNormDistance, cancel);
 }
 
 StatusOr<size_t> MarkovChain::MixingTime(double epsilon,
                                          size_t max_steps) const {
+  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, ErgodicStationary(*this));
   size_t worst = 0;
   for (size_t s = 0; s < num_states(); ++s) {
-    PFQL_ASSIGN_OR_RETURN(size_t t, MixingTimeFrom(s, epsilon, max_steps));
+    PFQL_ASSIGN_OR_RETURN(size_t t,
+                          StepsUntilWithin(*this, s, pi, epsilon, max_steps,
+                                           &MaxNormDistance, nullptr));
     worst = std::max(worst, t);
   }
   return worst;
+}
+
+StatusOr<size_t> MarkovChain::TvMixingTimeFrom(
+    size_t start, double epsilon, size_t max_steps,
+    const CancellationToken* cancel) const {
+  std::vector<double> limit(num_states(), 0.0);
+  PFQL_RETURN_NOT_OK(ForEachReachedBottom<double>(
+      *this, start, cancel,
+      [&](const std::vector<size_t>& states, double weight,
+          const std::vector<double>& pi) {
+        if (PeriodOf(states[0]) != 1) {
+          return Status::FailedPrecondition(
+              "mixing time requires the walk's bottom components to be "
+              "aperiodic");
+        }
+        for (size_t local = 0; local < states.size(); ++local) {
+          limit[states[local]] = weight * pi[local];
+        }
+        return Status::OK();
+      }));
+  return StepsUntilWithin(*this, start, limit, epsilon, max_steps,
+                          &TotalVariation, cancel);
 }
 
 }  // namespace pfql

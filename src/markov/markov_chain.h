@@ -1,9 +1,9 @@
 // Finite Markov chains (paper Sec 2.3): sparse stochastic transition
 // structure with exact rational probabilities, SCC decomposition,
 // irreducibility / aperiodicity / ergodicity tests, stationary distributions
-// (double and exact-rational solvers), absorption probabilities into bottom
-// SCCs (the general algorithm of Thm 5.5), step distributions, and mixing
-// time (Sec 2.3's t(ε)).
+// and absorption probabilities into bottom SCCs (the general algorithm of
+// Thm 5.5), each solved at double or exactly by one templated body, step
+// distributions, and mixing time (Sec 2.3's t(ε)).
 #ifndef PFQL_MARKOV_MARKOV_CHAIN_H_
 #define PFQL_MARKOV_MARKOV_CHAIN_H_
 
@@ -11,7 +11,7 @@
 #include <functional>
 #include <vector>
 
-#include "markov/matrix.h"
+#include "util/cancellation.h"
 #include "util/rational.h"
 #include "util/status.h"
 
@@ -50,9 +50,6 @@ class MarkovChain {
     return rows_[state];
   }
 
-  /// Dense double transition matrix P (row-stochastic).
-  DenseMatrix ToDenseMatrix() const;
-
   /// One step of the distribution: returns v·P using the sparse rows
   /// (O(edges), not O(states²)).
   std::vector<double> StepDistribution(const std::vector<double>& v) const;
@@ -68,18 +65,13 @@ class MarkovChain {
   bool IsErgodic() const { return IsIrreducible() && IsAperiodic(); }
 
   // ---- Stationary analysis -------------------------------------------
-  /// Solves πP = π, Σπ = 1 (double Gaussian elimination). Requires an
-  /// irreducible chain (error otherwise). Valid for periodic chains too:
-  /// the result is the Cesàro-limit occupation distribution used by the
-  /// paper's query semantics.
+  /// Solves πP = π, Σπ = 1 by Gaussian elimination at double (or exactly,
+  /// over BigRational). Requires an irreducible chain (error otherwise).
+  /// Valid for periodic chains too: the result is the Cesàro-limit
+  /// occupation distribution used by the paper's query semantics. The one
+  /// iterative solver is CompiledChain::Stationary.
   StatusOr<std::vector<double>> StationaryDistribution() const;
-  /// Exact-rational stationary distribution.
   StatusOr<std::vector<BigRational>> ExactStationaryDistribution() const;
-  /// Stationary distribution via power iteration on the lazy chain
-  /// (P+I)/2 — same stationary distribution, geometric convergence for
-  /// every irreducible chain, no linear solve.
-  StatusOr<std::vector<double>> StationaryByIteration(size_t max_iters,
-                                                      double tolerance) const;
 
   /// Distribution after `steps` steps from the given start distribution.
   StatusOr<std::vector<double>> DistributionAfter(
@@ -95,10 +87,13 @@ class MarkovChain {
   /// The paper's query-result semantics (Def 3.2 / Thm 5.5): the long-run
   /// fraction of time spent in states satisfying `event`, starting from
   /// `start`. Handles reducible chains by absorption into bottom SCCs.
+  /// Cancelled/DeadlineExceeded when `cancel` fires during a solve.
   StatusOr<double> LongRunProbability(
-      size_t start, const std::function<bool(size_t)>& event) const;
+      size_t start, const std::function<bool(size_t)>& event,
+      const CancellationToken* cancel = nullptr) const;
   StatusOr<BigRational> ExactLongRunProbability(
-      size_t start, const std::function<bool(size_t)>& event) const;
+      size_t start, const std::function<bool(size_t)>& event,
+      const CancellationToken* cancel = nullptr) const;
 
   /// Expected number of steps for a walk from `start` to first enter a
   /// state satisfying `target`. Returns 0 if start is a target; an error if
@@ -121,25 +116,28 @@ class MarkovChain {
   /// |Pr(S_t = i) − π_i| < ε for every state i. Requires ergodicity;
   /// ResourceExhausted if not reached within max_steps.
   StatusOr<size_t> MixingTimeFrom(size_t start, double epsilon,
-                                  size_t max_steps = 1 << 20) const;
+                                  size_t max_steps = 1 << 20,
+                                  const CancellationToken* cancel = nullptr)
+      const;
   /// Worst case over all start states.
   StatusOr<size_t> MixingTime(double epsilon,
                               size_t max_steps = 1 << 20) const;
 
   /// Total-variation mixing time from a start state: smallest t with
-  /// TV(P^t(start, ·), π) < ε. TV bounds the estimation bias of *any*
-  /// event (sums of states), so this is the right burn-in for MCMC
-  /// sampling of aggregate query events; the per-state max-norm variant
-  /// above matches the paper's definition but can under-burn events
-  /// spanning many states.
+  /// TV(P^t(start, ·), L) < ε, where L is the walk's long-run distribution:
+  /// the stationary vector of each bottom SCC it reaches, weighted by the
+  /// absorption probability (Thm 5.5; L = π on an ergodic chain). TV bounds
+  /// the estimation bias of *any* event (sums of states), so this is the
+  /// right burn-in for MCMC sampling of aggregate query events; the
+  /// per-state max-norm variant above matches the paper's definition but
+  /// can under-burn events spanning many states. FailedPrecondition when a
+  /// reached bottom SCC is periodic (P^t then has no limit).
   StatusOr<size_t> TvMixingTimeFrom(size_t start, double epsilon,
-                                    size_t max_steps = 1 << 20) const;
+                                    size_t max_steps = 1 << 20,
+                                    const CancellationToken* cancel = nullptr)
+      const;
 
  private:
-  // Restriction of the chain to the states of one closed component;
-  // `index_in_component` maps global -> local state ids.
-  MarkovChain RestrictTo(const std::vector<size_t>& states) const;
-
   std::vector<std::vector<std::pair<size_t, BigRational>>> rows_;
 };
 

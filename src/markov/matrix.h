@@ -1,54 +1,20 @@
-// Minimal dense linear algebra: matrices over double and exact Gaussian
-// elimination over any field type (double or BigRational). Used to compute
-// stationary distributions (πP = π) and absorption probabilities for
-// Markov chains over database states (paper Prop 5.4 / Thm 5.5).
+// Gaussian elimination over any field type (double or BigRational): the one
+// linear solver behind stationary distributions (πP = π), absorption
+// probabilities and hitting times for Markov chains over database states
+// (paper Prop 5.4 / Thm 5.5).
 #ifndef PFQL_MARKOV_MATRIX_H_
 #define PFQL_MARKOV_MATRIX_H_
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
+#include "util/cancellation.h"
 #include "util/rational.h"
 #include "util/status.h"
 
 namespace pfql {
-
-/// Row-major dense matrix of doubles.
-class DenseMatrix {
- public:
-  DenseMatrix() : rows_(0), cols_(0) {}
-  DenseMatrix(size_t rows, size_t cols, double fill = 0.0)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-
-  double& at(size_t r, size_t c) { return data_[r * cols_ + c]; }
-  double at(size_t r, size_t c) const { return data_[r * cols_ + c]; }
-
-  /// Identity matrix of size n.
-  static DenseMatrix Identity(size_t n);
-
-  /// this * other; dimensions must agree.
-  StatusOr<DenseMatrix> Multiply(const DenseMatrix& other) const;
-
-  /// Row vector v (size rows()==1 not required: v is a plain vector) times
-  /// this: returns v * M.
-  StatusOr<std::vector<double>> LeftMultiply(
-      const std::vector<double>& v) const;
-
-  DenseMatrix Transposed() const;
-
- private:
-  size_t rows_, cols_;
-  std::vector<double> data_;
-};
-
-/// Solves A x = b by Gaussian elimination with partial pivoting.
-/// A must be square; returns InvalidArgument on singular systems.
-StatusOr<std::vector<double>> SolveLinearSystem(DenseMatrix a,
-                                                std::vector<double> b);
 
 namespace internal {
 template <typename F>
@@ -70,11 +36,15 @@ bool PivotBetter(const F& candidate, const F& incumbent) {
 }
 }  // namespace internal
 
-/// Exact / generic Gaussian elimination: solves A x = b over field F
-/// (double or BigRational). A is given as vector of rows and consumed.
+/// Solves A x = b over field F (double or BigRational) by Gauss-Jordan
+/// elimination with partial pivoting. A is given as vector of rows and
+/// consumed. Returns InvalidArgument on malformed or singular systems, and
+/// Cancelled/DeadlineExceeded when `cancel` fires (polled per pivot column
+/// and per row update, since one exact column can outlast a deadline).
 template <typename F>
-StatusOr<std::vector<F>> SolveLinearSystemField(std::vector<std::vector<F>> a,
-                                                std::vector<F> b) {
+StatusOr<std::vector<F>> SolveLinearSystemField(
+    std::vector<std::vector<F>> a, std::vector<F> b,
+    const CancellationToken* cancel = nullptr) {
   const size_t n = a.size();
   for (const auto& row : a) {
     if (row.size() != n) {
@@ -84,6 +54,7 @@ StatusOr<std::vector<F>> SolveLinearSystemField(std::vector<std::vector<F>> a,
   if (b.size() != n) return Status::InvalidArgument("rhs size mismatch");
 
   for (size_t col = 0; col < n; ++col) {
+    if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
     size_t pivot = col;
     for (size_t r = col + 1; r < n; ++r) {
       if (internal::PivotBetter(a[r][col], a[pivot][col])) pivot = r;
@@ -95,6 +66,7 @@ StatusOr<std::vector<F>> SolveLinearSystemField(std::vector<std::vector<F>> a,
     std::swap(b[col], b[pivot]);
     for (size_t r = 0; r < n; ++r) {
       if (r == col || internal::FieldIsZero(a[r][col])) continue;
+      if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
       F factor = a[r][col] / a[col][col];
       for (size_t c = col; c < n; ++c) {
         a[r][c] = a[r][c] - factor * a[col][c];

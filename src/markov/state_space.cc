@@ -90,17 +90,6 @@ void ExpandWave(const Interpretation& q, ConcurrentInterner* interner,
 
 }  // namespace
 
-size_t StateSpace::IndexOf(const Instance& instance) const {
-  if (index.size() == states.size()) {
-    return index.Find(instance, states);
-  }
-  // Hand-assembled space without an index: linear scan.
-  for (size_t i = 0; i < states.size(); ++i) {
-    if (states[i] == instance) return i;
-  }
-  return SIZE_MAX;
-}
-
 std::vector<bool> StateSpace::EventStates(const QueryEvent& event) const {
   std::vector<bool> out(states.size(), false);
   for (size_t i = 0; i < states.size(); ++i) {
@@ -195,13 +184,12 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
   epoch::Collector::Instance().Collect();
 
   // Materialize the canonical ordering into the StateSpace's public shape:
-  // `states` in canonical order, indexed by the sequential interner (hashes
-  // are already cached on every instance, so this is one probe per state).
+  // `states` in canonical order, moved out of the interner.
   StateSpace space;
   std::vector<Instance> interned = interner.TakeAll();
   space.states.reserve(canon_to_prov.size());
   for (const size_t prov : canon_to_prov) {
-    space.index.Intern(std::move(interned[prov]), &space.states);
+    space.states.push_back(std::move(interned[prov]));
   }
 
   states_counter->Increment(space.states.size());

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "lang/interpretation.h"
-#include "markov/instance_interner.h"
 #include "markov/markov_chain.h"
 #include "relational/instance.h"
 #include "util/cancellation.h"
@@ -20,13 +19,6 @@ namespace pfql {
 struct StateSpace {
   std::vector<Instance> states;
   MarkovChain chain{0};
-  /// Hash index over `states` (populated by BuildStateSpace). When in sync
-  /// with `states` it answers IndexOf in O(1); hand-assembled spaces that
-  /// never filled it fall back to a linear scan.
-  InstanceInterner index;
-
-  /// Index of an instance in `states`, or SIZE_MAX.
-  size_t IndexOf(const Instance& instance) const;
 
   /// Indicator vector for an event over the explored states.
   std::vector<bool> EventStates(const QueryEvent& event) const;
@@ -42,7 +34,9 @@ struct StateSpaceOptions {
   /// are identical for any value.
   size_t threads = 1;
   /// Optional cooperative cancel/deadline token, polled once per expanded
-  /// state during the merge pass. Non-owning; may be null.
+  /// state during the merge pass, and by the solves that eval runs on the
+  /// built chain (ExactForever, MeasureMixingTime*). Non-owning; may be
+  /// null.
   const CancellationToken* cancel = nullptr;
   ExactEvalOptions eval;
 };

@@ -1,15 +1,15 @@
-// Property test for InstanceInterner's Grow path: a long randomized
-// insert/find mix that crosses several table doublings (64 → 2048+ slots)
+// Property test for the instance interner's Grow path: a long randomized
+// insert/find mix that crosses several table doublings (16 → 2048+ slots)
 // must keep ids dense and stable and agree with a std::map oracle at every
-// step. Runs multiple seeds so slot-cluster shapes vary.
-#include "markov/instance_interner.h"
-
+// step. One stripe and one thread, so every operation goes through the same
+// table and ids come out in first-seen order. Runs multiple seeds so
+// slot-cluster shapes vary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
+#include "markov/concurrent_interner.h"
 #include "relational/instance.h"
 #include "util/random.h"
 
@@ -26,13 +26,12 @@ Instance KeyInstance(uint64_t k) {
 }
 
 TEST(InstanceInternerGrowPropertyTest, RandomMixAgreesWithMapOracle) {
-  // The table starts at 64 slots and doubles at 3/4 load: 1500 distinct
+  // The stripe starts at 16 slots and doubles at 3/4 load: 1500 distinct
   // keys force at least five Grow calls.
   constexpr uint64_t kUniverse = 1500;
   constexpr size_t kOps = 20000;
   for (const uint64_t seed : {1ull, 7ull, 20260808ull}) {
-    InstanceInterner interner;
-    std::vector<Instance> store;
+    ConcurrentInterner interner(/*stripes=*/1);
     std::map<uint64_t, size_t> oracle;  // key -> id
 
     Rng rng(seed);
@@ -41,7 +40,7 @@ TEST(InstanceInternerGrowPropertyTest, RandomMixAgreesWithMapOracle) {
       const Instance instance = KeyInstance(key);
       auto it = oracle.find(key);
       if (rng.NextBernoulli(0.7)) {
-        const auto [id, inserted] = interner.Intern(instance, &store);
+        const auto [id, inserted] = interner.Intern(instance);
         if (it == oracle.end()) {
           // New key: inserted, with the next dense id, stable from now on.
           ASSERT_TRUE(inserted) << "seed " << seed << " op " << i;
@@ -52,23 +51,22 @@ TEST(InstanceInternerGrowPropertyTest, RandomMixAgreesWithMapOracle) {
           ASSERT_EQ(id, it->second) << "id changed across Grow";
         }
       } else {
-        const size_t id = interner.Find(instance, store);
+        const size_t id = interner.Find(instance);
         if (it == oracle.end()) {
-          ASSERT_EQ(id, InstanceInterner::kNotFound)
+          ASSERT_EQ(id, ConcurrentInterner::kNotFound)
               << "Find invented key " << key;
         } else {
           ASSERT_EQ(id, it->second) << "Find disagrees with oracle";
         }
       }
       ASSERT_EQ(interner.size(), oracle.size());
-      ASSERT_EQ(store.size(), oracle.size());
     }
 
     // Complete the universe (dedup on already-present keys), then sweep:
     // after the final doubling every id still round-trips.
     for (uint64_t key = 0; key < kUniverse; ++key) {
       const bool known = oracle.count(key) > 0;
-      const auto [id, inserted] = interner.Intern(KeyInstance(key), &store);
+      const auto [id, inserted] = interner.Intern(KeyInstance(key));
       ASSERT_EQ(inserted, !known);
       if (known) {
         ASSERT_EQ(id, oracle[key]);
@@ -78,9 +76,10 @@ TEST(InstanceInternerGrowPropertyTest, RandomMixAgreesWithMapOracle) {
       }
     }
     ASSERT_EQ(oracle.size(), kUniverse);
+    EXPECT_GE(interner.grow_count(), 5u);
     for (const auto& [key, id] : oracle) {
-      ASSERT_EQ(interner.Find(KeyInstance(key), store), id);
-      ASSERT_EQ(store[id], KeyInstance(key));
+      ASSERT_EQ(interner.Find(KeyInstance(key)), id);
+      ASSERT_EQ(interner.At(id), KeyInstance(key));
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "markov/compiled_chain.h"
+#include "util/cancellation.h"
+
 namespace pfql {
 namespace {
 
@@ -106,19 +109,36 @@ TEST(MarkovChainTest, StationaryOfPeriodicChainIsCesaroLimit) {
   }
 }
 
+// The one power iteration is CompiledChain::Stationary, which iterates
+// over 1/65535-quantized rows. Thirds and fifths are exact in those units
+// (65535 = 3·5·17·257), so on these chains it sees P itself.
+StatusOr<CompiledChain::StationaryResult> StationaryByIteration(
+    const MarkovChain& mc, double tolerance) {
+  PFQL_ASSIGN_OR_RETURN(
+      CompiledChain compiled,
+      CompiledChain::Compile(mc, std::vector<uint64_t>(mc.num_states(), 0)));
+  return compiled.Stationary(100000, tolerance);
+}
+
 TEST(MarkovChainTest, StationaryByIterationMatchesSolve) {
-  auto direct = TwoState().StationaryDistribution();
-  auto iterated = TwoState().StationaryByIteration(100000, 1e-12);
+  // 0 -> 1 w.p. 1/3, 1 -> 0 w.p. 1/5: pi = (3/8, 5/8).
+  MarkovChain mc(2);
+  ASSERT_TRUE(mc.AddTransition(0, 0, BigRational(2, 3)).ok());
+  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1, 3)).ok());
+  ASSERT_TRUE(mc.AddTransition(1, 0, BigRational(1, 5)).ok());
+  ASSERT_TRUE(mc.AddTransition(1, 1, BigRational(4, 5)).ok());
+  auto direct = mc.StationaryDistribution();
+  auto iterated = StationaryByIteration(mc, 1e-12);
   ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(iterated.ok());
-  EXPECT_NEAR(direct.value()[0], iterated.value()[0], 1e-6);
-  EXPECT_NEAR(direct.value()[1], iterated.value()[1], 1e-6);
+  ASSERT_TRUE(iterated.ok()) << iterated.status().ToString();
+  EXPECT_NEAR(direct.value()[0], iterated->pi[0], 1e-6);
+  EXPECT_NEAR(direct.value()[1], iterated->pi[1], 1e-6);
 }
 
 TEST(MarkovChainTest, StationaryByIterationHandlesPeriodic) {
-  auto pi = Cycle3().StationaryByIteration(100000, 1e-10);
-  ASSERT_TRUE(pi.ok());
-  for (double p : pi.value()) {
+  auto iterated = StationaryByIteration(Cycle3(), 1e-10);
+  ASSERT_TRUE(iterated.ok()) << iterated.status().ToString();
+  for (double p : iterated->pi) {
     EXPECT_NEAR(p, 1.0 / 3, 1e-6);
   }
 }
@@ -193,6 +213,18 @@ TEST(MarkovChainTest, LongRunChainedTransients) {
   EXPECT_EQ(p.value(), BigRational(3, 4));
 }
 
+TEST(MarkovChainTest, ExactLongRunProbabilityHonoursCancellation) {
+  CancellationToken token;
+  token.Cancel();
+  auto p = TwoState().ExactLongRunProbability(
+      0, [](size_t s) { return s == 1; }, &token);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kCancelled);
+  auto t = TwoState().TvMixingTimeFrom(0, 0.01, 1 << 20, &token);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kCancelled);
+}
+
 TEST(MarkovChainTest, TotalVariation) {
   EXPECT_DOUBLE_EQ(MarkovChain::TotalVariation({1, 0}, {0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(MarkovChain::TotalVariation({0.5, 0.5}, {0.5, 0.5}), 0.0);
@@ -215,6 +247,15 @@ TEST(MarkovChainTest, MixingTimeCompleteGraphIsFast) {
 
 TEST(MarkovChainTest, MixingTimeRequiresErgodic) {
   EXPECT_FALSE(Cycle3().MixingTimeFrom(0, 0.01).ok());
+  EXPECT_FALSE(Absorbing().MixingTimeFrom(0, 0.01).ok());
+}
+
+TEST(MarkovChainTest, TvMixingTimeFromTransientStartTargetsLongRunLimit) {
+  // From 0 the walk's limit is (0, 1/2, 1/2), reached after one step; the
+  // chain is not ergodic, so the max-norm t(ε) still refuses it.
+  auto t = Absorbing().TvMixingTimeFrom(0, 0.01);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t.value(), 1u);
   EXPECT_FALSE(Absorbing().MixingTimeFrom(0, 0.01).ok());
 }
 

@@ -50,6 +50,14 @@ TEST(TvMixingTest, RequiresErgodicity) {
   ASSERT_TRUE(periodic.AddTransition(0, 1, BigRational(1)).ok());
   ASSERT_TRUE(periodic.AddTransition(1, 0, BigRational(1)).ok());
   EXPECT_FALSE(periodic.TvMixingTimeFrom(0, 0.01).ok());
+  // A transient start absorbed into that 2-cycle has no limit either.
+  MarkovChain feeding(3);
+  ASSERT_TRUE(feeding.AddTransition(0, 1, BigRational(1)).ok());
+  ASSERT_TRUE(feeding.AddTransition(1, 2, BigRational(1)).ok());
+  ASSERT_TRUE(feeding.AddTransition(2, 1, BigRational(1)).ok());
+  auto t = feeding.TvMixingTimeFrom(0, 0.01);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(TvMixingTest, BurnInBoundsAnyEventBias) {

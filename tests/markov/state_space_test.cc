@@ -80,14 +80,6 @@ TEST(StateSpaceTest, LongRunProbabilityOfAbsorption) {
   EXPECT_EQ(p.value(), BigRational(3, 4));
 }
 
-TEST(StateSpaceTest, IndexOfFindsStates) {
-  auto space = BuildStateSpace(WalkKernel(), WalkInstance());
-  ASSERT_TRUE(space.ok());
-  EXPECT_EQ(space->IndexOf(WalkInstance()), 0u);
-  Instance ghost;
-  EXPECT_EQ(space->IndexOf(ghost), SIZE_MAX);
-}
-
 TEST(StateSpaceTest, MaxStatesGuard) {
   StateSpaceOptions options;
   options.max_states = 2;
@@ -158,6 +150,12 @@ TEST(StateSpaceTest, ThreadedBuildBitIdenticalToSequential) {
   auto base = BuildStateSpace(q, initial, seq);
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(base->states.size(), 6u);
+  // Each explored instance is interned exactly once.
+  for (size_t i = 0; i < base->states.size(); ++i) {
+    for (size_t j = i + 1; j < base->states.size(); ++j) {
+      EXPECT_FALSE(base->states[i] == base->states[j]) << i << ", " << j;
+    }
+  }
   for (size_t threads : {2u, 4u, 8u}) {
     StateSpaceOptions par;
     par.threads = threads;
@@ -178,31 +176,6 @@ TEST(StateSpaceTest, ThreadedMaxStatesSameError) {
   ASSERT_FALSE(space.ok());
   EXPECT_EQ(space.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(space.status().ToString(), base.status().ToString());
-}
-
-// Regression: IndexOf answers through the interner (built spaces keep it in
-// sync with `states`), and every explored state maps back to its own id.
-TEST(StateSpaceTest, IndexOfUsesInternerForBuiltSpaces) {
-  auto space = BuildStateSpace(WalkKernel(), CycleInstance(6));
-  ASSERT_TRUE(space.ok());
-  EXPECT_EQ(space->index.size(), space->states.size());
-  for (size_t i = 0; i < space->states.size(); ++i) {
-    EXPECT_EQ(space->IndexOf(space->states[i]), i);
-  }
-  Instance ghost;
-  EXPECT_EQ(space->IndexOf(ghost), SIZE_MAX);
-}
-
-// Hand-assembled spaces (no interner) still answer IndexOf via the linear
-// fallback.
-TEST(StateSpaceTest, IndexOfLinearFallbackWithoutInterner) {
-  StateSpace space;
-  space.states.push_back(WalkInstance());
-  space.states.push_back(CycleInstance(4));
-  EXPECT_EQ(space.index.size(), 0u);
-  EXPECT_EQ(space.IndexOf(CycleInstance(4)), 1u);
-  EXPECT_EQ(space.IndexOf(WalkInstance()), 0u);
-  EXPECT_EQ(space.IndexOf(CycleInstance(5)), SIZE_MAX);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,14 @@ std::string BitsData(int indices) {
   }
   out += "}\nrelation b(v) {\n  (0)\n  (1)\n}\n";
   return out;
+}
+
+std::string ReadTestData(const std::string& name) {
+  std::ifstream in(std::string(PFQL_REPO_DIR) + "/tests/data/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_FALSE(text.str().empty()) << name;
+  return text.str();
 }
 
 Request CoinRequest(RequestKind kind) {
@@ -169,6 +180,40 @@ TEST(QueryServiceTest, ForeverWithShortDeadlineReturnsStructuredTimeout) {
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   // The pool is free again: a normal query still succeeds.
   EXPECT_TRUE(service.Call(CoinRequest(RequestKind::kExact)).status.ok());
+}
+
+TEST(QueryServiceTest, ForeverDeadlineInterruptsTheExactSolve) {
+  // 66 states explore in milliseconds; the exact Thm 5.5 solve over them
+  // takes seconds, so the deadline has to fire inside the elimination.
+  QueryService service;
+  Request request;
+  request.kind = RequestKind::kForever;
+  request.program_text = ReadTestData("walk.dl");
+  request.data_text = ReadTestData("ring8.db");
+  request.event = "cur(1)";
+  request.timeout_ms = 300;
+  const auto started = std::chrono::steady_clock::now();
+  const Response response = service.Call(request);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded)
+      << response.status.ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
+TEST(QueryServiceTest, McmcAutoBurnInMeasuresFromATransientStart) {
+  // The translated coin chain starts in a transient state; "auto" measures
+  // the TV mixing time to the walk's long-run distribution.
+  QueryService service;
+  Request request;
+  request.kind = RequestKind::kMcmc;
+  request.program_text = ReadTestData("coin.dl");
+  request.data_text = ReadTestData("coin.db");
+  request.event = "flip(0, 1)";
+  const Response response = service.Call(request);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_TRUE(response.result.Find("burn_in_measured")->AsBool());
+  EXPECT_NEAR(response.result.Find("estimate")->AsDouble(), 0.5,
+              request.epsilon);
 }
 
 TEST(QueryServiceTest, FailedRequestsAreNotCached) {
