@@ -1,16 +1,12 @@
 #include "router/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <system_error>
 
 #include "router/hash_ring.h"
 #include "server/client.h"
@@ -30,25 +26,6 @@ using server::SerializeResponse;
 
 std::string WorkerLabel(int index) {
   return "worker=\"" + std::to_string(index) + '"';
-}
-
-/// Connects a plain blocking socket to 127.0.0.1:port.
-StatusOr<int> ConnectLoopback(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int e = errno;
-    ::close(fd);
-    return Status::Unavailable("connect 127.0.0.1:" + std::to_string(port) +
-                               ": " + std::strerror(e));
-  }
-  return fd;
 }
 
 /// Copy of a request object with its "id" member dropped (the replay log
@@ -89,7 +66,6 @@ struct Router::Upstream {
 
 /// Per-client-connection proxy state, shared with upstream reader threads.
 struct Router::ConnState {
-  int fd = -1;
   std::shared_ptr<server::LineWriter> writer;
 
   std::mutex mu;
@@ -101,10 +77,13 @@ struct Router::ConnState {
   std::vector<std::shared_ptr<Upstream>> retired;
 };
 
-Router::Router(const RouterOptions& options) : options_(options) {
+Router::Router(const RouterOptions& options)
+    : options_(options),
+      listener_([this](int fd) { ServeConnection(fd); },
+                metrics::MetricRegistry::Instance().GetCounter(
+                    "pfql_router_connections_total")) {
   auto& registry = metrics::MetricRegistry::Instance();
-  connections_total_ =
-      registry.GetCounter("pfql_router_connections_total");
+  updates_dropped_ = registry.GetCounter("pfql_router_updates_dropped_total");
   broadcasts_total_ = registry.GetCounter("pfql_router_broadcasts_total");
   no_worker_total_ = registry.GetCounter("pfql_router_no_worker_total");
   probe_latency_ = registry.GetHistogram(
@@ -158,7 +137,7 @@ Status Router::SpawnSeat(int index) {
 }
 
 Status Router::Start() {
-  if (listen_fd_ >= 0) {
+  if (supervisor_thread_.joinable()) {
     return Status::FailedPrecondition("router already started");
   }
   if (options_.num_workers < 1) {
@@ -178,79 +157,22 @@ Status Router::Start() {
     }
   }
   RebuildSlotTable();
-
-  if (::pipe(stop_pipe_) != 0) {
-    for (auto& seat : seats_) seat->process.reset();
-    return Status::Internal(std::string("pipe: ") + std::strerror(errno));
-  }
-  auto fail = [this](Status status) {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    for (int& fd : stop_pipe_) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    }
+  // The fleet is up before the port is: a client never reaches a router
+  // with no workers.
+  if (Status status = listener_.Start(options_.port); !status.ok()) {
     for (auto& seat : seats_) seat->process.reset();
     return status;
-  };
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return fail(
-        Status::Internal(std::string("socket: ") + std::strerror(errno)));
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return fail(Status::Unavailable("bind 127.0.0.1:" +
-                                    std::to_string(options_.port) + ": " +
-                                    std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
-    return fail(
-        Status::Internal(std::string("listen: ") + std::strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return fail(Status::Internal(std::string("getsockname: ") +
-                                 std::strerror(errno)));
-  }
-  port_ = ntohs(addr.sin_port);
-
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   supervisor_thread_ = std::thread([this] { SupervisorLoop(); });
   return Status::OK();
 }
 
 void Router::Stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (supervisor_thread_.joinable()) supervisor_thread_.join();
-    return;
-  }
+  const bool already_stopping = stopping_.exchange(true);
   supervisor_cv_.notify_all();
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 0;
-    [[maybe_unused]] ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads) t.join();
+  listener_.Stop();
   if (supervisor_thread_.joinable()) supervisor_thread_.join();
+  if (already_stopping) return;
 
   // Fleet shutdown: clean SIGTERM first, escalate past the deadline.
   for (auto& seat : seats_) {
@@ -265,17 +187,6 @@ void Router::Stop() {
     seat->process.reset();
     seat->state.store(Seat::kDown, std::memory_order_release);
     seat->up_gauge->Set(0);
-  }
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (int& fd : stop_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
   }
 }
 
@@ -549,67 +460,20 @@ Status Router::ReplayRegistrations(uint16_t port, int index) {
 // ---------------------------------------------------------------------------
 // Client side.
 
-void Router::AcceptLoop() {
-  for (;;) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || stopping_.load()) return;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    connections_total_->Increment();
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(client);
-      return;
-    }
-    conn_fds_.push_back(client);
-    conn_threads_.emplace_back([this, client] { ServeConnection(client); });
-  }
-}
-
 void Router::ServeConnection(int fd) {
   auto conn = std::make_shared<ConnState>();
-  conn->fd = fd;
   conn->writer = std::make_shared<server::LineWriter>(
-      fd, options_.write_queue_lines);
-
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !conn->writer->failed()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t start = 0;
-    for (;;) {
-      const size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string line = buffer.substr(start, newline - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = newline + 1;
-      if (line.empty()) continue;
-      HandleClientLine(conn, line);
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > options_.max_line_bytes) {
-      conn->writer->Enqueue(
-          SerializeResponse(ErrorResponse(
-              Json(), "",
-              Status::InvalidArgument(
-                  "request line exceeds " +
-                  std::to_string(options_.max_line_bytes) + " bytes"))) +
-              '\n',
-          false);
+      fd, server::kWriteQueueLines, updates_dropped_);
+  server::LineReader reader(fd, server::kMaxLineBytes);
+  while (!conn->writer->failed()) {
+    StatusOr<std::string_view> line = reader.Next();
+    if (!line.ok()) {
+      if (line.status().code() == StatusCode::kInvalidArgument) {
+        ReplyDirect(conn, Json(), "", line.status());
+      }
       break;
     }
+    if (!line->empty()) HandleClientLine(conn, *line);
   }
 
   // Teardown: closing each upstream socket makes the worker's own
@@ -629,10 +493,6 @@ void Router::ServeConnection(int fd) {
     if (up->fd >= 0) ::close(up->fd);
   }
   conn->writer->Close();
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
-  ::close(fd);
 }
 
 void Router::ReplyDirect(const std::shared_ptr<ConnState>& conn,
@@ -643,7 +503,7 @@ void Router::ReplyDirect(const std::shared_ptr<ConnState>& conn,
 }
 
 void Router::HandleClientLine(const std::shared_ptr<ConnState>& conn,
-                              const std::string& line) {
+                              std::string_view line) {
   auto json = Json::Parse(line);
   if (!json.ok()) {
     ReplyDirect(conn, Json(), "", json.status());
@@ -844,7 +704,8 @@ std::shared_ptr<Router::Upstream> Router::GetUpstream(
   }
   if (stale != nullptr) stale->Shut();
 
-  auto fd = ConnectLoopback(seat.port.load(std::memory_order_relaxed));
+  auto fd =
+      server::ConnectLoopback(seat.port.load(std::memory_order_relaxed));
   if (!fd.ok()) {
     *error = fd.status();
     return nullptr;
@@ -853,15 +714,22 @@ std::shared_ptr<Router::Upstream> Router::GetUpstream(
   up->worker = worker;
   up->epoch = epoch;
   up->fd = *fd;
-  up->reader = std::thread(
-      [this, conn, up] { UpstreamReaderLoop(conn, up); });
+  try {
+    up->reader = std::thread(
+        [this, conn, up] { UpstreamReaderLoop(conn, up); });
+  } catch (const std::system_error& e) {
+    ::close(up->fd);
+    *error = Status::Unavailable(std::string("upstream reader: ") +
+                                 e.what() + "; safe to retry");
+    return nullptr;
+  }
   std::lock_guard<std::mutex> lock(conn->mu);
   conn->upstreams[worker] = up;
   return up;
 }
 
 void Router::ForwardToWorker(const std::shared_ptr<ConnState>& conn,
-                             int worker, const std::string& raw_line,
+                             int worker, std::string_view raw_line,
                              const Json& id, const std::string& method) {
   Status error = Status::OK();
   auto up = GetUpstream(conn, worker, &error);
@@ -889,7 +757,7 @@ void Router::ForwardToWorker(const std::shared_ptr<ConnState>& conn,
   // proxy-path analogue of a worker crash. The reader drains `pending`
   // into clean Unavailable responses.
   if (fault::InjectFault(fault::points::kRouterProxy)) up->Shut();
-  std::string framed = raw_line;
+  std::string framed(raw_line);
   framed += '\n';
   if (!server::WriteAll(up->fd, framed.data(), framed.size())) {
     // The entry is in `pending`; the reader sees the broken socket and
@@ -901,81 +769,72 @@ void Router::ForwardToWorker(const std::shared_ptr<ConnState>& conn,
 void Router::UpstreamReaderLoop(std::shared_ptr<ConnState> conn,
                                 std::shared_ptr<Upstream> up) {
   Seat& seat = *seats_[static_cast<size_t>(up->worker)];
-  std::string buffer;
-  char chunk[4096];
+  server::LineReader reader(up->fd);
   for (;;) {
-    const ssize_t n = ::recv(up->fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // worker died or upstream was severed
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t start = 0;
-    for (;;) {
-      const size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
-      if (line.empty()) continue;
-      auto json = Json::Parse(line);
-      if (!json.ok()) continue;  // never forward a torn frame
-      const Json* event = json->Find("event");
-      if (event != nullptr && event->is_string()) {
-        // Subscription push. Track the pin (creating it on a pre-ack
-        // catch-up push) so failover knows who is orphaned and what seq
-        // comes next; a terminal event ends the pin.
-        const Json* sub = json->Find("sub");
-        const Json* seq = json->Find("seq");
-        const std::string& kind = event->AsString();
-        if (sub != nullptr && sub->is_string()) {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          if (kind == "update") {
+    // An error means the worker died or the upstream was severed; a torn
+    // frame from the moment of death is discarded — failover always emits
+    // whole, clean lines.
+    StatusOr<std::string_view> next = reader.Next();
+    if (!next.ok()) break;
+    const std::string_view line = *next;
+    if (line.empty()) continue;
+    auto json = Json::Parse(line);
+    if (!json.ok()) continue;  // never forward a torn frame
+    const Json* event = json->Find("event");
+    if (event != nullptr && event->is_string()) {
+      // Subscription push. Track the pin (creating it on a pre-ack
+      // catch-up push) so failover knows who is orphaned and what seq
+      // comes next; a terminal event ends the pin.
+      const Json* sub = json->Find("sub");
+      const Json* seq = json->Find("seq");
+      const std::string& kind = event->AsString();
+      if (sub != nullptr && sub->is_string()) {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        if (kind == "update") {
+          SubPin& pin = conn->pins[sub->AsString()];
+          pin.worker = up->worker;
+          pin.epoch = up->epoch;
+          if (seq != nullptr && seq->is_number()) {
+            pin.last_seq = seq->AsInt();
+          }
+        } else {
+          conn->pins.erase(sub->AsString());
+        }
+      }
+      conn->writer->Enqueue(std::string(line) + '\n', kind == "update");
+      continue;
+    }
+    // A response: the worker answers one line per request in order, so
+    // it matches the oldest pending entry.
+    Upstream::Pending done;
+    bool matched = false;
+    {
+      std::lock_guard<std::mutex> lock(up->mu);
+      if (!up->pending.empty()) {
+        done = std::move(up->pending.front());
+        up->pending.pop_front();
+        matched = true;
+      }
+    }
+    if (matched) {
+      seat.in_flight.fetch_sub(1, std::memory_order_relaxed);
+      if (done.method == "subscribe") {
+        const Json* ok = json->Find("ok");
+        const Json* result = json->Find("result");
+        if (ok != nullptr && ok->is_bool() && ok->AsBool() &&
+            result != nullptr) {
+          const Json* sub = result->Find("sub");
+          if (sub != nullptr && sub->is_string()) {
+            std::lock_guard<std::mutex> lock(conn->mu);
             SubPin& pin = conn->pins[sub->AsString()];
             pin.worker = up->worker;
             pin.epoch = up->epoch;
-            if (seq != nullptr && seq->is_number()) {
-              pin.last_seq = seq->AsInt();
-            }
-          } else {
-            conn->pins.erase(sub->AsString());
-          }
-        }
-        conn->writer->Enqueue(line + '\n', kind == "update");
-        continue;
-      }
-      // A response: the worker answers one line per request in order, so
-      // it matches the oldest pending entry.
-      Upstream::Pending done;
-      bool matched = false;
-      {
-        std::lock_guard<std::mutex> lock(up->mu);
-        if (!up->pending.empty()) {
-          done = std::move(up->pending.front());
-          up->pending.pop_front();
-          matched = true;
-        }
-      }
-      if (matched) {
-        seat.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        if (done.method == "subscribe") {
-          const Json* ok = json->Find("ok");
-          const Json* result = json->Find("result");
-          if (ok != nullptr && ok->is_bool() && ok->AsBool() &&
-              result != nullptr) {
-            const Json* sub = result->Find("sub");
-            if (sub != nullptr && sub->is_string()) {
-              std::lock_guard<std::mutex> lock(conn->mu);
-              SubPin& pin = conn->pins[sub->AsString()];
-              pin.worker = up->worker;
-              pin.epoch = up->epoch;
-            }
           }
         }
       }
-      conn->writer->Enqueue(line + '\n', false);
     }
-    buffer.erase(0, start);
+    conn->writer->Enqueue(std::string(line) + '\n', false);
   }
-  // Anything left in `buffer` is a torn frame from the moment of death;
-  // it is discarded — failover always emits whole, clean lines.
   FailOverUpstream(conn, up);
 }
 

@@ -37,10 +37,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "router/worker.h"
+#include "server/loopback.h"
 #include "util/backoff.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -52,9 +54,6 @@ namespace router {
 struct RouterOptions {
   /// Listen port on 127.0.0.1 (0 = ephemeral).
   uint16_t port = 0;
-  int backlog = 64;
-  size_t max_line_bytes = 4 << 20;
-  size_t write_queue_lines = 256;
 
   /// Fleet shape. Every worker is `pfqld_binary --port 0 <worker_args>`.
   int num_workers = 2;
@@ -103,7 +102,7 @@ class Router {
   void Stop();
 
   /// Bound listen port (valid after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// The "router_stats" payload: per-seat state, slot ownership, live
   /// count. Also useful directly in tests.
@@ -168,10 +167,9 @@ class Router {
   void RebuildSlotTable();
 
   // Client side.
-  void AcceptLoop();
   void ServeConnection(int fd);
   void HandleClientLine(const std::shared_ptr<ConnState>& conn,
-                        const std::string& line);
+                        std::string_view line);
   void Broadcast(const std::shared_ptr<ConnState>& conn, const Json& request,
                  const Json& id);
   /// Picks by slot table (-1 = no live worker).
@@ -183,7 +181,7 @@ class Router {
   std::shared_ptr<Upstream> GetUpstream(const std::shared_ptr<ConnState>& conn,
                                         int worker, Status* error);
   void ForwardToWorker(const std::shared_ptr<ConnState>& conn, int worker,
-                       const std::string& raw_line, const Json& id,
+                       std::string_view raw_line, const Json& id,
                        const std::string& method);
   void UpstreamReaderLoop(std::shared_ptr<ConnState> conn,
                           std::shared_ptr<Upstream> up);
@@ -207,24 +205,19 @@ class Router {
   mutable std::mutex registry_mu_;
   std::vector<Json> registry_log_;
 
-  // Listener (same shape as server::TcpServer).
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-
   std::thread supervisor_thread_;
   std::mutex supervisor_mu_;
   std::condition_variable supervisor_cv_;
 
-  metrics::Counter* connections_total_ = nullptr;
   metrics::Counter* broadcasts_total_ = nullptr;
   metrics::Counter* no_worker_total_ = nullptr;
+  metrics::Counter* updates_dropped_ = nullptr;
   metrics::Histogram* probe_latency_ = nullptr;
+
+  /// Client connections; declared last so it stops before the state its
+  /// connection threads use goes away.
+  server::LoopbackListener listener_;
 };
 
 }  // namespace router

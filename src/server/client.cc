@@ -1,7 +1,5 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -14,6 +12,7 @@
 #include <optional>
 #include <thread>
 
+#include "server/line_writer.h"
 #include "server/wire.h"
 
 namespace pfql {
@@ -21,23 +20,10 @@ namespace server {
 
 Status Client::Connect(uint16_t port) {
   Disconnect();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    Disconnect();
-    return Status::Unavailable("connect 127.0.0.1:" + std::to_string(port) +
-                               ": " + std::strerror(err));
-  }
+  PFQL_ASSIGN_OR_RETURN(fd_, ConnectLoopback(port));
+  reader_ = LineReader(fd_);
   if (options_.retry.attempt_timeout.count() > 0) {
-    // Per-attempt receive timeout; an expired one surfaces from ReadLine
+    // Per-attempt receive timeout; an expired one surfaces from the reader
     // as a retryable Unavailable.
     const int64_t ms = options_.retry.attempt_timeout.count();
     timeval tv{};
@@ -54,7 +40,6 @@ void Client::Disconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  buffer_.clear();
 }
 
 Status Client::EnsureConnected() {
@@ -67,23 +52,16 @@ Status Client::SendLine(std::string_view line) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   std::string out(line);
   out += '\n';
-  size_t written = 0;
-  while (written < out.size()) {
-    const ssize_t n =
-        ::send(fd_, out.data() + written, out.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string("send: ") +
-                                 std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
+  if (!WriteAll(fd_, out.data(), out.size())) {
+    return Status::Unavailable(std::string("send: ") + std::strerror(errno));
   }
   return Status::OK();
 }
 
 StatusOr<std::string> Client::RoundTrip(std::string_view request_line) {
   PFQL_RETURN_NOT_OK(SendLine(request_line));
-  return ReadLine();
+  PFQL_ASSIGN_OR_RETURN(std::string_view line, reader_.Next());
+  return std::string(line);
 }
 
 StatusOr<Json> Client::Call(const Json& request) {
@@ -102,7 +80,7 @@ StatusOr<Json> Client::Call(const Json& request) {
 StatusOr<Json> Client::ReadResponse(const Json& want) {
   const std::string want_key = want.Dump();
   for (;;) {
-    PFQL_ASSIGN_OR_RETURN(std::string line, ReadLine());
+    PFQL_ASSIGN_OR_RETURN(std::string_view line, reader_.Next());
     auto parsed = Json::Parse(line);
     if (!parsed.ok()) return parsed.status();
     if (parsed->Find("event") != nullptr) {
@@ -154,7 +132,7 @@ StatusOr<Json> Client::NextPush(int64_t timeout_ms) {
     }
     if (fd_ < 0) return Status::FailedPrecondition("not connected");
     // Only hit the socket when the framing buffer has no complete line.
-    if (buffer_.find('\n') == std::string::npos) {
+    if (!reader_.HasLine()) {
       int wait_ms = -1;
       if (timeout_ms >= 0) {
         const auto left = std::chrono::duration_cast<
@@ -175,7 +153,7 @@ StatusOr<Json> Client::NextPush(int64_t timeout_ms) {
             " ms");
       }
     }
-    PFQL_ASSIGN_OR_RETURN(std::string line, ReadLine());
+    PFQL_ASSIGN_OR_RETURN(std::string_view line, reader_.Next());
     auto parsed = Json::Parse(line);
     if (!parsed.ok()) return parsed.status();
     if (parsed->Find("event") != nullptr) {
@@ -274,45 +252,6 @@ StatusOr<Json> Client::CallWithRetry(const Json& request) {
   }
   if (last_error_reply.has_value()) return *std::move(last_error_reply);
   return last_transport;
-}
-
-StatusOr<std::string> Client::ReadLine() {
-  for (;;) {
-    const size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      // Each transient transport failure gets its own message, but they
-      // are all kUnavailable — i.e. retryable (docs/SERVER.md taxonomy).
-      if (err == EAGAIN || err == EWOULDBLOCK) {
-        return Status::Unavailable(
-            "receive timed out waiting for response" +
-            std::string(buffer_.empty() ? "" : " (mid-response)"));
-      }
-      return Status::Unavailable(
-          std::string("recv: ") + std::strerror(err) +
-          (buffer_.empty() ? "" : " (mid-response)"));
-    }
-    if (n == 0) {
-      if (!buffer_.empty()) {
-        // The server died between framing and flushing a full line.
-        return Status::Unavailable(
-            "connection reset mid-response (short read: " +
-            std::to_string(buffer_.size()) +
-            " byte(s) buffered without a newline)");
-      }
-      return Status::Unavailable("connection closed by server");
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
 }
 
 }  // namespace server

@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 
+#include "server/loopback.h"
 #include "util/backoff.h"
 #include "util/json.h"
 #include "util/status.h"
@@ -92,7 +93,6 @@ class Client {
   const ClientOptions& options() const { return options_; }
 
  private:
-  StatusOr<std::string> ReadLine();
   Status SendLine(std::string_view line);
   /// Reads until the response whose "id" equals `want` arrives, diverting
   /// pushes to the queue and discarding stale responses along the way.
@@ -103,7 +103,7 @@ class Client {
   ClientOptions options_;
   int fd_ = -1;
   uint16_t port_ = 0;
-  std::string buffer_;
+  LineReader reader_;
   /// Server-pushed lines awaiting NextPush, in arrival order.
   std::deque<Json> pushes_;
   uint64_t next_id_ = 1;

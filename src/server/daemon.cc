@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "relational/text_io.h"
+#include "server/tcp_server.h"
 #include "util/fault_injection.h"
 
 namespace pfql {
@@ -64,7 +65,7 @@ StatusOr<DaemonOptions> ParseDaemonArgs(int argc, char** argv) {
     if (arg == "--port") {
       PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "port"));
       if (v > 65535) return Status::InvalidArgument("--port out of range");
-      options.tcp.port = static_cast<uint16_t>(v);
+      options.port = static_cast<uint16_t>(v);
     } else if (arg == "--workers") {
       PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "workers"));
       options.service.workers = static_cast<size_t>(v);
@@ -156,7 +157,7 @@ int RunDaemon(const DaemonOptions& options) {
   sigaddset(&mask, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &mask, nullptr);
 
-  TcpServer tcp(&service, options.tcp);
+  TcpServer tcp(&service, options.port);
   Status status = tcp.Start();
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

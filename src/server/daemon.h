@@ -4,19 +4,20 @@
 #ifndef PFQL_SERVER_DAEMON_H_
 #define PFQL_SERVER_DAEMON_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "server/query_service.h"
-#include "server/tcp_server.h"
 #include "util/status.h"
 
 namespace pfql {
 namespace server {
 
 struct DaemonOptions {
-  TcpServerOptions tcp;
+  /// --port; 0 picks an ephemeral port (printed as {"port":N}).
+  uint16_t port = 0;
   ServiceOptions service;
   /// name=path pairs preloaded into the registry before serving.
   std::vector<std::pair<std::string, std::string>> program_files;

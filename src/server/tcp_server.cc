@@ -1,16 +1,10 @@
 #include "server/tcp_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "server/line_writer.h"
 #include "util/fault_injection.h"
@@ -57,131 +51,11 @@ std::string FrameResponse(const Response& response) {
 
 }  // namespace
 
-TcpServer::TcpServer(QueryService* service, const TcpServerOptions& options)
-    : service_(service), options_(options) {}
-
-TcpServer::~TcpServer() { Stop(); }
-
-Status TcpServer::Start() {
-  if (listen_fd_ >= 0) {
-    return Status::FailedPrecondition("server already started");
-  }
-  if (::pipe(stop_pipe_) != 0) {
-    return Status::Internal(std::string("pipe: ") + std::strerror(errno));
-  }
-  // On any failure past this point, close the fds opened so far so a failed
-  // Start() leaves the server restartable and leak-free.
-  auto fail = [this](Status status) {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    for (int& fd : stop_pipe_) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    }
-    return status;
-  };
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return fail(
-        Status::Internal(std::string("socket: ") + std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const int bind_errno = errno;
-    if (bind_errno == EADDRINUSE) {
-      return fail(Status::Unavailable(
-          "port " + std::to_string(options_.port) +
-          " is already in use on 127.0.0.1 (is another pfqld running? "
-          "pick a different --port or stop the other server)"));
-    }
-    return fail(Status::Unavailable("bind 127.0.0.1:" +
-                                    std::to_string(options_.port) + ": " +
-                                    std::strerror(bind_errno)));
-  }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
-    return fail(
-        Status::Internal(std::string("listen: ") + std::strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return fail(Status::Internal(std::string("getsockname: ") +
-                                 std::strerror(errno)));
-  }
-  port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void TcpServer::Stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 0;
-    [[maybe_unused]] ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    // Unblock connection threads stuck in recv().
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads) t.join();
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (int& fd : stop_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-}
-
-void TcpServer::AcceptLoop() {
-  for (;;) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || stopping_.load()) return;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    TcpConnectionsCounter()->Increment();
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(client);
-      return;
-    }
-    conn_fds_.push_back(client);
-    conn_threads_.emplace_back([this, client] { ServeConnection(client); });
-  }
-}
+TcpServer::TcpServer(QueryService* service, uint16_t port)
+    : service_(service),
+      port_(port),
+      listener_([this](int fd) { ServeConnection(fd); },
+                TcpConnectionsCounter()) {}
 
 void TcpServer::ServeConnection(int fd) {
   // All bytes leave through the writer, including plain responses — one
@@ -190,7 +64,7 @@ void TcpServer::ServeConnection(int fd) {
   // writer shared: the scheduler may retain sink copies briefly past
   // connection teardown, and Enqueue after Close is a no-op.
   auto writer = std::make_shared<LineWriter>(
-      fd, options_.write_queue_lines, DroppedUpdatesCounter(),
+      fd, kWriteQueueLines, DroppedUpdatesCounter(),
       TcpWriteErrorsCounter(), fault::points::kTcpWrite);
   sched::UpdateSink sink = [writer](const std::string& line,
                                     bool droppable) {
@@ -199,57 +73,35 @@ void TcpServer::ServeConnection(int fd) {
   // Subscriptions opened on this connection, detached when it dies.
   std::vector<std::string> subscriptions;
 
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !writer->failed()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    // Chaos hook: drop the connection after a successful read, before the
-    // request is processed — the peer sees an abrupt close with no reply.
-    if (fault::InjectFault(fault::points::kTcpRead)) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-
-    size_t start = 0;
-    for (;;) {
-      const size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string_view line(buffer.data() + start, newline - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      start = newline + 1;
-      if (line.empty()) continue;
-      TcpRequestsCounter()->Increment();
-      Response response = service_->CallLineWithSink(line, sink);
-      if (response.status.ok()) {
-        const Json* sub = response.result.Find("sub");
-        if (sub != nullptr && sub->is_string()) {
-          if (response.method == "subscribe") {
-            subscriptions.push_back(sub->AsString());
-          } else if (response.method == "unsubscribe") {
-            subscriptions.erase(std::remove(subscriptions.begin(),
-                                            subscriptions.end(),
-                                            sub->AsString()),
-                                subscriptions.end());
-          }
-        }
+  // kTcpRead fires after a successful read, before the request is
+  // processed: the peer sees an abrupt close with no reply.
+  LineReader reader(fd, kMaxLineBytes, fault::points::kTcpRead);
+  while (!writer->failed()) {
+    StatusOr<std::string_view> line = reader.Next();
+    if (!line.ok()) {
+      if (line.status().code() == StatusCode::kInvalidArgument) {
+        writer->Enqueue(FrameResponse(ErrorResponse(Json(), "", line.status())),
+                        false);
       }
-      if (!writer->Enqueue(FrameResponse(response), false)) {
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > options_.max_line_bytes) {
-      writer->Enqueue(
-          FrameResponse(ErrorResponse(
-              Json(), "",
-              Status::InvalidArgument(
-                  "request line exceeds " +
-                  std::to_string(options_.max_line_bytes) + " bytes"))),
-          false);
       break;
     }
+    if (line->empty()) continue;
+    TcpRequestsCounter()->Increment();
+    Response response = service_->CallLineWithSink(*line, sink);
+    if (response.status.ok()) {
+      const Json* sub = response.result.Find("sub");
+      if (sub != nullptr && sub->is_string()) {
+        if (response.method == "subscribe") {
+          subscriptions.push_back(sub->AsString());
+        } else if (response.method == "unsubscribe") {
+          subscriptions.erase(std::remove(subscriptions.begin(),
+                                          subscriptions.end(),
+                                          sub->AsString()),
+                              subscriptions.end());
+        }
+      }
+    }
+    if (!writer->Enqueue(FrameResponse(response), false)) break;
   }
   // Detach this connection's live subscriptions; each pushes its final
   // "unsubscribed" complete into the dying writer best-effort.
@@ -257,12 +109,6 @@ void TcpServer::ServeConnection(int fd) {
     service_->scheduler().Unsubscribe(id);
   }
   writer->Close();
-  // Deregister before closing, under the lock, so Stop() can never
-  // shutdown() a recycled descriptor.
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
-  ::close(fd);
 }
 
 }  // namespace server

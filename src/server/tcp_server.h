@@ -6,71 +6,44 @@
 #ifndef PFQL_SERVER_TCP_SERVER_H_
 #define PFQL_SERVER_TCP_SERVER_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <vector>
 
+#include "server/loopback.h"
 #include "server/query_service.h"
 #include "util/status.h"
 
 namespace pfql {
 namespace server {
 
-struct TcpServerOptions {
-  /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
-  /// from port() after Start — the integration tests rely on this).
-  uint16_t port = 0;
-  int backlog = 64;
-  /// Hard per-line limit; longer requests get an error response and the
-  /// connection is closed (defends the daemon against garbage input).
-  size_t max_line_bytes = 4u << 20;
-  /// Per-connection write-queue depth. Responses and subscription pushes
-  /// funnel through one bounded queue per connection; when it fills, the
-  /// oldest droppable (incremental update) line is discarded so a slow
-  /// consumer can never block scheduler workers. Responses, completes, and
-  /// errors are never dropped.
-  size_t write_queue_lines = 256;
-};
-
 class TcpServer {
  public:
-  /// `service` must outlive the server.
-  TcpServer(QueryService* service, const TcpServerOptions& options = {});
-  ~TcpServer();
+  /// `service` must outlive the server. `port` is bound on 127.0.0.1; 0
+  /// picks an ephemeral port (read it back from port() after Start).
+  explicit TcpServer(QueryService* service, uint16_t port = 0);
 
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// Binds, listens, and spawns the accept loop.
-  Status Start();
+  /// Binds, listens, and starts accepting (loopback.h).
+  Status Start() { return listener_.Start(port_); }
   /// Stops accepting, shuts down live connections, joins every thread.
   /// Idempotent.
-  void Stop();
+  void Stop() { listener_.Stop(); }
 
   /// The bound port (valid after a successful Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
   /// Connections accepted over the server's lifetime.
   size_t connections_accepted() const {
-    return connections_accepted_.load(std::memory_order_relaxed);
+    return listener_.connections_accepted();
   }
 
  private:
-  void AcceptLoop();
   void ServeConnection(int fd);
 
   QueryService* const service_;
-  const TcpServerOptions options_;
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  std::atomic<bool> stopping_{false};
-  std::atomic<size_t> connections_accepted_{0};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  const uint16_t port_;
+  LoopbackListener listener_;
 };
 
 }  // namespace server

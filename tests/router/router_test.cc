@@ -14,12 +14,14 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "server/client.h"
 #include "server/query_service.h"
 #include "server/tcp_server.h"
 #include "util/fault_injection.h"
 #include "util/json.h"
+#include "../server/transport_checks.h"
 
 namespace pfql {
 namespace router {
@@ -276,6 +278,69 @@ TEST(RouterTest, RouterMetricsServesBothFormats) {
   router.Stop();
 }
 
+TEST(RouterTest, RouterMetricsListTheUpdatesDroppedFamily) {
+  Router router(TestOptions(1));
+  ASSERT_TRUE(router.Start().ok());
+  server::Client client;
+  ASSERT_TRUE(client.Connect(router.port()).ok());
+  Json prom = Json::Object();
+  prom.Set("method", "router_metrics").Set("format", "prometheus");
+  auto text = client.Call(prom);
+  ASSERT_TRUE(ReplyOk(text)) << text.status().ToString();
+  EXPECT_NE(text->Find("result")->Find("text")->AsString().find(
+                "pfql_router_updates_dropped_total"),
+            std::string::npos);
+  router.Stop();
+}
+
+TEST(RouterTest, OverlongRequestLineIsRejectedAndTheConnectionClosed) {
+  Router router(TestOptions(1));
+  ASSERT_TRUE(router.Start().ok());
+  server::ExpectOverlongLineRejected(router.port());
+  router.Stop();
+}
+
+TEST(RouterTest, TakenPortIsReportedAsPfqldReportsIt) {
+  server::QueryService service((server::ServiceOptions()));
+  server::TcpServer tcp(&service);
+  ASSERT_TRUE(tcp.Start().ok());
+  RouterOptions options = TestOptions(1);
+  options.port = tcp.port();
+  Router router(options);
+  const Status status = router.Start();
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_NE(status.message().find("already in use"), std::string::npos)
+      << status.ToString();
+  server::TcpServer second(&service, tcp.port());
+  EXPECT_EQ(status.message(), second.Start().message());
+  tcp.Stop();
+}
+
+TEST(RouterTest, HealthProbesDoNotLeakWorkerThreads) {
+  // Every probe is a fresh connection to the worker; a worker that never
+  // joins finished connection threads maps two more lines per probe.
+  RouterOptions options = TestOptions(2);
+  options.probe_interval_ms = 5;
+  Router router(options);
+  ASSERT_TRUE(router.Start().ok());
+  const Json stats = router.StatsJson();
+  std::vector<std::string> pids;
+  for (const Json& w : stats.Find("workers")->items()) {
+    pids.push_back(std::to_string(w.Find("pid")->AsInt()));
+  }
+  std::this_thread::sleep_for(milliseconds(200));
+  std::vector<size_t> before;
+  for (const std::string& pid : pids) {
+    before.push_back(server::MappingCount(pid));
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  for (size_t i = 0; i < pids.size(); ++i) {
+    EXPECT_LT(server::MappingCount(pids[i]), before[i] + 60)
+        << "worker " << i;
+  }
+  router.Stop();
+}
+
 // ---------------------------------------------------------------------
 // Satellite regression: the client retry gate for non-idempotent methods.
 // Runs against an in-process TcpServer (not the router) because it arms
@@ -289,7 +354,7 @@ class RetryGateTest : public ::testing::Test {
 
 TEST_F(RetryGateTest, SubscribeIsNotResentAfterPostSendTransportError) {
   server::QueryService service((server::ServiceOptions()));
-  server::TcpServer tcp(&service, server::TcpServerOptions());
+  server::TcpServer tcp(&service);
   ASSERT_TRUE(tcp.Start().ok());
   // kTcpRead drops the connection after the request line is read but
   // before it is processed: from the client's side the request hit the
@@ -313,7 +378,7 @@ TEST_F(RetryGateTest, SubscribeIsNotResentAfterPostSendTransportError) {
 
 TEST_F(RetryGateTest, IdempotentMethodIsRetriedThroughTheSameFailure) {
   server::QueryService service((server::ServiceOptions()));
-  server::TcpServer tcp(&service, server::TcpServerOptions());
+  server::TcpServer tcp(&service);
   ASSERT_TRUE(tcp.Start().ok());
   fault::ScopedFault fault(fault::points::kTcpRead,
                            fault::FaultSpec::NthHit(1));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "transport_checks.h"
 
 namespace pfql {
 namespace server {
@@ -168,6 +169,24 @@ TEST_F(TcpServerTest, StopUnblocksConnectedClients) {
   // hang once the server shut the connection down.
   auto response = client.RoundTrip("{\"method\":\"ping\"}");
   EXPECT_FALSE(response.ok());
+}
+
+TEST_F(TcpServerTest, OverlongRequestLineIsRejectedAndTheConnectionClosed) {
+  ExpectOverlongLineRejected(server_->port());
+}
+
+TEST_F(TcpServerTest, ClosedConnectionsReleaseTheirThreads) {
+  // Each connection runs on its own thread; one never joined keeps its
+  // stack mapped, two mappings per closed connection.
+  auto cycle = [this] {
+    Client client;
+    ASSERT_TRUE(client.Connect(server_->port()).ok());
+    ASSERT_TRUE(client.RoundTrip("{\"method\":\"ping\"}").ok());
+  };
+  for (int i = 0; i < 20; ++i) cycle();
+  const size_t before = MappingCount("self");
+  for (int i = 0; i < 300; ++i) cycle();
+  EXPECT_LT(MappingCount("self"), before + 60);
 }
 
 TEST(TcpServerLifecycleTest, TwoServersOnDistinctEphemeralPorts) {
