@@ -220,7 +220,8 @@ double InternerOpsPerSec(InternerT* interner, size_t threads,
 }
 
 server::CacheKey ProbeKey(uint64_t k) {
-  return server::CacheKey{k, k * 0x9e3779b97f4a7c15ULL, "exact",
+  return server::CacheKey{k, k * 0x9e3779b97f4a7c15ULL,
+                          server::RequestKind::kExact,
                           "k=" + std::to_string(k)};
 }
 

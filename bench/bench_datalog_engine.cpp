@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "datalog/engine.h"
-#include "datalog/seminaive.h"
 #include "gadgets/graphs.h"
 
 namespace pfql {
@@ -68,29 +67,8 @@ void BM_TransitiveClosure(benchmark::State& state) {
     benchmark::DoNotOptimize(fixpoint);
   }
 }
-// 128-node chain: the closure holds ~10^4 derived tuples.
-BENCHMARK(BM_TransitiveClosure)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureSeminaive(benchmark::State& state) {
-  auto program = datalog::ParseProgram(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Z) :- t(X, Y), e(Y, Z).
-  )");
-  if (!program.ok()) return;
-  Instance edb;
-  Relation e(Schema({"i", "j"}));
-  const int64_t n = state.range(0);
-  for (int64_t i = 0; i + 1 < n; ++i) {
-    e.Insert(Tuple{Value(i), Value(i + 1)});
-  }
-  edb.Set("e", std::move(e));
-  for (auto _ : state) {
-    auto fixpoint = datalog::SeminaiveFixpoint(*program, edb);
-    if (!fixpoint.ok()) state.SkipWithError("seminaive failed");
-    benchmark::DoNotOptimize(fixpoint);
-  }
-}
-BENCHMARK(BM_TransitiveClosureSeminaive)
+// 256-node chain: the closure holds ~3*10^4 derived tuples.
+BENCHMARK(BM_TransitiveClosure)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_ExactTraversalDiamonds(benchmark::State& state) {

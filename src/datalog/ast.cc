@@ -77,6 +77,12 @@ std::vector<std::string> Rule::KeyVariables() const {
   return out;
 }
 
+std::vector<std::string> Rule::ProjectionColumns() const {
+  std::vector<std::string> out = HeadVariables();
+  if (head.weight_var) AddDistinct(&out, *head.weight_var);
+  return out;
+}
+
 std::string Rule::ToString() const {
   std::string out = head.ToString();
   if (!IsFact()) {

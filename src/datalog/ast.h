@@ -129,6 +129,9 @@ struct Rule {
   std::vector<std::string> HeadVariables() const;
   /// Key-position head variables, in order of first occurrence.
   std::vector<std::string> KeyVariables() const;
+  /// The columns of the projection π_{X̄,Ȳ,P} that feeds the head: the head
+  /// variables, then the weight variable if it is not one of them.
+  std::vector<std::string> ProjectionColumns() const;
 
   std::string ToString() const;
 };

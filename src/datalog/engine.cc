@@ -1,6 +1,7 @@
 #include "datalog/engine.h"
 
 #include <functional>
+#include <optional>
 
 #include "datalog/body_eval.h"
 #include "ra/optimizer.h"
@@ -10,6 +11,15 @@ namespace datalog {
 
 namespace {
 
+// The last step's additions to IDB predicate p live in the working instance
+// as the relation "__delta_p", where the compiled delta variants read them
+// by name. No instance handed to a caller holds one.
+constexpr char kDeltaPrefix[] = "__delta_";
+
+bool IsDeltaName(const std::string& name) {
+  return name.rfind(kDeltaPrefix, 0) == 0;
+}
+
 // Evaluates a repair-key-free expression (rule bodies never contain
 // repair-key, so the "sample" path is deterministic).
 StatusOr<Relation> EvalBody(const RaExpr::Ptr& expr, const Instance& db) {
@@ -17,137 +27,234 @@ StatusOr<Relation> EvalBody(const RaExpr::Ptr& expr, const Instance& db) {
   return EvalSample(expr, db, &unused);
 }
 
-// The projection columns π_{X̄,Ȳ,P} of the paper's step: head variables in
-// first-occurrence order, then the weight variable if not already present.
-std::vector<std::string> ProjectionColumns(const Rule& rule) {
-  std::vector<std::string> cols = rule.HeadVariables();
-  if (rule.head.weight_var &&
-      std::find(cols.begin(), cols.end(), *rule.head.weight_var) ==
-          cols.end()) {
-    cols.push_back(*rule.head.weight_var);
+// The state as callers see it: `db` without its delta relations.
+Instance WithoutDeltas(const Instance& db) {
+  Instance out;
+  for (const auto& [name, rel] : db.relations()) {
+    if (!IsDeltaName(name)) out.Set(name, rel);
   }
-  return cols;
-}
-
-RepairKeySpec SpecFor(const Rule& rule) {
-  RepairKeySpec spec;
-  spec.key_columns = rule.KeyVariables();
-  spec.weight_column = rule.head.weight_var;
-  return spec;
-}
-
-// Compiled per-rule data shared by both evaluators.
-struct CompiledProgram {
-  Program program;
-  std::vector<RaExpr::Ptr> body_exprs;
-  std::vector<std::vector<std::string>> proj_cols;
-  std::vector<RepairKeySpec> specs;
-  std::vector<Schema> proj_schemas;
-
-  static StatusOr<CompiledProgram> Make(Program program,
-                                        const Instance& initial) {
-    CompiledProgram cp;
-    std::map<std::string, Schema> schemas;
-    for (const auto& [name, rel] : initial.relations()) {
-      schemas.emplace(name, rel.schema());
-    }
-    for (const auto& rule : program.rules()) {
-      PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr body, CompileBody(rule, schemas));
-      cp.body_exprs.push_back(Optimize(body, schemas));
-      cp.proj_cols.push_back(ProjectionColumns(rule));
-      cp.specs.push_back(SpecFor(rule));
-      cp.proj_schemas.emplace_back(cp.proj_cols.back());
-    }
-    cp.program = std::move(program);
-    return cp;
-  }
-};
-
-// Adds the head tuples for the chosen bindings of rule `r` to `db`.
-Status AddHeadTuples(const CompiledProgram& cp, size_t r,
-                     const std::vector<Tuple>& bindings, Instance* db) {
-  const Rule& rule = cp.program.rules()[r];
-  Relation* rel = db->FindMutable(rule.head.predicate);
-  if (rel == nullptr) {
-    return Status::Internal("head relation '" + rule.head.predicate +
-                            "' missing from instance");
-  }
-  std::vector<Tuple> head_tuples;
-  head_tuples.reserve(bindings.size());
-  for (const Tuple& binding : bindings) {
-    PFQL_ASSIGN_OR_RETURN(
-        Tuple head_tuple,
-        BuildHeadTuple(rule.head, cp.proj_schemas[r], binding));
-    head_tuples.push_back(std::move(head_tuple));
-  }
-  rel->InsertAll(std::move(head_tuples));
-  return Status::OK();
+  return out;
 }
 
 }  // namespace
 
-StatusOr<InflationaryEngine> InflationaryEngine::Make(Program program,
-                                                      const Instance& edb) {
-  InflationaryEngine engine;
-  PFQL_ASSIGN_OR_RETURN(engine.db_, program.InitialInstance(edb));
+class CompiledProgram {
+ public:
+  // One step's head tuples, each tagged with its predicate's index in idb_.
+  using Heads = std::vector<std::pair<size_t, Tuple>>;
+
+  static StatusOr<CompiledProgram> Make(Program program, const Instance& edb);
+
+  const Instance& initial() const { return initial_; }
+
+  // Program::InitialInstance(edb), provided `edb` has the schemas the rules
+  // were compiled against.
+  StatusOr<Instance> InitialInstance(const Instance& edb) const;
+
+  // Sec 3.3's newVals[r] of every rule r on `db`, projected onto the head's
+  // columns π_{X̄,Ȳ,P}: the rows rule r fires with (empty if it does not).
+  // The first step evaluates the full bodies. Later steps take the union of
+  // each rule's delta variants over the "__delta_" relations in `db`.
+  StatusOr<std::vector<Relation>> NewValuations(const Instance& db,
+                                                bool first_step) const;
+
+  // Rule r's repair-key choice, or null if the rule is deterministic.
+  const RepairKeySpec* Choice(size_t r) const {
+    return rules_[r].choice ? &*rules_[r].choice : nullptr;
+  }
+
+  // Stages the head tuple of rule r for one of its rows.
+  Status AddHead(size_t r, const Tuple& row, Heads* heads) const;
+
+  // Inserts a step's head tuples into `db` and replaces its delta relations
+  // with the tuples that were not there yet.
+  Status Apply(const Heads& heads, Instance* db) const;
+
+ private:
+  struct IdbRelation {
+    std::string name;
+    std::string delta;  // kDeltaPrefix + name
+    Schema schema;
+  };
+  struct CompiledRule {
+    RaExpr::Ptr body;  // the first step
+    // One variant per IDB body atom, reading that atom from its delta
+    // relation: every later step.
+    std::vector<std::pair<std::string, RaExpr::Ptr>> deltas;
+    std::vector<std::string> columns;  // π_{X̄,Ȳ,P}
+    Schema row_schema;                 // Schema(columns)
+    std::optional<RepairKeySpec> choice;
+    size_t head = 0;  // index in idb_
+  };
+
+  Program program_;
+  Instance initial_;
+  std::vector<IdbRelation> idb_;
+  std::vector<CompiledRule> rules_;  // parallel to program_.rules()
+};
+
+StatusOr<CompiledProgram> CompiledProgram::Make(Program program,
+                                                const Instance& edb) {
+  for (const auto& [pred, _] : program.arities()) {
+    if (IsDeltaName(pred)) {
+      return Status::InvalidArgument(
+          "predicate '" + pred + "' uses the prefix '" + kDeltaPrefix +
+          "', which is reserved for the engine's delta relations");
+    }
+  }
+  CompiledProgram cp;
+  PFQL_ASSIGN_OR_RETURN(cp.initial_, program.InitialInstance(edb));
   std::map<std::string, Schema> schemas;
-  for (const auto& [name, rel] : engine.db_.relations()) {
+  for (const auto& [name, rel] : cp.initial_.relations()) {
     schemas.emplace(name, rel.schema());
   }
-  for (const auto& rule : program.rules()) {
-    PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr body, CompileBody(rule, schemas));
-    engine.body_exprs_.push_back(Optimize(body, schemas));
-    engine.old_vals_.emplace_back(Schema(rule.BodyVariables()));
+  std::map<std::string, size_t> idb_index;
+  for (const std::string& pred : program.idb_predicates()) {
+    idb_index.emplace(pred, cp.idb_.size());
+    cp.idb_.push_back(
+        {pred, kDeltaPrefix + pred, program.CanonicalSchema(pred)});
+    schemas.emplace(cp.idb_.back().delta, cp.idb_.back().schema);
   }
-  engine.program_ = std::move(program);
+  for (const Rule& rule : program.rules()) {
+    CompiledRule compiled;
+    PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr body, CompileBody(rule, schemas));
+    compiled.body = Optimize(body, schemas);
+    for (size_t a = 0; a < rule.body.size(); ++a) {
+      auto idb = idb_index.find(rule.body[a].predicate);
+      if (idb == idb_index.end()) continue;
+      Rule variant = rule;
+      variant.body[a].predicate = cp.idb_[idb->second].delta;
+      PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr delta_body,
+                            CompileBody(variant, schemas));
+      compiled.deltas.emplace_back(cp.idb_[idb->second].delta,
+                                   Optimize(delta_body, schemas));
+    }
+    compiled.columns = rule.ProjectionColumns();
+    compiled.row_schema = Schema(compiled.columns);
+    if (rule.head.IsProbabilistic()) {
+      compiled.choice = RepairKeySpec{rule.KeyVariables(),
+                                      rule.head.weight_var};
+    }
+    compiled.head = idb_index.at(rule.head.predicate);
+    cp.rules_.push_back(std::move(compiled));
+  }
+  cp.program_ = std::move(program);
+  return cp;
+}
+
+StatusOr<Instance> CompiledProgram::InitialInstance(
+    const Instance& edb) const {
+  PFQL_ASSIGN_OR_RETURN(Instance initial, program_.InitialInstance(edb));
+  for (const auto& [name, rel] : initial.relations()) {
+    const Schema& compiled = initial_.Find(name)->schema();
+    if (!(rel.schema() == compiled)) {
+      return Status::InvalidArgument(
+          "relation '" + name + "' has schema " + rel.schema().ToString() +
+          ", but the program was compiled for " + compiled.ToString());
+    }
+  }
+  return initial;
+}
+
+StatusOr<std::vector<Relation>> CompiledProgram::NewValuations(
+    const Instance& db, bool first_step) const {
+  std::vector<Relation> out;
+  out.reserve(rules_.size());
+  for (const CompiledRule& rule : rules_) {
+    Relation vals;
+    if (first_step) {
+      PFQL_ASSIGN_OR_RETURN(vals, EvalBody(rule.body, db));
+    } else {
+      for (const auto& [delta, variant] : rule.deltas) {
+        const Relation* added = db.Find(delta);
+        if (added == nullptr || added->empty()) continue;
+        PFQL_ASSIGN_OR_RETURN(Relation part, EvalBody(variant, db));
+        if (vals.empty()) {
+          vals = std::move(part);
+        } else {
+          PFQL_ASSIGN_OR_RETURN(vals, vals.UnionWith(part));
+        }
+      }
+    }
+    if (!vals.empty()) {
+      PFQL_ASSIGN_OR_RETURN(vals, Project(vals, rule.columns));
+    }
+    out.push_back(std::move(vals));
+  }
+  return out;
+}
+
+Status CompiledProgram::AddHead(size_t r, const Tuple& row,
+                                Heads* heads) const {
+  PFQL_ASSIGN_OR_RETURN(
+      Tuple head,
+      BuildHeadTuple(program_.rules()[r].head, rules_[r].row_schema, row));
+  heads->emplace_back(rules_[r].head, std::move(head));
+  return Status::OK();
+}
+
+Status CompiledProgram::Apply(const Heads& heads, Instance* db) const {
+  std::vector<std::vector<Tuple>> staged(idb_.size());
+  for (const auto& [idb, tuple] : heads) staged[idb].push_back(tuple);
+  for (size_t i = 0; i < idb_.size(); ++i) {
+    Relation* rel = db->FindMutable(idb_[i].name);
+    if (rel == nullptr) {
+      return Status::Internal("head relation '" + idb_[i].name +
+                              "' missing from instance");
+    }
+    std::vector<Tuple> fresh;
+    for (Tuple& tuple : staged[i]) {
+      if (!rel->Contains(tuple)) fresh.push_back(std::move(tuple));
+    }
+    Relation added(idb_[i].schema);
+    added.InsertAll(std::move(fresh));
+    rel->InsertAll(added.tuples());
+    db->Set(idb_[i].delta, std::move(added));
+  }
+  return Status::OK();
+}
+
+StatusOr<InflationaryEngine> InflationaryEngine::Make(Program program,
+                                                      const Instance& edb) {
+  PFQL_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                        CompiledProgram::Make(std::move(program), edb));
+  InflationaryEngine engine;
+  engine.program_ =
+      std::make_shared<const CompiledProgram>(std::move(compiled));
+  engine.Restart();
   return engine;
 }
 
-StatusOr<bool> InflationaryEngine::SampleStep(Rng* rng) {
-  const auto& rules = program_.rules();
-  // Phase 1: evaluate all bodies against the *old* state.
-  std::vector<Relation> new_vals;
-  new_vals.reserve(rules.size());
-  bool any_new = false;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    PFQL_ASSIGN_OR_RETURN(Relation vals, EvalBody(body_exprs_[r], db_));
-    PFQL_ASSIGN_OR_RETURN(Relation fresh, vals.DifferenceWith(old_vals_[r]));
-    if (!fresh.empty()) any_new = true;
-    new_vals.push_back(std::move(fresh));
-  }
-  if (!any_new) return false;
+void InflationaryEngine::Restart() {
+  db_ = program_->initial();
+  steps_ = 0;
+}
 
-  // Phase 2: update oldVals and fire the rules.
-  for (size_t r = 0; r < rules.size(); ++r) {
-    if (new_vals[r].empty()) continue;
-    PFQL_ASSIGN_OR_RETURN(old_vals_[r],
-                          old_vals_[r].UnionWith(new_vals[r]));
-    const Rule& rule = rules[r];
-    std::vector<std::string> cols = ProjectionColumns(rule);
-    PFQL_ASSIGN_OR_RETURN(Relation proj, Project(new_vals[r], cols));
-    std::vector<Tuple> chosen;
-    if (rule.head.IsProbabilistic()) {
-      PFQL_ASSIGN_OR_RETURN(Relation repaired,
-                            RepairKeySample(proj, SpecFor(rule), rng));
-      chosen.assign(repaired.tuples().begin(), repaired.tuples().end());
-    } else {
-      chosen.assign(proj.tuples().begin(), proj.tuples().end());
+Status InflationaryEngine::Restart(const Instance& edb) {
+  PFQL_ASSIGN_OR_RETURN(db_, program_->InitialInstance(edb));
+  steps_ = 0;
+  return Status::OK();
+}
+
+Instance InflationaryEngine::database() const { return WithoutDeltas(db_); }
+
+StatusOr<bool> InflationaryEngine::SampleStep(Rng* rng) {
+  PFQL_ASSIGN_OR_RETURN(std::vector<Relation> rows,
+                        program_->NewValuations(db_, steps_ == 0));
+  CompiledProgram::Heads heads;
+  bool fired = false;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].empty()) continue;
+    fired = true;
+    if (const RepairKeySpec* choice = program_->Choice(r)) {
+      PFQL_ASSIGN_OR_RETURN(rows[r], RepairKeySample(rows[r], *choice, rng));
     }
-    Relation* rel = db_.FindMutable(rule.head.predicate);
-    if (rel == nullptr) {
-      return Status::Internal("head relation '" + rule.head.predicate +
-                              "' missing");
+    for (const Tuple& row : rows[r].tuples()) {
+      PFQL_RETURN_NOT_OK(program_->AddHead(r, row, &heads));
     }
-    Schema proj_schema{cols};
-    std::vector<Tuple> head_tuples;
-    head_tuples.reserve(chosen.size());
-    for (const Tuple& binding : chosen) {
-      PFQL_ASSIGN_OR_RETURN(Tuple head_tuple,
-                            BuildHeadTuple(rule.head, proj_schema, binding));
-      head_tuples.push_back(std::move(head_tuple));
-    }
-    rel->InsertAll(std::move(head_tuples));
   }
+  if (!fired) return false;
+  PFQL_RETURN_NOT_OK(program_->Apply(heads, &db_));
   ++steps_;
   return true;
 }
@@ -156,7 +263,7 @@ StatusOr<Instance> InflationaryEngine::RunToFixpoint(Rng* rng,
                                                      size_t max_steps) {
   for (size_t i = 0; i < max_steps; ++i) {
     PFQL_ASSIGN_OR_RETURN(bool fired, SampleStep(rng));
-    if (!fired) return db_;
+    if (!fired) return database();
   }
   return Status::ResourceExhausted("no fixpoint within " +
                                    std::to_string(max_steps) + " steps");
@@ -169,17 +276,17 @@ namespace {
 // proportional to tree depth (Prop 4.4).
 class ExactTraversal {
  public:
-  ExactTraversal(const CompiledProgram& cp,
+  ExactTraversal(const CompiledProgram& program,
                  const ExactInflationaryOptions& options,
                  std::function<Status(const Instance&, const BigRational&)>
                      on_fixpoint)
-      : cp_(cp),
+      : program_(program),
         options_(options),
         on_fixpoint_(std::move(on_fixpoint)),
         poller_(options.cancel) {}
 
-  Status Run(Instance db, std::vector<Relation> old_vals) {
-    return Visit(std::move(db), std::move(old_vals), BigRational(1));
+  Status Run() {
+    return Visit(program_.initial(), BigRational(1), /*first_step=*/true);
   }
 
   size_t nodes_visited() const { return nodes_; }
@@ -191,8 +298,7 @@ class ExactTraversal {
     RepairKeyGroup group;
   };
 
-  Status Visit(Instance db, std::vector<Relation> old_vals,
-               BigRational prob) {
+  Status Visit(Instance db, BigRational prob, bool first_step) {
     if (++nodes_ > options_.max_nodes) {
       return Status::ResourceExhausted(
           "exact evaluation exceeded max_nodes = " +
@@ -200,107 +306,76 @@ class ExactTraversal {
           std::to_string(nodes_) + " nodes)");
     }
     PFQL_RETURN_NOT_OK(poller_.Tick());
-    const auto& rules = cp_.program.rules();
+    PFQL_ASSIGN_OR_RETURN(std::vector<Relation> rows,
+                          program_.NewValuations(db, first_step));
 
-    // Evaluate all bodies on the old state; collect new valuations.
-    std::vector<Relation> new_vals;
-    new_vals.reserve(rules.size());
-    bool any_new = false;
-    for (size_t r = 0; r < rules.size(); ++r) {
-      PFQL_ASSIGN_OR_RETURN(Relation vals, EvalBody(cp_.body_exprs[r], db));
-      PFQL_ASSIGN_OR_RETURN(Relation fresh,
-                            vals.DifferenceWith(old_vals[r]));
-      if (!fresh.empty()) any_new = true;
-      new_vals.push_back(std::move(fresh));
-    }
-    if (!any_new) {
-      return on_fixpoint_(db, prob);
-    }
-
-    // Deterministic updates: oldVals for every rule; head tuples for
-    // non-probabilistic rules.
-    Instance next_db = db;
-    std::vector<Relation> next_old = old_vals;
+    // Deterministic rules stage their heads; each repair-key group of a
+    // probabilistic rule becomes a choice point.
+    CompiledProgram::Heads heads;
     std::vector<ChoicePoint> choice_points;
-    for (size_t r = 0; r < rules.size(); ++r) {
-      if (new_vals[r].empty()) continue;
-      PFQL_ASSIGN_OR_RETURN(next_old[r], next_old[r].UnionWith(new_vals[r]));
-      PFQL_ASSIGN_OR_RETURN(Relation proj,
-                            Project(new_vals[r], cp_.proj_cols[r]));
-      if (!rules[r].head.IsProbabilistic()) {
-        PFQL_RETURN_NOT_OK(AddHeadTuples(
-            cp_, r,
-            std::vector<Tuple>(proj.tuples().begin(), proj.tuples().end()),
-            &next_db));
+    bool fired = false;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (rows[r].empty()) continue;
+      fired = true;
+      const RepairKeySpec* choice = program_.Choice(r);
+      if (choice == nullptr) {
+        for (const Tuple& row : rows[r].tuples()) {
+          PFQL_RETURN_NOT_OK(program_.AddHead(r, row, &heads));
+        }
         continue;
       }
       PFQL_ASSIGN_OR_RETURN(std::vector<RepairKeyGroup> groups,
-                            RepairKeyGroups(proj, cp_.specs[r]));
+                            RepairKeyGroups(rows[r], *choice));
       for (auto& g : groups) {
         choice_points.push_back({r, std::move(g)});
       }
     }
+    if (!fired) return on_fixpoint_(WithoutDeltas(db), prob);
 
     // Lazily iterate the product over choice points.
-    return IterateChoices(choice_points, 0, std::move(next_db),
-                          std::move(next_old), std::move(prob));
+    return IterateChoices(choice_points, 0, db, &heads, std::move(prob));
   }
 
   Status IterateChoices(const std::vector<ChoicePoint>& points, size_t depth,
-                        Instance db, std::vector<Relation> old_vals,
+                        const Instance& db, CompiledProgram::Heads* heads,
                         BigRational prob) {
     if (depth == points.size()) {
-      return Visit(std::move(db), std::move(old_vals), std::move(prob));
-    }
-    const ChoicePoint& cp = points[depth];
-    for (const auto& [binding, p] : cp.group.alternatives) {
       Instance child = db;
-      PFQL_RETURN_NOT_OK(AddHeadTuples(cp_, cp.rule, {binding}, &child));
-      PFQL_RETURN_NOT_OK(IterateChoices(points, depth + 1, std::move(child),
-                                        old_vals, prob * p));
+      PFQL_RETURN_NOT_OK(program_.Apply(*heads, &child));
+      return Visit(std::move(child), std::move(prob), /*first_step=*/false);
+    }
+    const ChoicePoint& point = points[depth];
+    for (const auto& [binding, p] : point.group.alternatives) {
+      PFQL_RETURN_NOT_OK(program_.AddHead(point.rule, binding, heads));
+      PFQL_RETURN_NOT_OK(
+          IterateChoices(points, depth + 1, db, heads, prob * p));
+      heads->pop_back();
     }
     return Status::OK();
   }
 
-  const CompiledProgram& cp_;
+  const CompiledProgram& program_;
   const ExactInflationaryOptions& options_;
   std::function<Status(const Instance&, const BigRational&)> on_fixpoint_;
   CancelPoller poller_;
   size_t nodes_ = 0;
 };
 
-StatusOr<CompiledProgram> CompileFor(const Program& program,
-                                     const Instance& edb,
-                                     Instance* initial) {
-  PFQL_ASSIGN_OR_RETURN(*initial, program.InitialInstance(edb));
-  return CompiledProgram::Make(program, *initial);
-}
-
-std::vector<Relation> EmptyOldVals(const Program& program) {
-  std::vector<Relation> out;
-  out.reserve(program.rules().size());
-  for (const auto& rule : program.rules()) {
-    out.emplace_back(Schema(rule.BodyVariables()));
-  }
-  return out;
-}
-
 }  // namespace
 
 StatusOr<BigRational> ExactFixpointEventProbability(
     const Program& program, const Instance& edb, const QueryEvent& event,
     const ExactInflationaryOptions& options, size_t* nodes_visited) {
-  Instance initial;
-  PFQL_ASSIGN_OR_RETURN(CompiledProgram cp,
-                        CompileFor(program, edb, &initial));
+  PFQL_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                        CompiledProgram::Make(program, edb));
   BigRational total;
   ExactTraversal traversal(
-      cp, options,
+      compiled, options,
       [&](const Instance& fixpoint, const BigRational& p) -> Status {
         if (event.Holds(fixpoint)) total += p;
         return Status::OK();
       });
-  Status status = traversal.Run(initial, EmptyOldVals(program));
+  Status status = traversal.Run();
   if (nodes_visited != nullptr) *nodes_visited = traversal.nodes_visited();
   PFQL_RETURN_NOT_OK(status);
   return total;
@@ -309,17 +384,16 @@ StatusOr<BigRational> ExactFixpointEventProbability(
 StatusOr<Distribution<Instance>> ExactFixpointDistribution(
     const Program& program, const Instance& edb,
     const ExactInflationaryOptions& options) {
-  Instance initial;
-  PFQL_ASSIGN_OR_RETURN(CompiledProgram cp,
-                        CompileFor(program, edb, &initial));
+  PFQL_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                        CompiledProgram::Make(program, edb));
   Distribution<Instance> dist;
   ExactTraversal traversal(
-      cp, options,
+      compiled, options,
       [&](const Instance& fixpoint, const BigRational& p) -> Status {
         dist.Add(fixpoint, p);
         return Status::OK();
       });
-  PFQL_RETURN_NOT_OK(traversal.Run(initial, EmptyOldVals(program)));
+  PFQL_RETURN_NOT_OK(traversal.Run());
   dist.Normalize();
   return dist;
 }

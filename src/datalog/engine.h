@@ -6,7 +6,16 @@
 //     R := R ∪ repair-key_X̄@P(π_{X̄,Ȳ,P}(newVals[r]));
 //   }
 //
-// Two evaluation modes:
+// Rule bodies are monotone (atoms and comparisons, no negation) and the
+// state only grows, so oldVals[r] is always body(r) on the previous state,
+// and newVals[r] is exactly the set of valuations that use a tuple the last
+// step added. The engine therefore keeps no oldVals: it evaluates the rules
+// semi-naively. The first step evaluates every body in full; each later
+// step takes, per rule, the union of its delta variants, each of which
+// reads one IDB body atom from the last step's additions
+// (docs/INTERNALS.md §9).
+//
+// Two evaluation modes share one compiled program and one step:
 //  * sampling (one random computation path to a fixpoint) — the basis of the
 //    PTIME absolute approximation of Thm 4.3;
 //  * exact (full traversal of the computation tree, Prop 4.4) — worst-case
@@ -14,6 +23,7 @@
 #ifndef PFQL_DATALOG_ENGINE_H_
 #define PFQL_DATALOG_ENGINE_H_
 
+#include <memory>
 #include <vector>
 
 #include "datalog/program.h"
@@ -27,15 +37,29 @@
 namespace pfql {
 namespace datalog {
 
+/// A program compiled against one input's relation schemas (engine.cc).
+/// Immutable, so a computation tree or a sampler reuses it throughout.
+class CompiledProgram;
+
 /// Sampling evaluator: runs one probabilistic computation path.
 class InflationaryEngine {
  public:
-  /// Compiles rule bodies against the canonical evaluation instance built by
-  /// Program::InitialInstance(edb).
+  /// Compiles the program against the canonical evaluation instance built
+  /// by Program::InitialInstance(edb), and starts a path there. Fails with
+  /// InvalidArgument if a predicate starts with the reserved "__delta_".
   static StatusOr<InflationaryEngine> Make(Program program,
                                            const Instance& edb);
 
-  const Instance& database() const { return db_; }
+  /// Starts a new path at the compiled input's initial instance.
+  void Restart();
+  /// Starts a new path at the initial instance of `edb`, without
+  /// recompiling. InvalidArgument unless `edb`'s relations have the schemas
+  /// of the input Make compiled against (as every world of one c-table
+  /// database has).
+  Status Restart(const Instance& edb);
+
+  /// The current state.
+  Instance database() const;
   size_t steps_taken() const { return steps_; }
 
   /// Fires all rules once (in parallel, reading the old state), sampling
@@ -51,10 +75,8 @@ class InflationaryEngine {
  private:
   InflationaryEngine() = default;
 
-  Program program_;
-  std::vector<RaExpr::Ptr> body_exprs_;  // parallel to program_.rules()
-  Instance db_;
-  std::vector<Relation> old_vals_;  // parallel to rules; schema = body vars
+  std::shared_ptr<const CompiledProgram> program_;
+  Instance db_;  // the state plus the last step's additions
   size_t steps_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "datalog/translate.h"
 
-#include <algorithm>
-
 #include "datalog/body_eval.h"
 #include "lang/ctable_macro.h"
 #include "ra/optimizer.h"
@@ -13,16 +11,6 @@ namespace {
 
 std::string OldValsName(size_t rule_index) {
   return "__old" + std::to_string(rule_index);
-}
-
-std::vector<std::string> ProjectionColumns(const Rule& rule) {
-  std::vector<std::string> cols = rule.HeadVariables();
-  if (rule.head.weight_var &&
-      std::find(cols.begin(), cols.end(), *rule.head.weight_var) ==
-          cols.end()) {
-    cols.push_back(*rule.head.weight_var);
-  }
-  return cols;
 }
 
 // Wraps a valuation expression (schema: head vars [+ weight var]) into the
@@ -56,7 +44,7 @@ StatusOr<RaExpr::Ptr> RuleProduction(const Rule& rule,
                                      RaExpr::Ptr valuation_source,
                                      const Schema& head_schema) {
   RaExpr::Ptr proj =
-      RaExpr::Project(std::move(valuation_source), ProjectionColumns(rule));
+      RaExpr::Project(std::move(valuation_source), rule.ProjectionColumns());
   return BuildHeadExpr(rule, std::move(proj), head_schema);
 }
 

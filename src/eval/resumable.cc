@@ -5,7 +5,6 @@
 #include <cmath>
 #include <thread>
 
-#include "datalog/engine.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -113,12 +112,17 @@ Status ResumableApprox::RunQuantum(size_t quantum,
     if (draw_world_) {
       PFQL_ASSIGN_OR_RETURN(world, draw_world_(&rng_));
     }
-    PFQL_ASSIGN_OR_RETURN(
-        datalog::InflationaryEngine engine,
-        datalog::InflationaryEngine::Make(*program_,
-                                          draw_world_ ? world : *edb_));
-    PFQL_ASSIGN_OR_RETURN(Instance fixpoint, engine.RunToFixpoint(&rng_));
-    snap_.total_steps += engine.steps_taken();
+    const Instance& input = draw_world_ ? world : *edb_;
+    if (!engine_.has_value()) {
+      PFQL_ASSIGN_OR_RETURN(
+          engine_, datalog::InflationaryEngine::Make(*program_, input));
+    } else if (draw_world_) {
+      PFQL_RETURN_NOT_OK(engine_->Restart(input));
+    } else {
+      engine_->Restart();
+    }
+    PFQL_ASSIGN_OR_RETURN(Instance fixpoint, engine_->RunToFixpoint(&rng_));
+    snap_.total_steps += engine_->steps_taken();
     if (event_.Holds(fixpoint)) ++snap_.hits;
     ++snap_.samples;
     return Status::OK();

@@ -23,10 +23,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "datalog/engine.h"
 #include "datalog/program.h"
 #include "eval/backend.h"
 #include "eval/inflationary.h"
@@ -100,7 +102,9 @@ class ResumableApprox : public ResumableSampler {
  public:
   /// `program` and `edb` are shared so the owning subscription can outlive
   /// the registry entries they were resolved from. `draw_world`, when set,
-  /// draws each sample's input (a c-table world) in place of `edb`.
+  /// draws each sample's input (a c-table world) in place of `edb`. The
+  /// program is compiled once, at the first sample, and every later sample
+  /// restarts the same engine.
   ResumableApprox(std::shared_ptr<const datalog::Program> program,
                   std::shared_ptr<const Instance> edb, QueryEvent event,
                   const ApproxParams& params, size_t budget, Rng rng,
@@ -115,6 +119,7 @@ class ResumableApprox : public ResumableSampler {
   const double delta_;
   const WorldDraw draw_world_;
   Rng rng_;
+  std::optional<datalog::InflationaryEngine> engine_;
 };
 
 // ---- Thm 5.6 restart MCMC, one burned-in sample per unit ---------------

@@ -388,8 +388,8 @@ Response QueryService::ExecuteNow(const Request& request) {
   }();
   if (!instance.ok()) return fail(instance.status());
 
-  CacheKey key{program->hash, instance->hash,
-               RequestKindToString(request.kind), request.CacheParams()};
+  CacheKey key{program->hash, instance->hash, request.kind,
+               request.CacheParams()};
   if (!request.no_cache) {
     trace::Span span("cache.lookup");
     if (std::optional<Json> payload = cache_.Lookup(key)) {

@@ -14,63 +14,29 @@ namespace server {
 
 namespace {
 
-std::string KindLabel(const std::string& kind) {
-  return "kind=\"" + kind + "\"";
-}
-
-metrics::Counter* LookupsCounter(const std::string& kind) {
-  return metrics::MetricRegistry::Instance().GetCounter(
-      "pfql_cache_lookups_total", KindLabel(kind));
-}
-
-metrics::Counter* HitsCounter(const std::string& kind) {
-  return metrics::MetricRegistry::Instance().GetCounter(
-      "pfql_cache_hits_total", KindLabel(kind));
-}
-
-metrics::Counter* MissesCounter(const std::string& kind) {
-  return metrics::MetricRegistry::Instance().GetCounter(
-      "pfql_cache_misses_total", KindLabel(kind));
-}
-
-// Per-kind counter triple, memoized behind an RCU snapshot so the lock-free
-// Lookup path never takes the metric registry's mutex (or rebuilds a label
-// string) per probe. The registry is only consulted the first time a kind is
-// seen. Old snapshots are leaked deliberately: the set of request kinds is a
-// small process-wide constant, and metric series are process-lifetime anyway.
+// Per-kind counter triple, one table entry per RequestKind. An entry is
+// filled the first time its kind is looked up, so series still register
+// lazily; after that the lock-free Lookup path reads it without taking the
+// metric registry's mutex or building a label string.
 struct KindCounters {
-  std::string kind;
   metrics::Counter* lookups = nullptr;
   metrics::Counter* hits = nullptr;
   metrics::Counter* misses = nullptr;
 };
 
-const KindCounters& CountersForKind(const std::string& kind) {
-  struct Snapshot {
-    std::vector<KindCounters> entries;
-  };
-  static std::atomic<const Snapshot*> snap{nullptr};
-  static std::mutex register_mu;
-  const Snapshot* cur = snap.load(std::memory_order_acquire);
-  if (cur != nullptr) {
-    for (const KindCounters& kc : cur->entries) {
-      if (kc.kind == kind) return kc;
-    }
-  }
-  std::lock_guard<std::mutex> lock(register_mu);
-  cur = snap.load(std::memory_order_relaxed);
-  if (cur != nullptr) {
-    for (const KindCounters& kc : cur->entries) {
-      if (kc.kind == kind) return kc;
-    }
-  }
-  Snapshot* next = new Snapshot;
-  if (cur != nullptr) next->entries = cur->entries;
-  next->entries.push_back(KindCounters{kind, LookupsCounter(kind),
-                                       HitsCounter(kind),
-                                       MissesCounter(kind)});
-  snap.store(next, std::memory_order_release);
-  return next->entries.back();
+const KindCounters& CountersForKind(RequestKind kind) {
+  static std::once_flag filled[kRequestKindCount];
+  static KindCounters table[kRequestKindCount];
+  const size_t i = static_cast<size_t>(kind);
+  std::call_once(filled[i], [kind, &entry = table[i]] {
+    auto& registry = metrics::MetricRegistry::Instance();
+    const std::string labels =
+        std::string("kind=\"") + RequestKindToString(kind) + '"';
+    entry = {registry.GetCounter("pfql_cache_lookups_total", labels),
+             registry.GetCounter("pfql_cache_hits_total", labels),
+             registry.GetCounter("pfql_cache_misses_total", labels)};
+  });
+  return table[i];
 }
 
 metrics::Counter* EvictionsCounter() {
@@ -97,7 +63,7 @@ size_t NextPowerOfTwo(size_t n) {
 size_t CacheKeyHash::operator()(const CacheKey& key) const {
   size_t seed = static_cast<size_t>(key.program_hash);
   HashCombine(&seed, static_cast<size_t>(key.instance_hash));
-  HashCombine(&seed, std::hash<std::string>{}(key.kind));
+  HashCombine(&seed, static_cast<size_t>(key.kind));
   HashCombine(&seed, std::hash<std::string>{}(key.params));
   return seed;
 }
@@ -363,7 +329,7 @@ void ResultCache::SnapshotWithStats(Json* snapshot, Stats* stats) const {
     *snapshot = Json::Array();
     for (const Row& row : rows) {
       Json item = Json::Object();
-      item.Set("kind", row.entry->key.kind);
+      item.Set("kind", RequestKindToString(row.entry->key.kind));
       item.Set("params", row.entry->key.params);
       item.Set("hits", row.hits);
       snapshot->Append(std::move(item));

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "server/wire.h"
 #include "util/json.h"
 
 namespace pfql {
@@ -46,7 +47,7 @@ namespace server {
 struct CacheKey {
   uint64_t program_hash = 0;   ///< hash of the canonical program text
   uint64_t instance_hash = 0;  ///< Instance::Hash() of the input EDB
-  std::string kind;            ///< request method name
+  RequestKind kind = RequestKind::kPing;  ///< request method
   std::string params;          ///< Request::CacheParams() fingerprint
 
   bool operator==(const CacheKey& other) const {

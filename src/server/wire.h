@@ -43,6 +43,9 @@ enum class RequestKind {
   kSubscribe,   ///< open a streaming subscription on a sampled target kind
   kUnsubscribe, ///< detach a subscription by id
 };
+/// The number of RequestKind values; kUnsubscribe must stay the last.
+inline constexpr size_t kRequestKindCount =
+    static_cast<size_t>(RequestKind::kUnsubscribe) + 1;
 
 const char* RequestKindToString(RequestKind kind);
 StatusOr<RequestKind> RequestKindFromString(std::string_view name);

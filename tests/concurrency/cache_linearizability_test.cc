@@ -29,7 +29,7 @@ using pfql::testing::SchedulePermuter;
 using pfql::testing::ScheduleSeed;
 
 CacheKey KeyFor(uint64_t k) {
-  return CacheKey{k, k * 0x9e3779b97f4a7c15ULL, "exact",
+  return CacheKey{k, k * 0x9e3779b97f4a7c15ULL, RequestKind::kExact,
                   "key=" + std::to_string(k)};
 }
 

@@ -198,6 +198,46 @@ TEST(EngineTest, TransitiveClosureDeterministic) {
   EXPECT_EQ(dist->size(), 1u);
 }
 
+TEST(EngineTest, RestartReplaysThePathFromTheInitialInstance) {
+  auto engine = InflationaryEngine::Make(ReachProgram(), TwoEdgeGraph());
+  ASSERT_TRUE(engine.ok());
+  const Instance initial = engine->database();
+  Rng rng(7);
+  auto first = engine->RunToFixpoint(&rng);
+  ASSERT_TRUE(first.ok());
+  const size_t steps = engine->steps_taken();
+
+  engine->Restart();
+  EXPECT_EQ(engine->steps_taken(), 0u);
+  EXPECT_EQ(engine->database(), initial);
+  Rng replay(7);
+  auto second = engine->RunToFixpoint(&replay);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, *first);
+  EXPECT_EQ(engine->steps_taken(), steps);
+}
+
+TEST(EngineTest, RestartOnAnotherInputNeedsTheCompiledSchemas) {
+  auto engine = InflationaryEngine::Make(ReachProgram(), TwoEdgeGraph());
+  ASSERT_TRUE(engine.ok());
+  Instance other;
+  Relation e(Schema({"i", "j", "p"}));
+  e.Insert(Tuple{Value("a"), Value("d"), Value(1)});
+  other.Set("e", std::move(e));
+  ASSERT_TRUE(engine->Restart(other).ok());
+  Rng rng(1);
+  auto fixpoint = engine->RunToFixpoint(&rng);
+  ASSERT_TRUE(fixpoint.ok());
+  EXPECT_TRUE(fixpoint->Find("cur")->Contains(Tuple{Value("d")}));
+
+  // The rules were compiled against columns (i, j, p): an input that names
+  // them otherwise is refused, not evaluated with the wrong plan.
+  Instance renamed;
+  renamed.Set("e", Relation(Schema({"x", "y", "w"})));
+  Status status = engine->Restart(renamed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
 TEST(EngineTest, ExactNodeBudgetRespected) {
   ExactInflationaryOptions options;
   options.max_nodes = 1;

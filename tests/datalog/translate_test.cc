@@ -50,6 +50,60 @@ TEST(TranslateInflationaryTest, Prop38EquivalenceWithEngine) {
   EXPECT_EQ(walk_p.value(), BigRational(1, 2));
 }
 
+TEST(TranslateInflationaryTest, NonlinearDistributionMatchesEngine) {
+  // The closure rule and the repair-key rule each read two IDB atoms, so
+  // after the first step the engine fires them on the union of two delta
+  // variants. Its exact fixpoint distribution must match the translation's,
+  // which keeps oldVals and re-evaluates every body in full.
+  auto program = ParseProgram(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Z) :- t(X, Y), t(Y, Z).
+    c(<X>, Z) @P :- t(X, Y), t(Y, Z), w(Z, P).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  ASSERT_FALSE(program->IsLinear());
+  Instance edb;
+  Relation e(Schema({"i", "j"}));
+  const int edges[][2] = {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {3, 4}};
+  for (const auto& edge : edges) {
+    e.Insert(Tuple{Value(edge[0]), Value(edge[1])});
+  }
+  edb.Set("e", std::move(e));
+  Relation w(Schema({"z", "p"}));
+  const int weights[][2] = {{1, 1}, {2, 2}, {3, 1}, {4, 3}};
+  for (const auto& weight : weights) {
+    w.Insert(Tuple{Value(weight[0]), Value(weight[1])});
+  }
+  edb.Set("w", std::move(w));
+
+  auto dist = ExactFixpointDistribution(*program, edb);
+  ASSERT_TRUE(dist.ok()) << dist.status();
+  EXPECT_GT(dist->size(), 2u);
+
+  auto tq = TranslateInflationary(*program, edb);
+  ASSERT_TRUE(tq.ok()) << tq.status();
+  auto space = BuildStateSpace(tq->kernel, tq->initial);
+  ASSERT_TRUE(space.ok()) << space.status();
+  // A translated state without its __old<i> relations is an engine state.
+  std::vector<Instance> program_parts;
+  for (const Instance& state : space->states) {
+    Instance part;
+    for (const auto& [name, rel] : state.relations()) {
+      if (name.rfind("__old", 0) != 0) part.Set(name, rel);
+    }
+    program_parts.push_back(std::move(part));
+  }
+  BigRational total;
+  for (const auto& outcome : dist->outcomes()) {
+    auto p = space->chain.ExactLongRunProbability(
+        0, [&](size_t s) { return program_parts[s] == outcome.value; });
+    ASSERT_TRUE(p.ok()) << p.status();
+    EXPECT_EQ(p.value(), outcome.probability) << outcome.value;
+    total += outcome.probability;
+  }
+  EXPECT_TRUE(total.IsOne());
+}
+
 TEST(TranslateInflationaryTest, KernelIsInflationary) {
   auto tq = TranslateInflationary(ReachProgram(), TwoEdgeGraph());
   ASSERT_TRUE(tq.ok());

@@ -210,8 +210,17 @@ TEST(RouterChaosTest, KillNineMidLoadIsInvisibleToRetryingClients) {
   }
 
   // The supervisor restarts the dead worker within its backoff budget.
-  EXPECT_TRUE(WaitForLive(port, 3, std::chrono::seconds(15)));
-  EXPECT_GE(SumRestarts(RouterStats(port)), 1);
+  // Right after the kill the router may still count the dead worker as
+  // up, so wait for the restart and the full fleet under one deadline.
+  const auto deadline = steady_clock::now() + std::chrono::seconds(15);
+  Json stats = RouterStats(port);
+  while (steady_clock::now() < deadline &&
+         !(SumRestarts(stats) >= 1 && LiveCount(stats) == 3)) {
+    std::this_thread::sleep_for(milliseconds(50));
+    stats = RouterStats(port);
+  }
+  EXPECT_EQ(LiveCount(stats), 3);
+  EXPECT_GE(SumRestarts(stats), 1);
   router.Stop();
 }
 

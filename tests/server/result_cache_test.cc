@@ -12,7 +12,8 @@ namespace {
 
 CacheKey Key(uint64_t program, uint64_t instance, const char* kind = "exact",
              const char* params = "event=e(1);threads=1") {
-  return CacheKey{program, instance, kind, params};
+  return CacheKey{program, instance, RequestKindFromString(kind).value(),
+                  params};
 }
 
 Json Payload(int value) {

@@ -128,7 +128,8 @@ TEST(SpanTest, ConcurrentSpansFromManyThreads) {
   }
   for (auto& t : workers) t.join();
   trace.EndSpan(root);
-  const Json* children = trace.ToJson().Find("root")->Find("children");
+  const Json json = trace.ToJson();
+  const Json* children = json.Find("root")->Find("children");
   ASSERT_NE(children, nullptr);
   EXPECT_EQ(children->size(),
             static_cast<size_t>(kThreads * kSpansPerThread));
