@@ -62,8 +62,7 @@ void BM_StationaryExactRational(benchmark::State& state) {
     benchmark::DoNotOptimize(pi);
   }
 }
-// Exact rational arithmetic is much costlier; keep sizes small.
-BENCHMARK(BM_StationaryExactRational)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_StationaryExactRational)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_AbsorptionProbabilities(benchmark::State& state) {
   // Transient line feeding two absorbing states.

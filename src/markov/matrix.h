@@ -25,6 +25,17 @@ bool FieldIsZero(const F& v) {
     return v.IsZero();
   }
 }
+// Whether x - f * v == x for every x, so a row update can skip v: true for
+// the zeros of an exact field. Doubles never skip, since x - f * 0.0 can
+// flip the sign of a zero x and double results stay bit-identical.
+template <typename F>
+bool UpdateIsNoOp(const F& v) {
+  if constexpr (std::is_same_v<F, double>) {
+    return false;
+  } else {
+    return v.IsZero();
+  }
+}
 template <typename F>
 bool PivotBetter(const F& candidate, const F& incumbent) {
   if constexpr (std::is_same_v<F, double>) {
@@ -69,9 +80,10 @@ StatusOr<std::vector<F>> SolveLinearSystemField(
       if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
       F factor = a[r][col] / a[col][col];
       for (size_t c = col; c < n; ++c) {
+        if (internal::UpdateIsNoOp(a[col][c])) continue;
         a[r][c] = a[r][c] - factor * a[col][c];
       }
-      b[r] = b[r] - factor * b[col];
+      if (!internal::UpdateIsNoOp(b[col])) b[r] = b[r] - factor * b[col];
     }
   }
   std::vector<F> x;

@@ -9,7 +9,6 @@
 #ifndef PFQL_SERVER_QUERY_SERVICE_H_
 #define PFQL_SERVER_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -124,10 +123,10 @@ class QueryService {
     uint64_t hash = 0;
   };
   /// Immutable registry snapshot, published via shared_ptr swap (RCU):
-  /// readers (resolve, list, stats) grab the current snapshot with one
-  /// atomic load and never block; register_* copies the snapshot under a
-  /// writer-only mutex, mutates the copy, and swaps it in. In-flight
-  /// requests keep whatever snapshot they resolved against.
+  /// readers (resolve, list, stats) copy the current pointer under a short
+  /// lock and never wait on a writer's copy; register_* copies the
+  /// snapshot under a writer-only mutex, mutates the copy, and swaps it in.
+  /// In-flight requests keep whatever snapshot they resolved against.
   struct Registries {
     std::map<std::string, ProgramEntry> programs;
     std::map<std::string, InstanceEntry> instances;
@@ -159,26 +158,34 @@ class QueryService {
   const std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 
-  /// Wait-free registry read; the returned snapshot stays valid (and
-  /// frozen) for as long as the caller holds it.
+  /// Registry read: copies the current snapshot pointer under a short
+  /// lock. The snapshot stays valid (and frozen) for as long as the caller
+  /// holds it.
   std::shared_ptr<const Registries> RegistrySnapshot() const {
-    return registries_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(registries_mu_);
+    return registries_;
   }
   /// Copy-on-write registry update: `mutate` runs on a private copy of
-  /// the current snapshot, which is then atomically published.
+  /// the current snapshot, which is then published. The replaced snapshot
+  /// is released after the lock, by its last holder.
   template <typename Fn>
   void UpdateRegistries(Fn&& mutate) {
-    std::lock_guard<std::mutex> lock(registry_write_mu_);
-    auto next = std::make_shared<Registries>(
-        *registries_.load(std::memory_order_relaxed));
+    std::lock_guard<std::mutex> write(registry_write_mu_);
+    auto next = std::make_shared<Registries>(*RegistrySnapshot());
     mutate(next.get());
-    registries_.store(std::move(next), std::memory_order_release);
+    std::shared_ptr<const Registries> replaced = std::move(next);
+    std::lock_guard<std::mutex> lock(registries_mu_);
+    registries_.swap(replaced);
   }
 
-  /// Serializes writers only — readers never touch it.
+  /// Serializes writers, so no update is lost between copy and publish.
   std::mutex registry_write_mu_;
-  std::atomic<std::shared_ptr<const Registries>> registries_{
-      std::make_shared<const Registries>()};
+  /// Guards only the pointer copy and swap. (libstdc++ 12's
+  /// std::atomic<std::shared_ptr> unlocks its load with a relaxed store,
+  /// which lets TSan see a race on the control block.)
+  mutable std::mutex registries_mu_;
+  std::shared_ptr<const Registries> registries_ =
+      std::make_shared<const Registries>();
 
   ResultCache cache_;
 
