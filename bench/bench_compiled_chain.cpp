@@ -117,19 +117,23 @@ int main(int argc, char** argv) {
   report.Set("compile", std::move(compile));
 
   // (b) Stepping throughput, interpreted baseline first: a single walker
-  // advanced by interpreting the kernel (exactly what the interpreted
+  // advanced by the compiled kernel's Step (exactly what the interpreted
   // samplers do per step).
+  auto kernel = walk->kernel.Compile(walk->initial);
+  if (!kernel.ok()) {
+    std::fprintf(stderr, "bench_compiled_chain: %s\n",
+                 kernel.status().ToString().c_str());
+    std::exit(1);
+  }
   Rng rng(42);
   Instance state = walk->initial;
   size_t done = 0;
   const double interp_ms = bench::TimeMs([&] {
     for (size_t i = 0; i < interpreted_steps; ++i) {
-      auto next = walk->kernel.ApplySample(state, &rng);
-      if (!next.ok()) {
-        std::fprintf(stderr, "bench_compiled_chain: ApplySample failed\n");
+      if (!(*kernel)->Step(&state, &rng).ok()) {
+        std::fprintf(stderr, "bench_compiled_chain: kernel step failed\n");
         std::exit(1);
       }
-      state = *std::move(next);
       ++done;
     }
   });

@@ -1,12 +1,13 @@
 // Experiment A6 (ablation): the RA rewrite optimizer (future-work item of
-// the paper's Sec 6). Measures exact evaluation of unoptimized vs optimized
-// expression trees: selection fusion, select-into-join pushdown, and a
-// compiled datalog body.
+// the paper's Sec 6). Measures exact evaluation, through compiled plans, of
+// unoptimized vs optimized expression trees: selection fusion,
+// select-into-join pushdown, and a compiled datalog body.
 #include <benchmark/benchmark.h>
 
 #include "datalog/body_eval.h"
 #include "datalog/program.h"
 #include "ra/optimizer.h"
+#include "ra/plan.h"
 #include "util/random.h"
 
 namespace pfql {
@@ -32,6 +33,21 @@ std::map<std::string, Schema> GraphSchemas() {
   return {{"e", Schema({"i", "j", "p"})}, {"c", Schema({"i"})}};
 }
 
+// Times exact evaluation of `expr`'s plan, compiled once, on `db`.
+void TimeExact(benchmark::State& state, const RaExpr::Ptr& expr,
+               const Instance& db) {
+  auto plan = RaPlan::Compile(expr, GraphSchemas());
+  if (!plan.ok()) {
+    state.SkipWithError("compile failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto dist = plan->Exact(db);
+    if (!dist.ok()) state.SkipWithError("eval failed");
+    benchmark::DoNotOptimize(dist);
+  }
+}
+
 // Chain of k single-column selections over e.
 RaExpr::Ptr SelectChain(int64_t k) {
   RaExpr::Ptr expr = RaExpr::Base("e");
@@ -46,22 +62,14 @@ RaExpr::Ptr SelectChain(int64_t k) {
 void BM_SelectChainRaw(benchmark::State& state) {
   Instance db = BigGraph(256, 1);
   RaExpr::Ptr expr = SelectChain(state.range(0));
-  for (auto _ : state) {
-    auto dist = EvalExact(expr, db);
-    if (!dist.ok()) state.SkipWithError("eval failed");
-    benchmark::DoNotOptimize(dist);
-  }
+  TimeExact(state, expr, db);
 }
 BENCHMARK(BM_SelectChainRaw)->Arg(2)->Arg(8)->Arg(16);
 
 void BM_SelectChainOptimized(benchmark::State& state) {
   Instance db = BigGraph(256, 1);
   RaExpr::Ptr expr = Optimize(SelectChain(state.range(0)), GraphSchemas());
-  for (auto _ : state) {
-    auto dist = EvalExact(expr, db);
-    if (!dist.ok()) state.SkipWithError("eval failed");
-    benchmark::DoNotOptimize(dist);
-  }
+  TimeExact(state, expr, db);
 }
 BENCHMARK(BM_SelectChainOptimized)->Arg(2)->Arg(8)->Arg(16);
 
@@ -75,22 +83,14 @@ RaExpr::Ptr SelectOverJoin() {
 void BM_JoinPushdownRaw(benchmark::State& state) {
   Instance db = BigGraph(state.range(0), 2);
   RaExpr::Ptr expr = SelectOverJoin();
-  for (auto _ : state) {
-    auto dist = EvalExact(expr, db);
-    if (!dist.ok()) state.SkipWithError("eval failed");
-    benchmark::DoNotOptimize(dist);
-  }
+  TimeExact(state, expr, db);
 }
 BENCHMARK(BM_JoinPushdownRaw)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_JoinPushdownOptimized(benchmark::State& state) {
   Instance db = BigGraph(state.range(0), 2);
   RaExpr::Ptr expr = Optimize(SelectOverJoin(), GraphSchemas());
-  for (auto _ : state) {
-    auto dist = EvalExact(expr, db);
-    if (!dist.ok()) state.SkipWithError("eval failed");
-    benchmark::DoNotOptimize(dist);
-  }
+  TimeExact(state, expr, db);
 }
 BENCHMARK(BM_JoinPushdownOptimized)->Arg(64)->Arg(256)->Arg(1024);
 
@@ -109,11 +109,7 @@ void BodyBench(benchmark::State& state, bool optimize) {
     return;
   }
   RaExpr::Ptr expr = optimize ? Optimize(*body, GraphSchemas()) : *body;
-  for (auto _ : state) {
-    auto dist = EvalExact(expr, db);
-    if (!dist.ok()) state.SkipWithError("eval failed");
-    benchmark::DoNotOptimize(dist);
-  }
+  TimeExact(state, expr, db);
   state.counters["nodes"] = static_cast<double>(ExprSize(expr));
 }
 

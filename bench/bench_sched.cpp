@@ -50,11 +50,13 @@ sched::SubscriptionSpec McmcSpec(double epsilon) {
     auto compiled = eval::CompileOrFallBack(
         wq->kernel, wq->initial, eval::Backend::kAuto, 1 << 12, cancel);
     if (!compiled.ok()) return compiled.status();
+    auto kernel = wq->kernel.Compile(wq->initial);
+    if (!kernel.ok()) return kernel.status();
     eval::McmcParams params;
     params.burn_in = 50;
     params.max_samples = 1u << 17;
     return std::unique_ptr<eval::ResumableSampler>(
-        new eval::ResumableMcmcChains(wq->kernel, wq->initial,
+        new eval::ResumableMcmcChains(*kernel, wq->initial,
                                       gadgets::WalkAtNode(3), *compiled,
                                       params, /*num_chains=*/4, Rng(42)));
   };

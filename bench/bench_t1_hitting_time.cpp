@@ -46,16 +46,17 @@ int main() {
       if (t.ok()) exact = Fmt(*t, 2);
     }
 
-    // Simulated hitting time.
+    // Simulated hitting time, stepping the compiled kernel as the
+    // interpreted samplers do.
+    auto kernel = tq->kernel.Compile(tq->initial);
+    if (!kernel.ok()) return 1;
     Rng rng(5);
     const int kRuns = 50;
     uint64_t total_steps = 0;
     for (int run = 0; run < kRuns; ++run) {
       Instance state = tq->initial;
       for (size_t step = 1;; ++step) {
-        auto next = tq->kernel.ApplySample(state, &rng);
-        if (!next.ok()) return 1;
-        state = std::move(next).value();
+        if (!(*kernel)->Step(&state, &rng).ok()) return 1;
         if (gadget->event.Holds(state)) {
           total_steps += step;
           break;

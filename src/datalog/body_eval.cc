@@ -98,23 +98,32 @@ StatusOr<RaExpr::Ptr> CompileBody(
   return expr;
 }
 
-StatusOr<Tuple> BuildHeadTuple(const Head& head, const Schema& binding_schema,
-                               const Tuple& binding) {
-  Tuple out;
+StatusOr<HeadLayout> HeadLayout::Resolve(const Head& head,
+                                         const Schema& binding_schema) {
+  HeadLayout layout;
   for (const auto& term : head.terms) {
-    if (term.IsVar()) {
-      auto idx = binding_schema.IndexOf(term.var);
-      if (!idx) {
-        return Status::NotFound("head variable '" + term.var +
-                                "' missing from binding schema " +
-                                binding_schema.ToString());
-      }
-      out.Append(binding[*idx]);
-    } else {
-      out.Append(term.value);
+    if (!term.IsVar()) {
+      layout.terms_.push_back({0, term.value});
+      continue;
     }
+    auto idx = binding_schema.IndexOf(term.var);
+    if (!idx) {
+      return Status::NotFound("head variable '" + term.var +
+                              "' missing from binding schema " +
+                              binding_schema.ToString());
+    }
+    layout.terms_.push_back({*idx, std::nullopt});
   }
-  return out;
+  return layout;
+}
+
+Tuple HeadLayout::Build(const Tuple& binding) const {
+  std::vector<Value> values;
+  values.reserve(terms_.size());
+  for (const Term& t : terms_) {
+    values.push_back(t.constant ? *t.constant : binding[t.position]);
+  }
+  return Tuple(std::move(values));
 }
 
 }  // namespace datalog

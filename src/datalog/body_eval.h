@@ -7,6 +7,8 @@
 #define PFQL_DATALOG_BODY_EVAL_H_
 
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "datalog/ast.h"
 #include "ra/ra_expr.h"
@@ -23,10 +25,24 @@ namespace datalog {
 StatusOr<RaExpr::Ptr> CompileBody(const Rule& rule,
                                   const std::map<std::string, Schema>& schemas);
 
-/// Builds the head tuple for one body valuation. `binding_schema` is the
-/// schema of the valuation row (variable names as columns).
-StatusOr<Tuple> BuildHeadTuple(const Head& head, const Schema& binding_schema,
-                               const Tuple& binding);
+/// A rule head resolved, once, against the schema of its valuation rows
+/// (variable names as columns): each term is a row position or a constant.
+class HeadLayout {
+ public:
+  /// NotFound if a head variable is not a column of `binding_schema`.
+  static StatusOr<HeadLayout> Resolve(const Head& head,
+                                      const Schema& binding_schema);
+
+  /// The head tuple for one valuation row.
+  Tuple Build(const Tuple& binding) const;
+
+ private:
+  struct Term {
+    size_t position = 0;
+    std::optional<Value> constant;
+  };
+  std::vector<Term> terms_;
+};
 
 }  // namespace datalog
 }  // namespace pfql

@@ -1,10 +1,13 @@
 #include "datalog/engine.h"
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <optional>
 
 #include "datalog/body_eval.h"
 #include "ra/optimizer.h"
+#include "ra/plan.h"
 
 namespace pfql {
 namespace datalog {
@@ -18,13 +21,6 @@ constexpr char kDeltaPrefix[] = "__delta_";
 
 bool IsDeltaName(const std::string& name) {
   return name.rfind(kDeltaPrefix, 0) == 0;
-}
-
-// Evaluates a repair-key-free expression (rule bodies never contain
-// repair-key, so the "sample" path is deterministic).
-StatusOr<Relation> EvalBody(const RaExpr::Ptr& expr, const Instance& db) {
-  Rng unused(0);
-  return EvalSample(expr, db, &unused);
 }
 
 // The state as callers see it: `db` without its delta relations.
@@ -52,19 +48,23 @@ class CompiledProgram {
   StatusOr<Instance> InitialInstance(const Instance& edb) const;
 
   // Sec 3.3's newVals[r] of every rule r on `db`, projected onto the head's
-  // columns π_{X̄,Ȳ,P}: the rows rule r fires with (empty if it does not).
-  // The first step evaluates the full bodies. Later steps take the union of
-  // each rule's delta variants over the "__delta_" relations in `db`.
-  StatusOr<std::vector<Relation>> NewValuations(const Instance& db,
-                                                bool first_step) const;
+  // columns π_{X̄,Ȳ,P}: the rows rule r fires with (sorted and distinct;
+  // empty if it does not fire). The first step evaluates the full bodies.
+  // Later steps take the union of each rule's delta variants over the
+  // "__delta_" relations in `db`.
+  StatusOr<std::vector<std::vector<Tuple>>> NewValuations(
+      const Instance& db, bool first_step) const;
 
-  // Rule r's repair-key choice, or null if the rule is deterministic.
-  const RepairKeySpec* Choice(size_t r) const {
+  // Rule r's repair-key choice over its rows, or null if the rule is
+  // deterministic.
+  const RepairKeyColumns* Choice(size_t r) const {
     return rules_[r].choice ? &*rules_[r].choice : nullptr;
   }
 
   // Stages the head tuple of rule r for one of its rows.
-  Status AddHead(size_t r, const Tuple& row, Heads* heads) const;
+  void AddHead(size_t r, const Tuple& row, Heads* heads) const {
+    heads->emplace_back(rules_[r].head, rules_[r].head_layout.Build(row));
+  }
 
   // Inserts a step's head tuples into `db` and replaces its delta relations
   // with the tuples that were not there yet.
@@ -76,14 +76,15 @@ class CompiledProgram {
     std::string delta;  // kDeltaPrefix + name
     Schema schema;
   };
+  // Every plan ends in the projection onto π_{X̄,Ȳ,P}, and the choice and
+  // head positions index its rows.
   struct CompiledRule {
-    RaExpr::Ptr body;  // the first step
+    RaPlan body;  // the first step
     // One variant per IDB body atom, reading that atom from its delta
     // relation: every later step.
-    std::vector<std::pair<std::string, RaExpr::Ptr>> deltas;
-    std::vector<std::string> columns;  // π_{X̄,Ȳ,P}
-    Schema row_schema;                 // Schema(columns)
-    std::optional<RepairKeySpec> choice;
+    std::vector<std::pair<std::string, RaPlan>> deltas;
+    std::optional<RepairKeyColumns> choice;
+    HeadLayout head_layout;
     size_t head = 0;  // index in idb_
   };
 
@@ -104,10 +105,7 @@ StatusOr<CompiledProgram> CompiledProgram::Make(Program program,
   }
   CompiledProgram cp;
   PFQL_ASSIGN_OR_RETURN(cp.initial_, program.InitialInstance(edb));
-  std::map<std::string, Schema> schemas;
-  for (const auto& [name, rel] : cp.initial_.relations()) {
-    schemas.emplace(name, rel.schema());
-  }
+  std::map<std::string, Schema> schemas = cp.initial_.Schemas();
   std::map<std::string, size_t> idb_index;
   for (const std::string& pred : program.idb_predicates()) {
     idb_index.emplace(pred, cp.idb_.size());
@@ -115,26 +113,34 @@ StatusOr<CompiledProgram> CompiledProgram::Make(Program program,
         {pred, kDeltaPrefix + pred, program.CanonicalSchema(pred)});
     schemas.emplace(cp.idb_.back().delta, cp.idb_.back().schema);
   }
+  // A body (or delta variant) with π_{X̄,Ȳ,P} folded into its plan.
+  auto compile_rows = [&](const Rule& rule) -> StatusOr<RaPlan> {
+    PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr body, CompileBody(rule, schemas));
+    return RaPlan::Compile(
+        RaExpr::Project(Optimize(body, schemas), rule.ProjectionColumns()),
+        schemas);
+  };
   for (const Rule& rule : program.rules()) {
     CompiledRule compiled;
-    PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr body, CompileBody(rule, schemas));
-    compiled.body = Optimize(body, schemas);
+    PFQL_ASSIGN_OR_RETURN(compiled.body, compile_rows(rule));
     for (size_t a = 0; a < rule.body.size(); ++a) {
       auto idb = idb_index.find(rule.body[a].predicate);
       if (idb == idb_index.end()) continue;
       Rule variant = rule;
       variant.body[a].predicate = cp.idb_[idb->second].delta;
-      PFQL_ASSIGN_OR_RETURN(RaExpr::Ptr delta_body,
-                            CompileBody(variant, schemas));
+      PFQL_ASSIGN_OR_RETURN(RaPlan delta_rows, compile_rows(variant));
       compiled.deltas.emplace_back(cp.idb_[idb->second].delta,
-                                   Optimize(delta_body, schemas));
+                                   std::move(delta_rows));
     }
-    compiled.columns = rule.ProjectionColumns();
-    compiled.row_schema = Schema(compiled.columns);
+    const Schema& row_schema = compiled.body.schema();
     if (rule.head.IsProbabilistic()) {
-      compiled.choice = RepairKeySpec{rule.KeyVariables(),
-                                      rule.head.weight_var};
+      PFQL_ASSIGN_OR_RETURN(
+          compiled.choice,
+          ResolveRepairKey(row_schema, RepairKeySpec{rule.KeyVariables(),
+                                                     rule.head.weight_var}));
     }
+    PFQL_ASSIGN_OR_RETURN(compiled.head_layout,
+                          HeadLayout::Resolve(rule.head, row_schema));
     compiled.head = idb_index.at(rule.head.predicate);
     cp.rules_.push_back(std::move(compiled));
   }
@@ -156,41 +162,34 @@ StatusOr<Instance> CompiledProgram::InitialInstance(
   return initial;
 }
 
-StatusOr<std::vector<Relation>> CompiledProgram::NewValuations(
+StatusOr<std::vector<std::vector<Tuple>>> CompiledProgram::NewValuations(
     const Instance& db, bool first_step) const {
-  std::vector<Relation> out;
+  std::vector<std::vector<Tuple>> out;
   out.reserve(rules_.size());
   for (const CompiledRule& rule : rules_) {
-    Relation vals;
+    std::vector<Tuple> rows;
     if (first_step) {
-      PFQL_ASSIGN_OR_RETURN(vals, EvalBody(rule.body, db));
+      PFQL_ASSIGN_OR_RETURN(rows, rule.body.SampleRows(db, nullptr));
     } else {
       for (const auto& [delta, variant] : rule.deltas) {
         const Relation* added = db.Find(delta);
         if (added == nullptr || added->empty()) continue;
-        PFQL_ASSIGN_OR_RETURN(Relation part, EvalBody(variant, db));
-        if (vals.empty()) {
-          vals = std::move(part);
-        } else {
-          PFQL_ASSIGN_OR_RETURN(vals, vals.UnionWith(part));
+        PFQL_ASSIGN_OR_RETURN(std::vector<Tuple> part,
+                              variant.SampleRows(db, nullptr));
+        if (rows.empty()) {
+          rows = std::move(part);
+          continue;
         }
+        std::vector<Tuple> merged;
+        merged.reserve(rows.size() + part.size());
+        std::set_union(rows.begin(), rows.end(), part.begin(), part.end(),
+                       std::back_inserter(merged));
+        rows = std::move(merged);
       }
     }
-    if (!vals.empty()) {
-      PFQL_ASSIGN_OR_RETURN(vals, Project(vals, rule.columns));
-    }
-    out.push_back(std::move(vals));
+    out.push_back(std::move(rows));
   }
   return out;
-}
-
-Status CompiledProgram::AddHead(size_t r, const Tuple& row,
-                                Heads* heads) const {
-  PFQL_ASSIGN_OR_RETURN(
-      Tuple head,
-      BuildHeadTuple(program_.rules()[r].head, rules_[r].row_schema, row));
-  heads->emplace_back(rules_[r].head, std::move(head));
-  return Status::OK();
 }
 
 Status CompiledProgram::Apply(const Heads& heads, Instance* db) const {
@@ -239,19 +238,17 @@ Status InflationaryEngine::Restart(const Instance& edb) {
 Instance InflationaryEngine::database() const { return WithoutDeltas(db_); }
 
 StatusOr<bool> InflationaryEngine::SampleStep(Rng* rng) {
-  PFQL_ASSIGN_OR_RETURN(std::vector<Relation> rows,
+  PFQL_ASSIGN_OR_RETURN(std::vector<std::vector<Tuple>> rows,
                         program_->NewValuations(db_, steps_ == 0));
   CompiledProgram::Heads heads;
   bool fired = false;
   for (size_t r = 0; r < rows.size(); ++r) {
     if (rows[r].empty()) continue;
     fired = true;
-    if (const RepairKeySpec* choice = program_->Choice(r)) {
+    if (const RepairKeyColumns* choice = program_->Choice(r)) {
       PFQL_ASSIGN_OR_RETURN(rows[r], RepairKeySample(rows[r], *choice, rng));
     }
-    for (const Tuple& row : rows[r].tuples()) {
-      PFQL_RETURN_NOT_OK(program_->AddHead(r, row, &heads));
-    }
+    for (const Tuple& row : rows[r]) program_->AddHead(r, row, &heads);
   }
   if (!fired) return false;
   PFQL_RETURN_NOT_OK(program_->Apply(heads, &db_));
@@ -306,7 +303,7 @@ class ExactTraversal {
           std::to_string(nodes_) + " nodes)");
     }
     PFQL_RETURN_NOT_OK(poller_.Tick());
-    PFQL_ASSIGN_OR_RETURN(std::vector<Relation> rows,
+    PFQL_ASSIGN_OR_RETURN(std::vector<std::vector<Tuple>> rows,
                           program_.NewValuations(db, first_step));
 
     // Deterministic rules stage their heads; each repair-key group of a
@@ -317,11 +314,9 @@ class ExactTraversal {
     for (size_t r = 0; r < rows.size(); ++r) {
       if (rows[r].empty()) continue;
       fired = true;
-      const RepairKeySpec* choice = program_.Choice(r);
+      const RepairKeyColumns* choice = program_.Choice(r);
       if (choice == nullptr) {
-        for (const Tuple& row : rows[r].tuples()) {
-          PFQL_RETURN_NOT_OK(program_.AddHead(r, row, &heads));
-        }
+        for (const Tuple& row : rows[r]) program_.AddHead(r, row, &heads);
         continue;
       }
       PFQL_ASSIGN_OR_RETURN(std::vector<RepairKeyGroup> groups,
@@ -346,7 +341,7 @@ class ExactTraversal {
     }
     const ChoicePoint& point = points[depth];
     for (const auto& [binding, p] : point.group.alternatives) {
-      PFQL_RETURN_NOT_OK(program_.AddHead(point.rule, binding, heads));
+      program_.AddHead(point.rule, binding, heads);
       PFQL_RETURN_NOT_OK(
           IterateChoices(points, depth + 1, db, heads, prob * p));
       heads->pop_back();

@@ -48,21 +48,13 @@ StatusOr<RaExpr::Ptr> RuleProduction(const Rule& rule,
   return BuildHeadExpr(rule, std::move(proj), head_schema);
 }
 
-StatusOr<std::map<std::string, Schema>> SchemasOf(const Instance& instance) {
-  std::map<std::string, Schema> schemas;
-  for (const auto& [name, rel] : instance.relations()) {
-    schemas.emplace(name, rel.schema());
-  }
-  return schemas;
-}
-
 }  // namespace
 
 StatusOr<TranslatedQuery> TranslateNonInflationary(const Program& program,
                                                    const Instance& edb) {
   TranslatedQuery out;
   PFQL_ASSIGN_OR_RETURN(out.initial, program.InitialInstance(edb));
-  PFQL_ASSIGN_OR_RETURN(auto schemas, SchemasOf(out.initial));
+  const auto schemas = out.initial.Schemas();
 
   // Group rule productions by head predicate; destructive assignment.
   std::map<std::string, RaExpr::Ptr> per_predicate;
@@ -101,7 +93,7 @@ StatusOr<TranslatedQuery> TranslateInflationary(const Program& program,
     out.initial.Set(OldValsName(r),
                     Relation(Schema(rules[r].BodyVariables())));
   }
-  PFQL_ASSIGN_OR_RETURN(auto schemas, SchemasOf(out.initial));
+  const auto schemas = out.initial.Schemas();
 
   std::map<std::string, RaExpr::Ptr> per_predicate;
   for (size_t r = 0; r < rules.size(); ++r) {

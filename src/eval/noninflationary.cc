@@ -68,6 +68,9 @@ StatusOr<McmcResult> McmcForever(const ForeverQuery& query,
   PFQL_ASSIGN_OR_RETURN(
       size_t budget,
       HoeffdingCount(params.epsilon, params.delta, params.max_samples));
+  // One compiled kernel, shared by every shard.
+  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
+                        query.kernel.Compile(initial));
   PFQL_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledSpace> compiled,
       CompileOrFallBack(query.kernel, initial, params.backend,
@@ -79,7 +82,7 @@ StatusOr<McmcResult> McmcForever(const ForeverQuery& query,
           "mcmc", budget, params.threads,
           [&](size_t share, Rng shard_rng) {
             return std::make_unique<ResumableRestartMcmc>(
-                query.kernel, initial, query.event, compiled, params, share,
+                kernel, initial, query.event, compiled, params, share,
                 shard_rng);
           },
           params.delta, rng, params.cancel, params.allow_partial));

@@ -140,7 +140,8 @@ Status ResumableApprox::RunQuantum(size_t quantum,
 // ---- ResumableRestartMcmc ----------------------------------------------
 
 ResumableRestartMcmc::ResumableRestartMcmc(
-    Interpretation kernel, Instance initial, QueryEvent event,
+    std::shared_ptr<const CompiledKernel> kernel, Instance initial,
+    QueryEvent event,
     std::shared_ptr<const CompiledSpace> compiled, const McmcParams& params,
     size_t budget, Rng rng)
     : kernel_(std::move(kernel)),
@@ -173,7 +174,7 @@ Status ResumableRestartMcmc::RunQuantum(size_t quantum,
     Instance state = initial_;
     for (size_t t = 0; t < burn_in_; ++t) {
       PFQL_RETURN_NOT_OK(poller.Tick());
-      PFQL_ASSIGN_OR_RETURN(state, kernel_.ApplySample(state, &rng_));
+      PFQL_RETURN_NOT_OK(kernel_->Step(&state, &rng_));
     }
     return event_.Holds(state);
   };
@@ -212,7 +213,8 @@ Status ResumableRestartMcmc::RunQuantum(size_t quantum,
 // ---- ResumableMcmcChains -----------------------------------------------
 
 ResumableMcmcChains::ResumableMcmcChains(
-    Interpretation kernel, Instance initial, QueryEvent event,
+    std::shared_ptr<const CompiledKernel> kernel, Instance initial,
+    QueryEvent event,
     std::shared_ptr<const CompiledSpace> compiled, const McmcParams& params,
     size_t num_chains, Rng rng)
     : kernel_(std::move(kernel)),
@@ -247,9 +249,7 @@ Status ResumableMcmcChains::StepChain(size_t c) {
     state_ids_[c] = compiled_->chain.Step(state_ids_[c], &chain_rngs_[c]);
     holds = event_states_[state_ids_[c]] != 0;
   } else {
-    auto next = kernel_.ApplySample(state_instances_[c], &chain_rngs_[c]);
-    if (!next.ok()) return next.status();
-    state_instances_[c] = std::move(next).value();
+    PFQL_RETURN_NOT_OK(kernel_->Step(&state_instances_[c], &chain_rngs_[c]));
     holds = event_.Holds(state_instances_[c]);
   }
   ++snap_.total_steps;
@@ -316,7 +316,8 @@ void ResumableMcmcChains::RefreshSnapshot() {
 // ---- ResumableTrajectory -----------------------------------------------
 
 ResumableTrajectory::ResumableTrajectory(
-    Interpretation kernel, Instance initial, EventExpr::Ptr event,
+    std::shared_ptr<const CompiledKernel> kernel, Instance initial,
+    EventExpr::Ptr event,
     std::shared_ptr<const CompiledSpace> compiled,
     const TrajectoryParams& params, Rng rng)
     : kernel_(std::move(kernel)),
@@ -380,8 +381,7 @@ Status ResumableTrajectory::Advance(size_t n,
     CancelPoller poller(cancel);
     for (size_t t = run_step_; t < run_step_ + n; ++t) {
       PFQL_RETURN_NOT_OK(poller.Tick());
-      PFQL_ASSIGN_OR_RETURN(state_instance_,
-                            kernel_.ApplySample(state_instance_, &rng_));
+      PFQL_RETURN_NOT_OK(kernel_->Step(&state_instance_, &rng_));
       if (t < discard_) continue;
       PFQL_ASSIGN_OR_RETURN(bool holds, event_->Holds(state_instance_));
       if (holds) ++run_hits_;

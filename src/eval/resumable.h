@@ -125,11 +125,14 @@ class ResumableApprox : public ResumableSampler {
 // ---- Thm 5.6 restart MCMC, one burned-in sample per unit ---------------
 
 /// Each sample restarts from `initial`, applies the kernel burn_in times
-/// and records the event. `compiled` is the tier from CompileOrFallBack;
-/// its lockstep batches make the RNG order depend on the quantum sizes.
+/// and records the event. `kernel` is compiled against `initial`
+/// (Interpretation::Compile) and shared by the request's shards. `compiled`
+/// is the tier from CompileOrFallBack; its lockstep batches make the RNG
+/// order depend on the quantum sizes.
 class ResumableRestartMcmc : public ResumableSampler {
  public:
-  ResumableRestartMcmc(Interpretation kernel, Instance initial,
+  ResumableRestartMcmc(std::shared_ptr<const CompiledKernel> kernel,
+                       Instance initial,
                        QueryEvent event,
                        std::shared_ptr<const CompiledSpace> compiled,
                        const McmcParams& params, size_t budget, Rng rng);
@@ -137,7 +140,7 @@ class ResumableRestartMcmc : public ResumableSampler {
   Status RunQuantum(size_t quantum, const CancellationToken* cancel) override;
 
  private:
-  const Interpretation kernel_;
+  const std::shared_ptr<const CompiledKernel> kernel_;
   const Instance initial_;
   const QueryEvent event_;
   const std::shared_ptr<const CompiledSpace> compiled_;
@@ -166,7 +169,8 @@ class ResumableMcmcChains : public ResumableSampler {
   /// units of all chains, burn-in included; 0 means 4x the iid Hoeffding
   /// count plus the burn-ins, headroom for correlated samples (completion
   /// is governed by the empirical CI and R̂, not the cap).
-  ResumableMcmcChains(Interpretation kernel, Instance initial,
+  ResumableMcmcChains(std::shared_ptr<const CompiledKernel> kernel,
+                      Instance initial,
                       QueryEvent event,
                       std::shared_ptr<const CompiledSpace> compiled,
                       const McmcParams& params, size_t num_chains, Rng rng);
@@ -182,7 +186,7 @@ class ResumableMcmcChains : public ResumableSampler {
   Status StepChain(size_t c);
   void RefreshSnapshot();
 
-  const Interpretation kernel_;
+  const std::shared_ptr<const CompiledKernel> kernel_;
   const QueryEvent event_;
   const double delta_;
   const std::shared_ptr<const CompiledSpace> compiled_;
@@ -202,7 +206,8 @@ class ResumableMcmcChains : public ResumableSampler {
 /// of the degraded prefix.
 class ResumableTrajectory : public ResumableSampler {
  public:
-  ResumableTrajectory(Interpretation kernel, Instance initial,
+  ResumableTrajectory(std::shared_ptr<const CompiledKernel> kernel,
+                      Instance initial,
                       EventExpr::Ptr event,
                       std::shared_ptr<const CompiledSpace> compiled,
                       const TrajectoryParams& params, Rng rng);
@@ -216,7 +221,7 @@ class ResumableTrajectory : public ResumableSampler {
   Status Advance(size_t n, const CancellationToken* cancel);
   void RefreshSnapshot();
 
-  const Interpretation kernel_;
+  const std::shared_ptr<const CompiledKernel> kernel_;
   const Instance initial_;
   const EventExpr::Ptr event_;
   const std::shared_ptr<const CompiledSpace> compiled_;

@@ -20,6 +20,8 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
     return Status::InvalidArgument("discard_fraction must be in [0, 1)");
   }
   PFQL_RETURN_NOT_OK(CheckDelta(params.delta));
+  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> compiled_kernel,
+                        kernel.Compile(initial));
   PFQL_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledSpace> compiled,
       CompileOrFallBack(kernel, initial, params.backend,
@@ -31,7 +33,7 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
           "trajectory", params.runs, /*threads=*/1,
           [&](size_t, Rng shard_rng) {
             return std::make_unique<ResumableTrajectory>(
-                kernel, initial, event, compiled, params, shard_rng);
+                compiled_kernel, initial, event, compiled, params, shard_rng);
           },
           params.delta, rng, params.cancel, params.allow_partial));
   TrajectoryResult result;

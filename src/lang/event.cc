@@ -1,5 +1,7 @@
 #include "lang/event.h"
 
+#include "ra/plan.h"
+
 namespace pfql {
 
 EventExpr::Ptr EventExpr::TupleIn(std::string relation, Tuple tuple) {
@@ -53,11 +55,13 @@ StatusOr<bool> EventExpr::Holds(const Instance& instance) const {
       return rel != nullptr && rel->Contains(tuple_);
     }
     case Kind::kNonEmpty: {
-      // Deterministic by construction: sampling path needs no randomness.
-      Rng unused(0);
-      PFQL_ASSIGN_OR_RETURN(Relation result,
-                            EvalSample(query_, instance, &unused));
-      return !result.empty();
+      // Compiled against the instance it checks; deterministic by
+      // construction, so it draws nothing.
+      PFQL_ASSIGN_OR_RETURN(RaPlan plan,
+                            RaPlan::Compile(query_, instance.Schemas()));
+      PFQL_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                            plan.SampleRows(instance, nullptr));
+      return !rows.empty();
     }
     case Kind::kAnd: {
       PFQL_ASSIGN_OR_RETURN(bool a, lhs_->Holds(instance));

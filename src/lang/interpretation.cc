@@ -1,5 +1,7 @@
 #include "lang/interpretation.h"
 
+#include <algorithm>
+
 namespace pfql {
 
 bool Interpretation::IsDeterministic() const {
@@ -9,42 +11,89 @@ bool Interpretation::IsDeterministic() const {
   return true;
 }
 
-StatusOr<Distribution<Instance>> Interpretation::ApplyExact(
-    const Instance& instance, const ExactEvalOptions& options) const {
-  // Start from the point distribution at the carried-over instance, then
-  // fold in each defined relation's result distribution independently.
-  Distribution<Instance> worlds = Distribution<Instance>::Point(instance);
+StatusOr<std::shared_ptr<const CompiledKernel>> Interpretation::Compile(
+    const Instance& initial) const {
+  const std::map<std::string, Schema> schemas = initial.Schemas();
+  auto kernel = std::make_shared<CompiledKernel>();
   for (const auto& [name, query] : queries_) {
-    PFQL_ASSIGN_OR_RETURN(Distribution<Relation> results,
-                          EvalExact(query, instance, options));
-    if (worlds.size() * results.size() > options.max_worlds) {
+    PFQL_ASSIGN_OR_RETURN(RaPlan plan, RaPlan::Compile(query, schemas));
+    const Relation* current = initial.Find(name);
+    if (current != nullptr && plan.schema() != current->schema()) {
+      return Status::InvalidArgument(
+          "the query for relation '" + name + "' outputs schema " +
+          plan.schema().ToString() + ", but '" + name + "' has schema " +
+          current->schema().ToString() +
+          " in the initial instance; a relation must keep its schema from "
+          "step to step");
+    }
+    kernel->plans_.emplace_back(name, std::move(plan));
+  }
+  return std::shared_ptr<const CompiledKernel>(std::move(kernel));
+}
+
+bool CompiledKernel::Defines(const std::string& name) const {
+  auto it = std::lower_bound(
+      plans_.begin(), plans_.end(), name,
+      [](const auto& plan, const std::string& n) { return plan.first < n; });
+  return it != plans_.end() && it->first == name;
+}
+
+Status CompiledKernel::Step(Instance* state, Rng* rng) const {
+  // Every query reads the old state before any relation is replaced.
+  std::vector<Relation> results;
+  results.reserve(plans_.size());
+  for (const auto& [name, plan] : plans_) {
+    PFQL_ASSIGN_OR_RETURN(Relation result, plan.Sample(*state, rng));
+    results.push_back(std::move(result));
+  }
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    state->Set(plans_[i].first, std::move(results[i]));
+  }
+  return Status::OK();
+}
+
+StatusOr<Distribution<Instance>> CompiledKernel::Exact(
+    const Instance& instance, const ExactEvalOptions& options) const {
+  // Each query's outcome distribution, in name order, with the world count
+  // checked as each one joins the product.
+  std::vector<Distribution<Relation>> results;
+  results.reserve(plans_.size());
+  size_t worlds = 1;
+  for (const auto& [name, plan] : plans_) {
+    PFQL_ASSIGN_OR_RETURN(Distribution<Relation> result,
+                          plan.Exact(instance, options));
+    if (worlds * result.size() > options.max_worlds) {
       return Status::ResourceExhausted(
           "interpretation step exceeds max_worlds = " +
           std::to_string(options.max_worlds));
     }
-    Distribution<Instance> next;
-    for (const auto& w : worlds.outcomes()) {
-      for (const auto& r : results.outcomes()) {
-        Instance updated = w.value;
-        updated.Set(name, r.value);
-        next.Add(std::move(updated), w.probability * r.probability);
-      }
+    worlds *= result.size();
+    results.push_back(std::move(result));
+  }
+  // Successors share the relations no query defines and differ in the
+  // defined ones, compared in name order. So an odometer over the sorted
+  // outcome lists, first query outermost, visits them in Instance order,
+  // each once: the distribution comes out normalized.
+  Instance carried;
+  for (const auto& [name, rel] : instance.relations()) {
+    if (!Defines(name)) carried.Set(name, rel);
+  }
+  Distribution<Instance> out;
+  std::vector<size_t> pick(results.size(), 0);
+  for (;;) {
+    Instance next = carried;
+    BigRational p(1);
+    for (size_t i = 0; i < results.size(); ++i) {
+      const auto& outcome = results[i].outcomes()[pick[i]];
+      next.Set(plans_[i].first, outcome.value);
+      p *= outcome.probability;
     }
-    next.Normalize();
-    worlds = std::move(next);
+    out.Add(std::move(next), std::move(p));
+    size_t i = results.size();
+    while (i > 0 && ++pick[i - 1] == results[i - 1].size()) pick[--i] = 0;
+    if (i == 0) break;
   }
-  return worlds;
-}
-
-StatusOr<Instance> Interpretation::ApplySample(const Instance& instance,
-                                               Rng* rng) const {
-  Instance next = instance;
-  for (const auto& [name, query] : queries_) {
-    // All right-hand sides read the *old* instance (parallel firing).
-    PFQL_ASSIGN_OR_RETURN(Relation result, EvalSample(query, instance, rng));
-    next.Set(name, std::move(result));
-  }
-  return next;
+  return out;
 }
 
 Interpretation Interpretation::Inflationary() const {
@@ -57,8 +106,10 @@ Interpretation Interpretation::Inflationary() const {
 
 StatusOr<bool> Interpretation::IsInflationaryOn(
     const Instance& instance, const ExactEvalOptions& options) const {
+  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
+                        Compile(instance));
   PFQL_ASSIGN_OR_RETURN(Distribution<Instance> worlds,
-                        ApplyExact(instance, options));
+                        kernel->Exact(instance, options));
   for (const auto& w : worlds.outcomes()) {
     for (const auto& [name, rel] : instance.relations()) {
       const Relation* next_rel = w.value.Find(name);

@@ -6,16 +6,21 @@
 #define PFQL_LANG_INTERPRETATION_H_
 
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "prob/distribution.h"
+#include "ra/plan.h"
 #include "ra/ra_expr.h"
 #include "relational/instance.h"
 #include "util/random.h"
 #include "util/status.h"
 
 namespace pfql {
+
+class CompiledKernel;
 
 /// A transition kernel Q = (Q_1, ..., Q_k): for each relation name a query
 /// computing that relation's next state. Relations with no assigned query
@@ -39,22 +44,20 @@ class Interpretation {
   /// True iff no query contains repair-key.
   bool IsDeterministic() const;
 
-  /// Exact one-step semantics: the distribution over successor instances.
-  /// All relations of `instance` are carried into each successor (updated if
-  /// a query is defined for them, unchanged otherwise).
-  StatusOr<Distribution<Instance>> ApplyExact(
-      const Instance& instance, const ExactEvalOptions& options = {}) const;
-
-  /// Samples one successor instance.
-  StatusOr<Instance> ApplySample(const Instance& instance, Rng* rng) const;
+  /// Compiles every query against the schemas of `initial` (ra/plan.h),
+  /// once, for a walk that starts there. Fails with the compiler's errors,
+  /// and with InvalidArgument if a query's output schema differs from its
+  /// relation's schema in `initial`: plans read columns by position, so a
+  /// relation must keep its schema from step to step.
+  StatusOr<std::shared_ptr<const CompiledKernel>> Compile(
+      const Instance& initial) const;
 
   /// Returns a kernel computing R := R ∪ Q_R for each defined query — the
   /// canonical way to build an inflationary query (Def 3.4).
   Interpretation Inflationary() const;
 
-  /// Dynamic inflationarity check: do all worlds of ApplyExact(instance)
-  /// contain `instance`? (Def 3.4 quantifies over all instances; this tests
-  /// one.)
+  /// Dynamic inflationarity check: does every successor of `instance`
+  /// contain it? (Def 3.4 quantifies over all instances; this tests one.)
   StatusOr<bool> IsInflationaryOn(const Instance& instance,
                                   const ExactEvalOptions& options = {}) const;
 
@@ -62,6 +65,29 @@ class Interpretation {
 
  private:
   std::map<std::string, RaExpr::Ptr> queries_;
+};
+
+/// A kernel compiled by Interpretation::Compile: one plan per defined
+/// relation, in name order. Immutable, so the shards of one request and the
+/// workers of one state-space build share it. Every query reads the old
+/// instance (parallel firing); relations with no query carry over.
+class CompiledKernel {
+ public:
+  /// Samples one successor in place: `*state` becomes the successor, and
+  /// relations no query defines are not copied. The queries draw in name
+  /// order. On error `*state` is unchanged.
+  Status Step(Instance* state, Rng* rng) const;
+
+  /// Exact one-step semantics: the distribution over successor instances.
+  StatusOr<Distribution<Instance>> Exact(
+      const Instance& instance, const ExactEvalOptions& options = {}) const;
+
+ private:
+  friend class Interpretation;
+
+  bool Defines(const std::string& name) const;
+
+  std::vector<std::pair<std::string, RaPlan>> plans_;  // by name
 };
 
 /// A query event (Def 3.2): the Boolean test "tuple ∈ relation".

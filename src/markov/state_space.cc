@@ -33,7 +33,7 @@ struct ExpandedState {
 // other worker touches, and interns successors through `interner`, whose
 // striped table is the only shared write target (per-stripe spinlocks, no
 // global lock — see concurrent_interner.h).
-void ExpandWave(const Interpretation& q, ConcurrentInterner* interner,
+void ExpandWave(const CompiledKernel& q, ConcurrentInterner* interner,
                 const std::vector<size_t>& canon_to_prov, size_t wave_begin,
                 size_t wave_end, const StateSpaceOptions& options,
                 std::vector<ExpandedState>* results) {
@@ -53,7 +53,7 @@ void ExpandWave(const Interpretation& q, ConcurrentInterner* interner,
       out.status = fault::InjectedError(fault::points::kStateSpaceExpand);
       return;
     }
-    StatusOr<Distribution<Instance>> successors = q.ApplyExact(
+    StatusOr<Distribution<Instance>> successors = q.Exact(
         interner->At(canon_to_prov[wave_begin + k]), options.eval);
     if (!successors.ok()) {
       out.status = successors.status();
@@ -114,6 +114,10 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
   // assigns canonical ids in frontier order, which makes state numbering,
   // the edge list, and the first reported error identical to a sequential
   // FIFO exploration regardless of options.threads.
+  // One compiled kernel serves every expansion, on every worker.
+  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
+                        q.Compile(initial));
+
   ConcurrentInterner interner;
   std::vector<size_t> prov_to_canon;  // SIZE_MAX = not yet canonicalized
   std::vector<size_t> canon_to_prov;
@@ -140,8 +144,8 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
     results.assign(wave_end - wave_begin, ExpandedState{});
     waves_counter->Increment();
     trace::Span wave_span("state_space.wave");
-    ExpandWave(q, &interner, canon_to_prov, wave_begin, wave_end, options,
-               &results);
+    ExpandWave(*kernel, &interner, canon_to_prov, wave_begin, wave_end,
+               options, &results);
 
     // Merge in frontier order: remap provisional ids to dense canonical
     // ids in first-seen order. Pure integer work — all hashing happened in

@@ -61,6 +61,32 @@ StatusOr<uint64_t> RepairKeyWorldCount(const Relation& rel,
                                        const RepairKeySpec& spec,
                                        uint64_t cap = UINT64_MAX);
 
+// ---- Positional core -------------------------------------------------
+// The functions above resolve the spec's column names against the
+// relation's schema and call these; compiled plans (ra/plan.h) and the
+// datalog engine resolve them once and call these directly. `rows` must be
+// canonical (sorted, distinct), as a Relation's tuples are: groups come in
+// key order and members in row order, which fixes the draw order.
+
+/// Key and weight column positions of one repair-key application.
+struct RepairKeyColumns {
+  std::vector<size_t> key;
+  std::optional<size_t> weight;
+};
+
+/// Resolves `spec` against `schema`; NotFound names a missing column.
+StatusOr<RepairKeyColumns> ResolveRepairKey(const Schema& schema,
+                                            const RepairKeySpec& spec);
+
+/// RepairKeyGroups over canonical rows.
+StatusOr<std::vector<RepairKeyGroup>> RepairKeyGroups(
+    const std::vector<Tuple>& rows, const RepairKeyColumns& columns);
+
+/// RepairKeySample over canonical rows; returns the kept rows, canonical.
+StatusOr<std::vector<Tuple>> RepairKeySample(const std::vector<Tuple>& rows,
+                                             const RepairKeyColumns& columns,
+                                             Rng* rng);
+
 }  // namespace pfql
 
 #endif  // PFQL_PROB_REPAIR_KEY_H_

@@ -1,7 +1,8 @@
 // A rewrite-based optimizer for RA + repair-key expressions — the "generic
 // optimization techniques for query evaluation" the paper lists as future
 // work. All rewrites preserve the exact possible-worlds semantics
-// (property-tested against EvalExact in tests/ra/optimizer_test.cc).
+// (property-tested against the reference evaluator in
+// tests/ra/optimizer_test.cc).
 //
 // Structural rules (always safe):
 //   * σ_true(e)                  -> e
@@ -22,6 +23,7 @@
 
 #include <map>
 
+#include "ra/plan.h"
 #include "ra/ra_expr.h"
 #include "util/status.h"
 

@@ -107,6 +107,21 @@ std::vector<std::string> RaExpr::InputRelations() const {
   return out;
 }
 
+namespace {
+// "(l op r)", built by appends: GCC 12 warns falsely (-Wrestrict) on
+// "(" + std::string&& once it inlines operator+.
+std::string Infix(const RaExpr& l, const char* op, const RaExpr& r) {
+  std::string out = "(";
+  out += l.ToString();
+  out += ' ';
+  out += op;
+  out += ' ';
+  out += r.ToString();
+  out += ')';
+  return out;
+}
+}  // namespace
+
 std::string RaExpr::ToString() const {
   switch (kind_) {
     case Kind::kBase:
@@ -131,16 +146,15 @@ std::string RaExpr::ToString() const {
       return "extend[" + extend_column_ + " := " + extend_expr_->ToString() +
              "](" + left_->ToString() + ")";
     case Kind::kJoin:
-      return "(" + left_->ToString() + " join " + right_->ToString() + ")";
+      return Infix(*left_, "join", *right_);
     case Kind::kProduct:
-      return "(" + left_->ToString() + " x " + right_->ToString() + ")";
+      return Infix(*left_, "x", *right_);
     case Kind::kUnion:
-      return "(" + left_->ToString() + " union " + right_->ToString() + ")";
+      return Infix(*left_, "union", *right_);
     case Kind::kDifference:
-      return "(" + left_->ToString() + " - " + right_->ToString() + ")";
+      return Infix(*left_, "-", *right_);
     case Kind::kIntersect:
-      return "(" + left_->ToString() + " intersect " + right_->ToString() +
-             ")";
+      return Infix(*left_, "intersect", *right_);
     case Kind::kRepairKey: {
       std::string spec = JoinStrings(repair_spec_.key_columns, ", ");
       if (repair_spec_.weight_column) spec += " @ " + *repair_spec_.weight_column;
@@ -148,257 +162,6 @@ std::string RaExpr::ToString() const {
     }
   }
   return "<corrupt>";
-}
-
-namespace {
-
-// Applies the deterministic part of a unary node to one world.
-StatusOr<Relation> ApplyUnary(const RaExpr& e, const Relation& in) {
-  switch (e.kind()) {
-    case RaExpr::Kind::kSelect:
-      return Select(in, e.predicate());
-    case RaExpr::Kind::kProject:
-      return Project(in, e.columns());
-    case RaExpr::Kind::kRename:
-      return RenameColumns(in, e.renames());
-    case RaExpr::Kind::kExtend:
-      return Extend(in, e.extend_column(), e.extend_expr());
-    default:
-      return Status::Internal("ApplyUnary on non-unary node");
-  }
-}
-
-// Applies a deterministic binary operator to a pair of worlds.
-StatusOr<Relation> ApplyBinary(const RaExpr& e, const Relation& a,
-                               const Relation& b) {
-  switch (e.kind()) {
-    case RaExpr::Kind::kJoin:
-      return NaturalJoin(a, b);
-    case RaExpr::Kind::kProduct:
-      return Product(a, b);
-    case RaExpr::Kind::kUnion:
-      return Union(a, b);
-    case RaExpr::Kind::kDifference:
-      return Difference(a, b);
-    case RaExpr::Kind::kIntersect:
-      return Intersect(a, b);
-    default:
-      return Status::Internal("ApplyBinary on non-binary node");
-  }
-}
-
-}  // namespace
-
-StatusOr<Distribution<Relation>> EvalExact(const RaExpr::Ptr& expr,
-                                           const Instance& instance,
-                                           const ExactEvalOptions& options) {
-  if (expr == nullptr) return Status::InvalidArgument("null RaExpr");
-  const RaExpr& e = *expr;
-  switch (e.kind()) {
-    case RaExpr::Kind::kBase: {
-      PFQL_ASSIGN_OR_RETURN(Relation rel, instance.Get(e.relation_name()));
-      return Distribution<Relation>::Point(std::move(rel));
-    }
-    case RaExpr::Kind::kConst:
-      return Distribution<Relation>::Point(e.const_relation());
-    case RaExpr::Kind::kSelect:
-    case RaExpr::Kind::kProject:
-    case RaExpr::Kind::kRename:
-    case RaExpr::Kind::kExtend: {
-      PFQL_ASSIGN_OR_RETURN(Distribution<Relation> child,
-                            EvalExact(e.left(), instance, options));
-      Distribution<Relation> out;
-      for (const auto& o : child.outcomes()) {
-        PFQL_ASSIGN_OR_RETURN(Relation r, ApplyUnary(e, o.value));
-        out.Add(std::move(r), o.probability);
-      }
-      out.Normalize();
-      return out;
-    }
-    case RaExpr::Kind::kJoin:
-    case RaExpr::Kind::kProduct:
-    case RaExpr::Kind::kUnion:
-    case RaExpr::Kind::kDifference:
-    case RaExpr::Kind::kIntersect: {
-      PFQL_ASSIGN_OR_RETURN(Distribution<Relation> left,
-                            EvalExact(e.left(), instance, options));
-      PFQL_ASSIGN_OR_RETURN(Distribution<Relation> right,
-                            EvalExact(e.right(), instance, options));
-      if (left.size() * right.size() > options.max_worlds) {
-        return Status::ResourceExhausted(
-            "exact evaluation exceeds max_worlds = " +
-            std::to_string(options.max_worlds));
-      }
-      Distribution<Relation> out;
-      for (const auto& ol : left.outcomes()) {
-        for (const auto& orr : right.outcomes()) {
-          PFQL_ASSIGN_OR_RETURN(Relation r, ApplyBinary(e, ol.value, orr.value));
-          out.Add(std::move(r), ol.probability * orr.probability);
-        }
-      }
-      out.Normalize();
-      return out;
-    }
-    case RaExpr::Kind::kRepairKey: {
-      PFQL_ASSIGN_OR_RETURN(Distribution<Relation> child,
-                            EvalExact(e.left(), instance, options));
-      Distribution<Relation> out;
-      size_t produced = 0;
-      for (const auto& o : child.outcomes()) {
-        PFQL_ASSIGN_OR_RETURN(Distribution<Relation> repairs,
-                              RepairKeyEnumerate(o.value, e.repair_spec()));
-        produced += repairs.size();
-        if (produced > options.max_worlds) {
-          return Status::ResourceExhausted(
-              "repair-key enumeration exceeds max_worlds = " +
-              std::to_string(options.max_worlds));
-        }
-        for (const auto& ro : repairs.outcomes()) {
-          out.Add(ro.value, ro.probability * o.probability);
-        }
-      }
-      out.Normalize();
-      return out;
-    }
-  }
-  return Status::Internal("corrupt RaExpr");
-}
-
-StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
-                              const Instance& instance, Rng* rng) {
-  if (expr == nullptr) return Status::InvalidArgument("null RaExpr");
-  const RaExpr& e = *expr;
-  switch (e.kind()) {
-    case RaExpr::Kind::kBase:
-      return instance.Get(e.relation_name());
-    case RaExpr::Kind::kConst:
-      return e.const_relation();
-    case RaExpr::Kind::kSelect:
-    case RaExpr::Kind::kProject:
-    case RaExpr::Kind::kRename:
-    case RaExpr::Kind::kExtend: {
-      PFQL_ASSIGN_OR_RETURN(Relation child, EvalSample(e.left(), instance, rng));
-      return ApplyUnary(e, child);
-    }
-    case RaExpr::Kind::kJoin:
-    case RaExpr::Kind::kProduct:
-    case RaExpr::Kind::kUnion:
-    case RaExpr::Kind::kDifference:
-    case RaExpr::Kind::kIntersect: {
-      PFQL_ASSIGN_OR_RETURN(Relation a, EvalSample(e.left(), instance, rng));
-      PFQL_ASSIGN_OR_RETURN(Relation b, EvalSample(e.right(), instance, rng));
-      return ApplyBinary(e, a, b);
-    }
-    case RaExpr::Kind::kRepairKey: {
-      PFQL_ASSIGN_OR_RETURN(Relation child, EvalSample(e.left(), instance, rng));
-      return RepairKeySample(child, e.repair_spec(), rng);
-    }
-  }
-  return Status::Internal("corrupt RaExpr");
-}
-
-StatusOr<Schema> InferSchema(const RaExpr::Ptr& expr,
-                             const std::map<std::string, Schema>& schemas) {
-  if (expr == nullptr) return Status::InvalidArgument("null RaExpr");
-  const RaExpr& e = *expr;
-  switch (e.kind()) {
-    case RaExpr::Kind::kBase: {
-      auto it = schemas.find(e.relation_name());
-      if (it == schemas.end()) {
-        return Status::NotFound("unknown relation '" + e.relation_name() +
-                                "'");
-      }
-      return it->second;
-    }
-    case RaExpr::Kind::kConst:
-      return e.const_relation().schema();
-    case RaExpr::Kind::kSelect: {
-      PFQL_ASSIGN_OR_RETURN(Schema s, InferSchema(e.left(), schemas));
-      std::vector<std::string> used;
-      e.predicate()->CollectColumns(&used);
-      for (const auto& c : used) {
-        if (!s.Contains(c)) {
-          return Status::NotFound("selection references unknown column '" +
-                                  c + "' in " + s.ToString());
-        }
-      }
-      return s;
-    }
-    case RaExpr::Kind::kProject: {
-      PFQL_ASSIGN_OR_RETURN(Schema s, InferSchema(e.left(), schemas));
-      PFQL_RETURN_NOT_OK(s.IndicesOf(e.columns()).status());
-      Schema out(e.columns());
-      PFQL_RETURN_NOT_OK(out.Validate());
-      return out;
-    }
-    case RaExpr::Kind::kRename: {
-      PFQL_ASSIGN_OR_RETURN(Schema s, InferSchema(e.left(), schemas));
-      std::vector<std::string> cols = s.columns();
-      for (const auto& [from, to] : e.renames()) {
-        auto idx = s.IndexOf(from);
-        if (!idx) {
-          return Status::NotFound("rename source '" + from + "' not in " +
-                                  s.ToString());
-        }
-        cols[*idx] = to;
-      }
-      Schema out(std::move(cols));
-      PFQL_RETURN_NOT_OK(out.Validate());
-      return out;
-    }
-    case RaExpr::Kind::kExtend: {
-      PFQL_ASSIGN_OR_RETURN(Schema s, InferSchema(e.left(), schemas));
-      if (s.Contains(e.extend_column())) {
-        return Status::AlreadyExists("extend column '" + e.extend_column() +
-                                     "' already in " + s.ToString());
-      }
-      std::vector<std::string> used;
-      e.extend_expr()->CollectColumns(&used);
-      for (const auto& c : used) {
-        if (!s.Contains(c)) {
-          return Status::NotFound("extend references unknown column '" + c +
-                                  "'");
-        }
-      }
-      std::vector<std::string> cols = s.columns();
-      cols.push_back(e.extend_column());
-      return Schema(std::move(cols));
-    }
-    case RaExpr::Kind::kJoin: {
-      PFQL_ASSIGN_OR_RETURN(Schema a, InferSchema(e.left(), schemas));
-      PFQL_ASSIGN_OR_RETURN(Schema b, InferSchema(e.right(), schemas));
-      return a.JoinWith(b);
-    }
-    case RaExpr::Kind::kProduct: {
-      PFQL_ASSIGN_OR_RETURN(Schema a, InferSchema(e.left(), schemas));
-      PFQL_ASSIGN_OR_RETURN(Schema b, InferSchema(e.right(), schemas));
-      return a.ConcatDisjoint(b);
-    }
-    case RaExpr::Kind::kUnion:
-    case RaExpr::Kind::kDifference:
-    case RaExpr::Kind::kIntersect: {
-      PFQL_ASSIGN_OR_RETURN(Schema a, InferSchema(e.left(), schemas));
-      PFQL_ASSIGN_OR_RETURN(Schema b, InferSchema(e.right(), schemas));
-      if (a.size() != b.size()) {
-        return Status::TypeError("set operation on schemas of arity " +
-                                 std::to_string(a.size()) + " and " +
-                                 std::to_string(b.size()));
-      }
-      return a;
-    }
-    case RaExpr::Kind::kRepairKey: {
-      PFQL_ASSIGN_OR_RETURN(Schema s, InferSchema(e.left(), schemas));
-      PFQL_RETURN_NOT_OK(s.IndicesOf(e.repair_spec().key_columns).status());
-      if (e.repair_spec().weight_column &&
-          !s.Contains(*e.repair_spec().weight_column)) {
-        return Status::NotFound("repair-key weight column '" +
-                                *e.repair_spec().weight_column + "' not in " +
-                                s.ToString());
-      }
-      return s;
-    }
-  }
-  return Status::Internal("corrupt RaExpr");
 }
 
 }  // namespace pfql

@@ -1,7 +1,8 @@
 // Relational algebra extended with repair-key (paper Sec 2.2): the expression
 // language from which probabilistic first-order interpretations (Def 3.1) are
 // built. An expression maps a deterministic Instance to a *distribution* over
-// relations (exact semantics) or to one sampled relation.
+// relations (exact semantics) or to one sampled relation; ra/plan.h compiles
+// it and evaluates it both ways.
 //
 // Randomness model: every syntactic occurrence of repair-key is an
 // independent probabilistic choice, so sibling subtrees combine by product
@@ -15,12 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "prob/distribution.h"
 #include "prob/repair_key.h"
-#include "relational/algebra.h"
-#include "relational/instance.h"
-#include "util/random.h"
-#include "util/status.h"
+#include "relational/expr.h"
+#include "relational/relation.h"
 
 namespace pfql {
 
@@ -104,21 +102,6 @@ struct ExactEvalOptions {
   /// ResourceExhausted.
   size_t max_worlds = 1 << 20;
 };
-
-/// Exact possible-worlds evaluation of `expr` against `instance`.
-StatusOr<Distribution<Relation>> EvalExact(
-    const RaExpr::Ptr& expr, const Instance& instance,
-    const ExactEvalOptions& options = {});
-
-/// Samples one possible world of `expr` on `instance` (each repair-key node
-/// draws one repair).
-StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
-                              const Instance& instance, Rng* rng);
-
-/// Infers the output schema given the schemas of base relations; also
-/// validates column references. `schemas` maps relation name to schema.
-StatusOr<Schema> InferSchema(const RaExpr::Ptr& expr,
-                             const std::map<std::string, Schema>& schemas);
 
 }  // namespace pfql
 

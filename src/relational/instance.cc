@@ -26,6 +26,12 @@ Relation* Instance::FindMutable(const std::string& name) {
   return &it->second;
 }
 
+std::map<std::string, Schema> Instance::Schemas() const {
+  std::map<std::string, Schema> schemas;
+  for (const auto& [name, rel] : relations_) schemas.emplace(name, rel.schema());
+  return schemas;
+}
+
 size_t Instance::TotalTuples() const {
   size_t n = 0;
   for (const auto& [_, rel] : relations_) n += rel.size();

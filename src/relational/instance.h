@@ -56,6 +56,9 @@ class Instance {
   }
   size_t relation_count() const { return relations_.size(); }
 
+  /// Each relation's schema, by name: what plans compile against.
+  std::map<std::string, Schema> Schemas() const;
+
   /// Total tuple count across relations.
   size_t TotalTuples() const;
 

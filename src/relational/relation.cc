@@ -27,6 +27,20 @@ StatusOr<Relation> Relation::Make(Schema schema, std::vector<Tuple> tuples) {
   return r;
 }
 
+Relation::Relation(Schema schema, std::vector<Tuple> canonical)
+    : schema_(std::move(schema)), tuples_(std::move(canonical)) {
+  assert(std::adjacent_find(tuples_.begin(), tuples_.end(),
+                            [](const Tuple& a, const Tuple& b) {
+                              return !(a < b);
+                            }) == tuples_.end() &&
+         "plan output not sorted and distinct");
+  assert(std::all_of(tuples_.begin(), tuples_.end(),
+                     [&](const Tuple& t) {
+                       return t.size() == schema_.size();
+                     }) &&
+         "plan output arity mismatch");
+}
+
 bool Relation::Insert(Tuple t) {
   assert(t.size() == schema_.size() && "tuple arity mismatch");
   auto it = std::lower_bound(tuples_.begin(), tuples_.end(), t);
@@ -90,12 +104,17 @@ StatusOr<Relation> Relation::WithSchema(Schema schema) const {
 }
 
 StatusOr<Relation> Relation::UnionWith(const Relation& other) const {
-  if (!empty() && !other.empty() && schema_.size() != other.schema_.size()) {
-    return Status::TypeError("union of arity " +
-                             std::to_string(schema_.size()) + " with arity " +
-                             std::to_string(other.schema_.size()));
-  }
   Relation out(schema_.empty() ? other.schema_ : schema_);
+  // Every tuple of a relation has its schema's arity, so checking each
+  // non-empty side's schema checks every tuple the result would hold.
+  for (const Relation* side : {this, &other}) {
+    if (!side->empty() && side->schema_.size() != out.schema_.size()) {
+      return Status::TypeError("union of arity " +
+                               std::to_string(schema_.size()) +
+                               " with arity " +
+                               std::to_string(other.schema_.size()));
+    }
+  }
   std::set_union(tuples_.begin(), tuples_.end(), other.tuples_.begin(),
                  other.tuples_.end(), std::back_inserter(out.tuples_));
   return out;

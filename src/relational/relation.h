@@ -82,7 +82,9 @@ class Relation {
 
   /// Set ops require equal *arity*; the receiver's schema is kept.
   /// (Column names may differ, matching the positional semantics of
-  /// datalog-produced relations.)
+  /// datalog-produced relations.) A union with a zero-column receiver takes
+  /// the other side's schema, so the default Relation() accumulates; any
+  /// union whose tuples would not fit its schema's arity is a TypeError.
   StatusOr<Relation> UnionWith(const Relation& other) const;
   StatusOr<Relation> DifferenceWith(const Relation& other) const;
   StatusOr<Relation> IntersectWith(const Relation& other) const;
@@ -105,6 +107,11 @@ class Relation {
 
  private:
   friend class RelationBuilder;
+  friend class RaPlan;
+
+  // Wraps rows a compiled plan produced, which are canonical already
+  // (asserted in debug builds).
+  Relation(Schema schema, std::vector<Tuple> canonical);
 
   size_t CachedHash() const {
     return hash_cache_.load(std::memory_order_relaxed);

@@ -535,15 +535,18 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
     return spec;
   }
 
-  // Non-inflationary targets: translate now (cheap, and resolution errors
-  // belong in the subscribe ack) and apply the analyzer's compile gating,
-  // so a forced-compiled subscription over an over-budget chain fails at
-  // the front door like its one-shot counterpart. Compilation itself runs
-  // in the factory, on a scheduler thread.
+  // Non-inflationary targets: translate and compile the kernel now (cheap,
+  // and resolution errors belong in the subscribe ack) and apply the
+  // analyzer's compile gating, so a forced-compiled subscription over an
+  // over-budget chain fails at the front door like its one-shot
+  // counterpart. Chain compilation itself runs in the factory, on a
+  // scheduler thread.
   const analysis::CostReport plan =
       PlanReport(request, *program, *edb, nullptr);
   PFQL_ASSIGN_OR_RETURN(datalog::TranslatedQuery tq,
                         datalog::TranslateNonInflationary(*program, *edb));
+  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
+                        tq.kernel.Compile(tq.initial));
   PFQL_ASSIGN_OR_RETURN(eval::Backend backend,
                         PlanBackend(plan, request, request.target.c_str()));
 
@@ -553,13 +556,13 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
     // >= 2 persistent chains so split-R̂ has cross-chain variance; more
     // chains sharpen the diagnostic at the cost of per-chain depth.
     const size_t chains = std::max<size_t>(2, request.threads);
-    spec.factory = [kernel = tq.kernel, initial = tq.initial,
+    spec.factory = [interpretation = tq.kernel, kernel, initial = tq.initial,
                     event = std::move(event), params, chains,
                     seed](const CancellationToken* cancel)
         -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
       PFQL_ASSIGN_OR_RETURN(
           std::shared_ptr<const CompiledSpace> compiled,
-          eval::CompileOrFallBack(kernel, initial, params.backend,
+          eval::CompileOrFallBack(interpretation, initial, params.backend,
                                   params.compile_max_states, cancel));
       return std::unique_ptr<eval::ResumableSampler>(
           new eval::ResumableMcmcChains(kernel, initial, event,
@@ -571,13 +574,13 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
 
   const eval::TrajectoryParams params =
       TrajectoryParamsFor(request, backend, nullptr);
-  spec.factory = [kernel = tq.kernel, initial = tq.initial,
+  spec.factory = [interpretation = tq.kernel, kernel, initial = tq.initial,
                   event = EventExpr::From(event), params,
                   seed](const CancellationToken* cancel)
       -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
     PFQL_ASSIGN_OR_RETURN(
         std::shared_ptr<const CompiledSpace> compiled,
-        eval::CompileOrFallBack(kernel, initial, params.backend,
+        eval::CompileOrFallBack(interpretation, initial, params.backend,
                                 params.compile_max_states, cancel));
     return std::unique_ptr<eval::ResumableSampler>(
         new eval::ResumableTrajectory(kernel, initial, event,

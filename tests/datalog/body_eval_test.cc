@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datalog/program.h"
+#include "ra/plan.h"
 
 namespace pfql {
 namespace datalog {
@@ -32,8 +33,9 @@ Relation EvalRule(const char* text,
   EXPECT_TRUE(program.ok()) << program.status();
   auto body = CompileBody(program->rules()[0], schemas);
   EXPECT_TRUE(body.ok()) << body.status();
-  Rng unused(0);
-  auto result = EvalSample(*body, db, &unused);
+  auto plan = RaPlan::Compile(*body, schemas);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  auto result = plan->Sample(db, nullptr);
   EXPECT_TRUE(result.ok()) << result.status();
   return std::move(result).value();
 }
@@ -78,8 +80,9 @@ TEST(BodyEvalTest, EmptyBodyIsSingleEmptyValuation) {
   ASSERT_TRUE(program.ok());
   auto body = CompileBody(program->rules()[0], {});
   ASSERT_TRUE(body.ok());
-  Rng unused(0);
-  auto result = EvalSample(*body, Instance{}, &unused);
+  auto plan = RaPlan::Compile(*body, {});
+  ASSERT_TRUE(plan.ok());
+  auto result = plan->Sample(Instance{}, nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->schema().size(), 0u);
   EXPECT_EQ(result->size(), 1u);
@@ -104,9 +107,9 @@ TEST(BuildHeadTupleTest, MixesVariablesAndConstants) {
   head.is_key = {true, true, true};
   Schema binding_schema({"X", "Y"});
   Tuple binding{Value(7), Value(8)};
-  auto t = BuildHeadTuple(head, binding_schema, binding);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t.value(), (Tuple{Value("tag"), Value(7), Value(7)}));
+  auto layout = HeadLayout::Resolve(head, binding_schema);
+  ASSERT_TRUE(layout.ok());
+  EXPECT_EQ(layout->Build(binding), (Tuple{Value("tag"), Value(7), Value(7)}));
 }
 
 TEST(BuildHeadTupleTest, MissingVariableFails) {
@@ -114,8 +117,8 @@ TEST(BuildHeadTupleTest, MissingVariableFails) {
   head.predicate = "h";
   head.terms = {Term::Var("Z")};
   head.is_key = {true};
-  auto t = BuildHeadTuple(head, Schema({"X"}), Tuple{Value(1)});
-  EXPECT_FALSE(t.ok());
+  auto layout = HeadLayout::Resolve(head, Schema({"X"}));
+  EXPECT_EQ(layout.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

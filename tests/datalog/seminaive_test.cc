@@ -75,14 +75,17 @@ TEST(SeminaiveTest, MatchesInflationaryEngineOnRandomGraphs) {
     ASSERT_TRUE(fast.ok()) << fast.status();
     auto tq = TranslateInflationary(TransitiveClosure(), edb);
     ASSERT_TRUE(tq.ok()) << tq.status();
+    auto kernel = tq->kernel.Compile(tq->initial);
+    ASSERT_TRUE(kernel.ok()) << kernel.status();
     Rng run_rng(1);
     Instance state = tq->initial;
     size_t kernel_steps = 0;
     for (;; ++kernel_steps) {
-      auto next = tq->kernel.ApplySample(state, &run_rng);
-      ASSERT_TRUE(next.ok()) << next.status();
-      if (*next == state) break;
-      state = std::move(next).value();
+      Instance next = state;
+      Status stepped = (*kernel)->Step(&next, &run_rng);
+      ASSERT_TRUE(stepped.ok()) << stepped;
+      if (next == state) break;
+      state = std::move(next);
     }
     EXPECT_EQ(*fast->Find("t"), *state.Find("t")) << "trial " << trial;
     EXPECT_EQ(steps, kernel_steps) << "trial " << trial;

@@ -232,7 +232,9 @@ TEST(TranslateNonInflationaryTest, MultipleRulesSameHeadUnion) {
   edb.Set("right", std::move(r));
   auto tq = TranslateNonInflationary(*program, edb);
   ASSERT_TRUE(tq.ok());
-  auto dist = tq->kernel.ApplyExact(tq->initial);
+  auto kernel = tq->kernel.Compile(tq->initial);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(tq->initial);
   ASSERT_TRUE(dist.ok());
   ASSERT_EQ(dist->size(), 1u);
   const Relation* out = dist->outcomes()[0].value.Find("out");

@@ -1,7 +1,9 @@
 // Exact forever answers (Prop 5.4, Thm 5.5) pinned to literal values, on
-// chains whose elimination runs through multi-limb BigRational arithmetic.
-// Other checks compare against answers computed by the same binary, so a
-// deterministic arithmetic bug would pass them; it cannot pass these.
+// chains whose elimination runs through multi-limb BigRational arithmetic,
+// and the interpreted samplers' seeded answers and a state-space order,
+// pinned the same way. Other checks compare against answers computed by
+// the same binary, so a deterministic arithmetic bug, or a changed draw
+// order, would pass them; it cannot pass these.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -13,6 +15,9 @@
 #include "datalog/translate.h"
 #include "eval/noninflationary.h"
 #include "eval/partition.h"
+#include "eval/resumable.h"
+#include "eval/trajectory.h"
+#include "markov/state_space.h"
 #include "relational/text_io.h"
 
 namespace pfql {
@@ -83,6 +88,106 @@ TEST(NoninflationaryPinnedTest, PartitionOnRing8) {
 
 TEST(NoninflationaryPinnedTest, ForeverOnRing10) {
   EXPECT_EQ(Forever(Edb(RingData(10)), "cur(1)"), "389841/1402294");
+}
+
+// ---- Seeded interpreted samplers ----------------------------------------
+
+ForeverQuery RingWalk(int n, const char* event,
+                      datalog::TranslatedQuery* tq) {
+  auto translated = datalog::TranslateNonInflationary(Walk(), Edb(RingData(n)));
+  EXPECT_TRUE(translated.ok()) << translated.status();
+  *tq = std::move(translated).value();
+  auto query_event = datalog::ParseGroundAtom(event);
+  EXPECT_TRUE(query_event.ok()) << query_event.status();
+  return {tq->kernel, *query_event};
+}
+
+TEST(NoninflationaryPinnedTest, InterpretedMcmcOnRing4) {
+  datalog::TranslatedQuery tq;
+  const ForeverQuery query = RingWalk(4, "cur(1)", &tq);
+  McmcParams params;
+  params.burn_in = 32;
+  params.epsilon = 0.1;
+  params.delta = 0.1;
+  params.backend = Backend::kInterpreted;
+  Rng rng(20260117);
+  auto r = McmcForever(query, tq.initial, params, &rng);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->compiled);
+  EXPECT_EQ(r->samples, 150u);
+  EXPECT_EQ(r->total_steps, 4800u);
+  EXPECT_EQ(r->estimate, 0.23333333333333334);  // 35 hits of 150
+}
+
+TEST(NoninflationaryPinnedTest, InterpretedTrajectoryOnRing5) {
+  datalog::TranslatedQuery tq;
+  const ForeverQuery query = RingWalk(5, "cur(2)", &tq);
+  TrajectoryParams params;
+  params.steps = 1000;
+  params.runs = 8;
+  params.backend = Backend::kInterpreted;
+  Rng rng(7);
+  auto r = TimeAverageEstimate(query, tq.initial, params, &rng);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->compiled);
+  EXPECT_EQ(r->total_steps, 8000u);
+  EXPECT_EQ(r->estimate, 0.14180555555555555);
+  // Hits over the 900 post-discard steps of each run.
+  EXPECT_EQ(r->per_run,
+            (std::vector<double>{116.0 / 900, 135.0 / 900, 124.0 / 900,
+                                 131.0 / 900, 135.0 / 900, 135.0 / 900,
+                                 122.0 / 900, 123.0 / 900}));
+}
+
+TEST(NoninflationaryPinnedTest, McmcChainsAfterFixedQuanta) {
+  datalog::TranslatedQuery tq;
+  const ForeverQuery query = RingWalk(4, "cur(3)", &tq);
+  McmcParams params;
+  params.burn_in = 16;
+  params.epsilon = 0.1;
+  params.delta = 0.1;
+  auto kernel = tq.kernel.Compile(tq.initial);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  ResumableMcmcChains chains(*kernel, tq.initial, query.event,
+                             /*compiled=*/nullptr, params,
+                             /*num_chains=*/3, Rng(11));
+  for (int q = 0; q < 5; ++q) ASSERT_TRUE(chains.RunQuantum(64, nullptr).ok());
+  EXPECT_EQ(chains.snapshot().samples, 320u);
+  EXPECT_EQ(chains.snapshot().estimate, 96.0 / 272);
+  std::vector<std::pair<size_t, double>> tallies;
+  for (const ChainStats& c : chains.chains()) tallies.emplace_back(c.count, c.sum);
+  EXPECT_EQ(tallies, (std::vector<std::pair<size_t, double>>{
+                         {91, 32.0}, {91, 31.0}, {90, 33.0}}));
+}
+
+// The state numbering of BuildStateSpace fixes every compiled chain: each
+// state is listed as the values it picks, "-" for the initial state.
+TEST(NoninflationaryPinnedTest, StateOrderOnDenseChoiceChain) {
+  auto program = datalog::ParseProgram("pick(<K>, V) @W :- opt(K, V, W).\n");
+  ASSERT_TRUE(program.ok()) << program.status();
+  std::string data = "relation opt(k, v, w) {\n";
+  for (int k = 0; k < 4; ++k) {
+    for (int v = 0; v < 2; ++v) {
+      data += "  (" + std::to_string(k) + ", " + std::to_string(v) + ", " +
+              std::to_string(1 + (k + 2 * v) % 3) + ")\n";
+    }
+  }
+  auto tq = datalog::TranslateNonInflationary(*program, Edb(data + "}\n"));
+  ASSERT_TRUE(tq.ok()) << tq.status();
+  auto space = BuildStateSpace(tq->kernel, tq->initial);
+  ASSERT_TRUE(space.ok()) << space.status();
+  std::string order;
+  for (const Instance& state : space->states) {
+    const Relation* pick = state.Find("pick");
+    std::string picks;
+    for (const Tuple& t : pick->tuples()) picks += t[1].ToString();
+    order += (picks.empty() ? "-" : picks) + " ";
+  }
+  EXPECT_EQ(space->states.size(), 17u);
+  EXPECT_EQ(order,
+            "- 0000 0001 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 "
+            "1100 1101 1110 1111 ");
+  EXPECT_EQ(space->chain.num_states(), 17u);
 }
 
 }  // namespace

@@ -50,6 +50,12 @@ void ExpectQuantumInvariant(const Factory& make) {
   }
 }
 
+std::shared_ptr<const CompiledKernel> Kernel(const gadgets::WalkQuery& wq) {
+  auto kernel = wq.kernel.Compile(wq.initial);
+  EXPECT_TRUE(kernel.ok()) << kernel.status();
+  return kernel.ok() ? *kernel : nullptr;
+}
+
 std::shared_ptr<const CompiledSpace> Tier(const gadgets::WalkQuery& wq,
                                           Backend backend) {
   auto compiled = CompileOrFallBack(wq.kernel, wq.initial, backend, 1 << 12,
@@ -90,7 +96,7 @@ TEST(ResumableSamplerTest, InterpretedRestartMcmcIsQuantumInvariant) {
   params.burn_in = 3;
   ExpectQuantumInvariant([&] {
     return std::make_unique<ResumableRestartMcmc>(
-        wq->kernel, wq->initial, gadgets::WalkAtNode(1), nullptr, params,
+        Kernel(*wq), wq->initial, gadgets::WalkAtNode(1), nullptr, params,
         /*budget=*/40, Rng(4));
   });
 }
@@ -106,7 +112,7 @@ TEST_P(ResumableTierTest, PersistentChainsAreQuantumInvariant) {
   params.max_samples = 200;
   ExpectQuantumInvariant([&] {
     return std::make_unique<ResumableMcmcChains>(
-        wq->kernel, wq->initial, gadgets::WalkAtNode(1), compiled, params,
+        Kernel(*wq), wq->initial, gadgets::WalkAtNode(1), compiled, params,
         /*num_chains=*/3, Rng(5));
   });
 }
@@ -120,7 +126,7 @@ TEST_P(ResumableTierTest, TrajectoryIsQuantumInvariant) {
   params.runs = 4;
   ExpectQuantumInvariant([&] {
     return std::make_unique<ResumableTrajectory>(
-        wq->kernel, wq->initial, EventExpr::From(gadgets::WalkAtNode(1)),
+        Kernel(*wq), wq->initial, EventExpr::From(gadgets::WalkAtNode(1)),
         compiled, params, Rng(6));
   });
 }

@@ -102,12 +102,12 @@ TEST(GlauberTest, WalkStaysIndependent) {
   Graph g = Cycle(5);
   auto gq = IndependentSetGlauber(g);
   ASSERT_TRUE(gq.ok());
+  auto kernel = gq->kernel.Compile(gq->initial);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
   Rng rng(8);
   Instance state = gq->initial;
   for (int step = 0; step < 300; ++step) {
-    auto next = gq->kernel.ApplySample(state, &rng);
-    ASSERT_TRUE(next.ok());
-    state = std::move(next).value();
+    ASSERT_TRUE((*kernel)->Step(&state, &rng).ok());
     const Relation* in = state.Find("in");
     const Relation* edge = state.Find("edge");
     for (const auto& e : edge->tuples()) {

@@ -125,13 +125,13 @@ TEST(NonInflationaryGadgetTest, SampledWalkEventuallyHitsDone) {
   auto tq = datalog::TranslateNonInflationaryWithPC(
       gadget->program, gadget->pc, gadget->certain_edb);
   ASSERT_TRUE(tq.ok());
+  auto kernel = tq->kernel.Compile(tq->initial);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
   Rng rng(3);
   Instance state = tq->initial;
   bool hit = false;
   for (int step = 0; step < 500 && !hit; ++step) {
-    auto next = tq->kernel.ApplySample(state, &rng);
-    ASSERT_TRUE(next.ok());
-    state = std::move(next).value();
+    ASSERT_TRUE((*kernel)->Step(&state, &rng).ok());
     hit = gadget->event.Holds(state);
   }
   EXPECT_TRUE(hit);

@@ -34,7 +34,9 @@ TEST(CTableMacroTest, KernelStepResamplesTable) {
   // One kernel application from the initial state: __assign becomes each
   // of the two assignments with probability 1/2; table a read the initial
   // assignment (deterministic), so focus on __assign's distribution.
-  auto dist = macro->kernel.ApplyExact(macro->base_relations);
+  auto kernel = macro->kernel.Compile(macro->base_relations);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(macro->base_relations);
   ASSERT_TRUE(dist.ok());
   EXPECT_TRUE(dist->ValidateProper().ok());
   BigRational p_x1 = dist->ProbabilityOf([](const Instance& db) {
@@ -52,11 +54,13 @@ TEST(CTableMacroTest, TwoStepsTableTracksAssignment) {
   // one; Pr[a contains "pos"] should be exactly 1/2.
   auto macro = ExpandPCDatabase(OneCoin());
   ASSERT_TRUE(macro.ok());
-  auto step1 = macro->kernel.ApplyExact(macro->base_relations);
+  auto kernel = macro->kernel.Compile(macro->base_relations);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto step1 = (*kernel)->Exact(macro->base_relations);
   ASSERT_TRUE(step1.ok());
   BigRational p_pos;
   for (const auto& w1 : step1->outcomes()) {
-    auto step2 = macro->kernel.ApplyExact(w1.value);
+    auto step2 = (*kernel)->Exact(w1.value);
     ASSERT_TRUE(step2.ok());
     for (const auto& w2 : step2->outcomes()) {
       if (w2.value.Find("a")->Contains(Tuple{Value("pos")})) {
@@ -81,7 +85,9 @@ TEST(CTableMacroTest, NonUniformWeightsScaledToIntegers) {
 
   auto macro = ExpandPCDatabase(pc);
   ASSERT_TRUE(macro.ok());
-  auto dist = macro->kernel.ApplyExact(macro->base_relations);
+  auto kernel = macro->kernel.Compile(macro->base_relations);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(macro->base_relations);
   ASSERT_TRUE(dist.ok());
   BigRational p_a = dist->ProbabilityOf([](const Instance& db) {
     for (const auto& t : db.Find("__assign")->tuples()) {
@@ -110,11 +116,13 @@ TEST(CTableMacroTest, ComplexConditionViaTruthTable) {
   auto macro = ExpandPCDatabase(pc);
   ASSERT_TRUE(macro.ok());
   // Two steps: step 1 samples __assign, step 2 materializes r from it.
-  auto step1 = macro->kernel.ApplyExact(macro->base_relations);
+  auto kernel = macro->kernel.Compile(macro->base_relations);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto step1 = (*kernel)->Exact(macro->base_relations);
   ASSERT_TRUE(step1.ok());
   BigRational p_xor;
   for (const auto& w1 : step1->outcomes()) {
-    auto step2 = macro->kernel.ApplyExact(w1.value);
+    auto step2 = (*kernel)->Exact(w1.value);
     ASSERT_TRUE(step2.ok());
     for (const auto& w2 : step2->outcomes()) {
       if (w2.value.Find("r")->Contains(Tuple{Value("xor")})) {
@@ -147,7 +155,9 @@ TEST(CTableMacroTest, UnsatisfiableConditionDropsRow) {
   ASSERT_TRUE(pc.AddTable("r", std::move(t)).ok());
   auto macro = ExpandPCDatabase(pc);
   ASSERT_TRUE(macro.ok());
-  auto step1 = macro->kernel.ApplyExact(macro->base_relations);
+  auto kernel = macro->kernel.Compile(macro->base_relations);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto step1 = (*kernel)->Exact(macro->base_relations);
   ASSERT_TRUE(step1.ok());
   for (const auto& w : step1->outcomes()) {
     EXPECT_FALSE(w.value.Find("r")->Contains(Tuple{Value("never")}));

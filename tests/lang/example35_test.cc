@@ -62,7 +62,9 @@ TEST(Example35Test, KernelIsInflationaryOnCur) {
   // cur only ever grows (cold is rewritten, so the full kernel is not
   // inflationary in the strict Def 3.4 sense — the paper treats cold as an
   // auxiliary relation).
-  auto dist = q.ApplyExact(db);
+  auto kernel = q.Compile(db);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(db);
   ASSERT_TRUE(dist.ok());
   for (const auto& w : dist->outcomes()) {
     EXPECT_TRUE(

@@ -37,7 +37,9 @@ Interpretation WalkKernel() {
 }
 
 TEST(InterpretationTest, ApplyExactStepDistribution) {
-  auto dist = WalkKernel().ApplyExact(WalkInstance());
+  auto kernel = WalkKernel().Compile(WalkInstance());
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(WalkInstance());
   ASSERT_TRUE(dist.ok());
   ASSERT_EQ(dist->size(), 2u);
   EXPECT_TRUE(dist->ValidateProper().ok());
@@ -58,7 +60,9 @@ TEST(InterpretationTest, UndefinedRelationsCarryOver) {
   Interpretation q = WalkKernel();
   EXPECT_TRUE(q.Defines("cur"));
   EXPECT_FALSE(q.Defines("e"));
-  auto dist = q.ApplyExact(WalkInstance());
+  auto kernel = q.Compile(WalkInstance());
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(WalkInstance());
   ASSERT_TRUE(dist.ok());
   for (const auto& o : dist->outcomes()) {
     EXPECT_TRUE(o.value.Has("e"));
@@ -78,10 +82,12 @@ TEST(InterpretationTest, ApplySampleReadsOldState) {
   q.Define("a", RaExpr::Base("b"));
   q.Define("b", RaExpr::Base("a"));
   Rng rng(1);
-  auto next = q.ApplySample(db, &rng);
-  ASSERT_TRUE(next.ok());
-  EXPECT_TRUE(next->Find("a")->Contains(Tuple{Value(2)}));
-  EXPECT_TRUE(next->Find("b")->Contains(Tuple{Value(1)}));
+  auto kernel = q.Compile(db);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  Instance next = db;
+  ASSERT_TRUE((*kernel)->Step(&next, &rng).ok());
+  EXPECT_TRUE(next.Find("a")->Contains(Tuple{Value(2)}));
+  EXPECT_TRUE(next.Find("b")->Contains(Tuple{Value(1)}));
 }
 
 TEST(InterpretationTest, IsDeterministicDetection) {
@@ -103,16 +109,18 @@ TEST(InterpretationTest, InflationaryWrapperContainsOldState) {
 }
 
 TEST(InterpretationTest, ExactSampleAgreement) {
-  // Empirical sample frequencies of ApplySample match ApplyExact.
+  // Empirical sample frequencies of Step match Exact.
   Interpretation q = WalkKernel();
   Instance db = WalkInstance();
+  auto kernel = q.Compile(db);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
   Rng rng(42);
   int to2 = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    auto next = q.ApplySample(db, &rng);
-    ASSERT_TRUE(next.ok());
-    if (next->Find("cur")->Contains(Tuple{Value(2)})) ++to2;
+    Instance next = db;
+    ASSERT_TRUE((*kernel)->Step(&next, &rng).ok());
+    if (next.Find("cur")->Contains(Tuple{Value(2)})) ++to2;
   }
   EXPECT_NEAR(to2 / static_cast<double>(n), 0.25, 0.01);
 }
@@ -140,7 +148,9 @@ TEST(InterpretationTest, MaxWorldsGuardOnStep) {
   q.Define("big", expr);
   ExactEvalOptions options;
   options.max_worlds = 50;
-  auto dist = q.ApplyExact(WalkInstance(), options);
+  auto kernel = q.Compile(WalkInstance());
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto dist = (*kernel)->Exact(WalkInstance(), options);
   EXPECT_FALSE(dist.ok());
 }
 

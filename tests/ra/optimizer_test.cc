@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ra/random_expr.h"
+#include "ra/reference_eval.h"
 #include "util/random.h"
 
 namespace pfql {
@@ -28,8 +30,8 @@ std::map<std::string, Schema> TestSchemas() {
 
 // Distributions compare equal iff same outcomes with same probabilities.
 void ExpectSameSemantics(const RaExpr::Ptr& a, const RaExpr::Ptr& b) {
-  auto da = EvalExact(a, TestInstance());
-  auto db = EvalExact(b, TestInstance());
+  auto da = reference::EvalExact(a, TestInstance());
+  auto db = reference::EvalExact(b, TestInstance());
   ASSERT_TRUE(da.ok()) << da.status();
   ASSERT_TRUE(db.ok()) << db.status();
   ASSERT_EQ(da->size(), db->size()) << a->ToString() << "\n vs \n"
@@ -186,57 +188,6 @@ TEST(OptimizerTest, CrossSideSelectNotPushed) {
 
 // ---- Property test: random expressions keep their exact semantics. ----
 
-class RandomExprGen {
- public:
-  explicit RandomExprGen(uint64_t seed) : rng_(seed) {}
-
-  RaExpr::Ptr Gen(size_t depth) {
-    if (depth == 0 || rng_.NextBernoulli(0.3)) {
-      return rng_.NextBernoulli(0.5) ? RaExpr::Base("e") : RaExpr::Base("c");
-    }
-    switch (rng_.NextIndex(8)) {
-      case 0: {
-        // A selection over whichever columns the child happens to have;
-        // use a predicate on "i" (present in both bases).
-        return RaExpr::Select(
-            Gen1(depth),
-            Predicate::Cmp(CmpOp::kLe, ScalarExpr::Column("i"),
-                           ScalarExpr::Const(
-                               Value(static_cast<int64_t>(rng_.NextIndex(4))))));
-      }
-      case 1:
-        return RaExpr::Select(Gen1(depth), Predicate::True());
-      case 2:
-        return RaExpr::Project(Gen1(depth), {"i"});
-      case 3:
-        return RaExpr::Rename(RaExpr::Project(Gen1(depth), {"i"}),
-                              {{"i", "x"}});
-      case 4: {
-        auto l = RaExpr::Project(Gen1(depth), {"i"});
-        auto r = RaExpr::Project(Gen1(depth), {"i"});
-        return RaExpr::Union(l, r);
-      }
-      case 5: {
-        auto l = RaExpr::Project(Gen1(depth), {"i"});
-        auto r = RaExpr::Project(Gen1(depth), {"i"});
-        return rng_.NextBernoulli(0.5) ? RaExpr::Difference(l, r)
-                                       : RaExpr::Intersect(l, r);
-      }
-      case 6:
-        return RaExpr::Join(Gen1(depth), RaExpr::Base("e"));
-      default: {
-        RepairKeySpec spec;
-        spec.key_columns = {"i"};
-        return RaExpr::RepairKey(RaExpr::Project(Gen1(depth), {"i"}), spec);
-      }
-    }
-  }
-
- private:
-  RaExpr::Ptr Gen1(size_t depth) { return Gen(depth - 1); }
-  Rng rng_;
-};
-
 class OptimizerPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OptimizerPropertyTest, RandomExpressionsPreserveSemantics) {
@@ -245,7 +196,7 @@ TEST_P(OptimizerPropertyTest, RandomExpressionsPreserveSemantics) {
     RaExpr::Ptr expr = gen.Gen(4);
     RaExpr::Ptr structural = Optimize(expr);
     RaExpr::Ptr schema_aware = Optimize(expr, TestSchemas());
-    auto original = EvalExact(expr, TestInstance());
+    auto original = reference::EvalExact(expr, TestInstance());
     if (!original.ok()) continue;  // type-invalid expression; skip
     ExpectSameSemantics(expr, structural);
     ExpectSameSemantics(expr, schema_aware);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ra/plan.h"
+
 namespace pfql {
 namespace {
 
@@ -18,12 +20,26 @@ Instance GraphInstance() {
   return db;
 }
 
+// The cases below run `expr` through its plan, compiled against `db`.
+StatusOr<Distribution<Relation>> PlanExact(
+    const RaExpr::Ptr& expr, const Instance& db,
+    const ExactEvalOptions& options = {}) {
+  PFQL_ASSIGN_OR_RETURN(RaPlan plan, RaPlan::Compile(expr, db.Schemas()));
+  return plan.Exact(db, options);
+}
+
+StatusOr<Relation> PlanSample(const RaExpr::Ptr& expr, const Instance& db,
+                              Rng* rng) {
+  PFQL_ASSIGN_OR_RETURN(RaPlan plan, RaPlan::Compile(expr, db.Schemas()));
+  return plan.Sample(db, rng);
+}
+
 TEST(RaExprTest, BaseReadsRelation) {
-  auto dist = EvalExact(RaExpr::Base("e"), GraphInstance());
+  auto dist = PlanExact(RaExpr::Base("e"), GraphInstance());
   ASSERT_TRUE(dist.ok());
   ASSERT_EQ(dist->size(), 1u);
   EXPECT_EQ(dist->outcomes()[0].value.size(), 3u);
-  EXPECT_FALSE(EvalExact(RaExpr::Base("zzz"), GraphInstance()).ok());
+  EXPECT_FALSE(PlanExact(RaExpr::Base("zzz"), GraphInstance()).ok());
 }
 
 TEST(RaExprTest, DeterministicPipelineHasSingleWorld) {
@@ -32,7 +48,7 @@ TEST(RaExprTest, DeterministicPipelineHasSingleWorld) {
       RaExpr::Select(RaExpr::Base("e"),
                      Predicate::ColumnEquals("i", Value(1))),
       {"j"});
-  auto dist = EvalExact(expr, GraphInstance());
+  auto dist = PlanExact(expr, GraphInstance());
   ASSERT_TRUE(dist.ok());
   ASSERT_EQ(dist->size(), 1u);
   const Relation& r = dist->outcomes()[0].value;
@@ -52,7 +68,7 @@ TEST(RaExprTest, JoinThenRepairKeyWalkStep) {
                             spec),
           {"j"}),
       {{"j", "i"}});
-  auto dist = EvalExact(expr, GraphInstance());
+  auto dist = PlanExact(expr, GraphInstance());
   ASSERT_TRUE(dist.ok());
   ASSERT_EQ(dist->size(), 2u);
   EXPECT_TRUE(dist->ValidateProper().ok());
@@ -79,7 +95,7 @@ TEST(RaExprTest, IndependentSubtreesMultiply) {
                RaExpr::Project(RaExpr::RepairKey(RaExpr::Base("e"), uniform),
                                {"j"}),
                {{"j", "i"}}));
-  auto dist = EvalExact(both, GraphInstance());
+  auto dist = PlanExact(both, GraphInstance());
   ASSERT_TRUE(dist.ok());
   EXPECT_TRUE(dist->ValidateProper().ok());
   EXPECT_GE(dist->size(), 2u);
@@ -90,14 +106,14 @@ TEST(RaExprTest, DifferenceAndIntersect) {
   Relation lit(Schema({"i"}));
   lit.Insert(Tuple{Value(1)});
   lit.Insert(Tuple{Value(9)});
-  auto diff = EvalExact(
+  auto diff = PlanExact(
       RaExpr::Difference(RaExpr::Const(lit), RaExpr::Base("c")),
       GraphInstance());
   ASSERT_TRUE(diff.ok());
   EXPECT_EQ(diff->outcomes()[0].value.size(), 1u);
   EXPECT_TRUE(diff->outcomes()[0].value.Contains(Tuple{Value(9)}));
 
-  auto inter = EvalExact(
+  auto inter = PlanExact(
       RaExpr::Intersect(RaExpr::Const(lit), RaExpr::Base("c")),
       GraphInstance());
   ASSERT_TRUE(inter.ok());
@@ -109,7 +125,7 @@ TEST(RaExprTest, ExtendComputesColumn) {
   auto expr = RaExpr::Extend(RaExpr::Base("c"), "twice",
                              ScalarExpr::Mul(ScalarExpr::Column("i"),
                                              ScalarExpr::Const(Value(2))));
-  auto dist = EvalExact(expr, GraphInstance());
+  auto dist = PlanExact(expr, GraphInstance());
   ASSERT_TRUE(dist.ok());
   EXPECT_TRUE(dist->outcomes()[0].value.Contains(Tuple{Value(1), Value(2)}));
 }
@@ -125,7 +141,7 @@ TEST(RaExprTest, SampleMatchesExactSupport) {
   int saw3 = 0;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    auto world = EvalSample(expr, GraphInstance(), &rng);
+    auto world = PlanSample(expr, GraphInstance(), &rng);
     ASSERT_TRUE(world.ok());
     ASSERT_EQ(world->size(), 1u);
     if (world->tuples()[0][1] == Value(3)) ++saw3;
@@ -145,7 +161,7 @@ TEST(RaExprTest, MaxWorldsGuard) {
   }
   ExactEvalOptions options;
   options.max_worlds = 100;
-  auto dist = EvalExact(expr, GraphInstance(), options);
+  auto dist = PlanExact(expr, GraphInstance(), options);
   EXPECT_FALSE(dist.ok());
   EXPECT_EQ(dist.status().code(), StatusCode::kResourceExhausted);
 }

@@ -9,6 +9,7 @@
 #include <map>
 #include <vector>
 
+#include "ra/plan.h"
 #include "ra/ra_expr.h"
 #include "relational/algebra.h"
 #include "util/random.h"
@@ -249,8 +250,10 @@ TEST(RelationBuilderTest, EvalExactDistributionsBitIdentical) {
     RaExpr::Ptr expr =
         RaExpr::Project(RaExpr::RepairKey(RaExpr::Base("r"), spec), {"k", "v"});
 
-    auto d1 = EvalExact(expr, via_insert);
-    auto d2 = EvalExact(expr, via_builder);
+    auto plan = RaPlan::Compile(expr, {{"r", Schema({"k", "v", "p"})}});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto d1 = plan->Exact(via_insert);
+    auto d2 = plan->Exact(via_builder);
     ASSERT_TRUE(d1.ok());
     ASSERT_TRUE(d2.ok());
     ASSERT_EQ(d1.value().outcomes().size(), d2.value().outcomes().size());

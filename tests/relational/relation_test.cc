@@ -76,6 +76,29 @@ TEST(RelationTest, UnionWithEmptyKeepsOtherSchema) {
   EXPECT_EQ(u->size(), 1u);
 }
 
+TEST(RelationTest, UnionWithKeepsTheArityInvariant) {
+  Relation unary(Schema({"x"}));
+  Relation binary(Schema({"p", "q"}));
+  binary.Insert(Tuple{Value(1), Value(2)});
+  // An empty (x) receiver would keep its schema over a 2-ary tuple.
+  auto u = unary.UnionWith(binary);
+  EXPECT_FALSE(u.ok());
+  EXPECT_EQ(u.status().code(), StatusCode::kTypeError);
+  // So would the zero-column empty tuple under the (p, q) schema it takes.
+  Relation nullary{Schema{}};
+  nullary.Insert(Tuple{});
+  EXPECT_EQ(nullary.UnionWith(binary).status().code(), StatusCode::kTypeError);
+  // An empty other side adds no tuple, so its arity does not matter.
+  auto kept = binary.UnionWith(unary);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->schema(), binary.schema());
+  // The zero-column default still accumulates.
+  auto acc = Relation().UnionWith(binary);
+  ASSERT_TRUE(acc.ok());
+  EXPECT_EQ(acc->schema(), binary.schema());
+  EXPECT_EQ(acc->size(), 1u);
+}
+
 TEST(RelationTest, SubsetChecks) {
   EXPECT_TRUE(MakeRel({1, 2}).IsSubsetOf(MakeRel({1, 2, 3})));
   EXPECT_FALSE(MakeRel({1, 4}).IsSubsetOf(MakeRel({1, 2, 3})));

@@ -112,10 +112,12 @@ eval::ResumableMcmcChains MakeWalkSampler(const gadgets::Graph& graph,
                                           eval::Backend::kAuto, 1 << 12,
                                           nullptr);
   EXPECT_TRUE(compiled.ok()) << compiled.status();
+  auto kernel = wq->kernel.Compile(wq->initial);
+  EXPECT_TRUE(kernel.ok()) << kernel.status();
   eval::McmcParams params;
   params.burn_in = burn_in;
   params.max_samples = max_samples;
-  return eval::ResumableMcmcChains(wq->kernel, wq->initial,
+  return eval::ResumableMcmcChains(*kernel, wq->initial,
                                    gadgets::WalkAtNode(event_node), *compiled,
                                    params, num_chains, Rng(seed));
 }

@@ -439,8 +439,10 @@ StatusOr<std::unique_ptr<eval::ResumableMcmcChains>> MakeChains(
                                           eval::Backend::kAuto, 1 << 12,
                                           nullptr);
   if (!compiled.ok()) return compiled.status();
+  auto kernel = wq->kernel.Compile(wq->initial);
+  if (!kernel.ok()) return kernel.status();
   return std::make_unique<eval::ResumableMcmcChains>(
-      wq->kernel, wq->initial, gadgets::WalkAtNode(event_node), *compiled,
+      *kernel, wq->initial, gadgets::WalkAtNode(event_node), *compiled,
       params, num_chains, Rng(seed));
 }
 
