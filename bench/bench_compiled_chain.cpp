@@ -189,9 +189,20 @@ int main(int argc, char** argv) {
       }
       iterated = *std::move(result);
     });
+    // The compiled space keeps no exact chain: enumerate it again for the
+    // Gaussian-elimination reference.
+    StateSpaceOptions sso;
+    sso.max_states = options.max_states;
+    auto star_space =
+        BuildStateSpace(star_walk->kernel, star_walk->initial, sso);
+    if (!star_space.ok()) {
+      std::fprintf(stderr, "bench_compiled_chain: star build failed: %s\n",
+                   star_space.status().ToString().c_str());
+      return 1;
+    }
     std::vector<double> exact;
     const double exact_ms = bench::TimeMs([&] {
-      auto result = (*star)->space.chain.StationaryDistribution();
+      auto result = star_space->chain.StationaryDistribution();
       if (!result.ok()) {
         std::fprintf(stderr, "bench_compiled_chain: exact solve failed\n");
         std::exit(1);

@@ -12,9 +12,15 @@
 namespace pfql {
 namespace {
 
+MarkovChain Chain(MarkovChain::Rows rows) {
+  auto chain = MarkovChain::FromRows(std::move(rows));
+  if (!chain.ok()) std::abort();
+  return std::move(chain).value();
+}
+
 MarkovChain RandomDenseChain(size_t n, uint64_t seed) {
   Rng rng(seed);
-  MarkovChain mc(n);
+  MarkovChain::Rows rows(n);
   for (size_t i = 0; i < n; ++i) {
     // Integer weights 1..8 per entry, normalized exactly.
     std::vector<int64_t> w(n);
@@ -24,11 +30,10 @@ MarkovChain RandomDenseChain(size_t n, uint64_t seed) {
       total += w[j];
     }
     for (size_t j = 0; j < n; ++j) {
-      Status st = mc.AddTransition(i, j, BigRational(w[j], total));
-      if (!st.ok()) std::abort();
+      rows[i].emplace_back(j, BigRational(w[j], total));
     }
   }
-  return mc;
+  return Chain(std::move(rows));
 }
 
 void BM_StationaryGaussian(benchmark::State& state) {
@@ -43,8 +48,7 @@ BENCHMARK(BM_StationaryGaussian)->RangeMultiplier(2)->Range(4, 256);
 
 void BM_StationaryPowerIteration(benchmark::State& state) {
   MarkovChain mc = RandomDenseChain(state.range(0), 7);
-  auto compiled = CompiledChain::Compile(
-      mc, std::vector<uint64_t>(mc.num_states(), 0));
+  auto compiled = CompiledChain::Compile(mc);
   if (!compiled.ok()) std::abort();
   for (auto _ : state) {
     auto pi = compiled->Stationary(100000, 1e-10);
@@ -67,15 +71,14 @@ BENCHMARK(BM_StationaryExactRational)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 void BM_AbsorptionProbabilities(benchmark::State& state) {
   // Transient line feeding two absorbing states.
   const size_t n = static_cast<size_t>(state.range(0));
-  MarkovChain mc(n + 2);
+  MarkovChain::Rows rows(n + 2);
   for (size_t i = 0; i < n; ++i) {
-    Status s1 = mc.AddTransition(i, i + 1 < n ? i + 1 : n, BigRational(1, 2));
-    Status s2 = mc.AddTransition(i, n + 1, BigRational(1, 2));
-    if (!s1.ok() || !s2.ok()) std::abort();
+    rows[i] = {{i + 1 < n ? i + 1 : n, BigRational(1, 2)},
+               {n + 1, BigRational(1, 2)}};
   }
-  Status s3 = mc.AddTransition(n, n, BigRational(1));
-  Status s4 = mc.AddTransition(n + 1, n + 1, BigRational(1));
-  if (!s3.ok() || !s4.ok()) std::abort();
+  rows[n] = {{n, BigRational(1)}};
+  rows[n + 1] = {{n + 1, BigRational(1)}};
+  const MarkovChain mc = Chain(std::move(rows));
   for (auto _ : state) {
     auto absorb = mc.AbsorptionProbabilities(0);
     if (!absorb.ok()) state.SkipWithError("absorption failed");
@@ -86,12 +89,11 @@ BENCHMARK(BM_AbsorptionProbabilities)->RangeMultiplier(2)->Range(4, 128);
 
 void BM_MixingTimeLazyCycle(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  MarkovChain mc(n);
+  MarkovChain::Rows rows(n);
   for (size_t i = 0; i < n; ++i) {
-    Status s1 = mc.AddTransition(i, i, BigRational(1, 2));
-    Status s2 = mc.AddTransition(i, (i + 1) % n, BigRational(1, 2));
-    if (!s1.ok() || !s2.ok()) std::abort();
+    rows[i] = {{i, BigRational(1, 2)}, {(i + 1) % n, BigRational(1, 2)}};
   }
+  const MarkovChain mc = Chain(std::move(rows));
   size_t t = 0;
   for (auto _ : state) {
     auto mix = mc.MixingTimeFrom(0, 0.05, 1 << 20);

@@ -39,9 +39,13 @@ struct Term {
 
   bool IsVar() const { return kind == Kind::kVariable; }
   std::string ToString() const {
-    return IsVar() ? var
-                   : (value.is_string() ? "\"" + value.ToString() + "\""
-                                        : value.ToString());
+    if (IsVar()) return var;
+    if (!value.is_string()) return value.ToString();
+    // String literals have no escapes, and one may hold the other quote
+    // character: quote with one the text does not contain.
+    const std::string& text = value.AsString();
+    const char quote = text.find('"') == std::string::npos ? '"' : '\'';
+    return quote + text + quote;
   }
 
   Kind kind = Kind::kConstant;

@@ -19,6 +19,17 @@ double Ratio(size_t hits, size_t n) {
                 : static_cast<double>(hits) / static_cast<double>(n);
 }
 
+// 1 for each compiled state where `event` holds, indexed by state id.
+std::vector<uint8_t> EventStates(const CompiledSpace& compiled,
+                                 const QueryEvent& event) {
+  std::vector<uint8_t> out;
+  out.reserve(compiled.states.size());
+  for (const Instance& state : compiled.states) {
+    out.push_back(event.Holds(state) ? 1 : 0);
+  }
+  return out;
+}
+
 // Cancellation, deadlines and injected faults (Unavailable) interrupt a
 // run; every other code is a hard evaluation error.
 bool IsInterruption(const Status& status) {
@@ -153,10 +164,7 @@ ResumableRestartMcmc::ResumableRestartMcmc(
       rng_(rng) {
   snap_.budget = budget;
   snap_.backend = compiled_ != nullptr ? "compiled" : "interpreted";
-  if (compiled_ != nullptr) {
-    const std::vector<bool> indicator = compiled_->space.EventStates(event_);
-    event_states_.assign(indicator.begin(), indicator.end());
-  }
+  if (compiled_ != nullptr) event_states_ = EventStates(*compiled_, event_);
 }
 
 // A sample interrupted mid-burn-in is discarded, never counted. The
@@ -229,8 +237,7 @@ ResumableMcmcChains::ResumableMcmcChains(
                  : iid.ok()             ? 4 * *iid + chains * params.burn_in
                                         : 0;
   if (compiled_ != nullptr) {
-    const std::vector<bool> indicator = compiled_->space.EventStates(event_);
-    event_states_.assign(indicator.begin(), indicator.end());
+    event_states_ = EventStates(*compiled_, event_);
     state_ids_.assign(chains, 0);  // state 0 is the initial instance
     snap_.backend = "compiled";
   } else {
@@ -337,8 +344,8 @@ Status ResumableTrajectory::RunQuantum(size_t quantum,
                                        const CancellationToken* cancel) {
   if (compiled_ != nullptr && event_states_.empty()) {
     std::vector<uint8_t> indicator;
-    indicator.reserve(compiled_->space.states.size());
-    for (const Instance& state : compiled_->space.states) {
+    indicator.reserve(compiled_->states.size());
+    for (const Instance& state : compiled_->states) {
       PFQL_ASSIGN_OR_RETURN(bool holds, event_->Holds(state));
       indicator.push_back(holds ? 1 : 0);
     }

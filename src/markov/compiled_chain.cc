@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
-#include <iterator>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -22,52 +21,13 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return (h ^ (h >> 29)) * 0x100000001b3ULL;
 }
 
-// The memo key both GetOrCompile and CompiledChain::Compile agree on:
-// state hashes plus the exact edge structure. Quantized probabilities are
-// a function of the exact ones, so they add nothing to the key.
-uint64_t StructuralHash(const MarkovChain& chain,
-                        const std::vector<uint64_t>& state_hashes) {
-  uint64_t h = Mix(0xcbf29ce484222325ULL, chain.num_states());
-  for (uint64_t sh : state_hashes) h = Mix(h, sh);
-  for (size_t s = 0; s < chain.num_states(); ++s) {
-    for (const auto& [to, p] : chain.Row(s)) {
-      h = Mix(h, to);
-      h = Mix(h, p.Hash());
-    }
-  }
-  return h;
-}
-
 }  // namespace
 
-StatusOr<CompiledChain> CompiledChain::Compile(
-    const MarkovChain& chain, const std::vector<uint64_t>& state_hashes) {
+StatusOr<CompiledChain> CompiledChain::Compile(const MarkovChain& chain) {
   const size_t n = chain.num_states();
-  if (state_hashes.size() != n) {
-    return Status::InvalidArgument(
-        "state_hashes size does not match chain states");
-  }
-  PFQL_RETURN_NOT_OK(chain.Validate());
-  size_t edges = 0;
-  for (size_t s = 0; s < n; ++s) {
-    size_t live = 0;
-    for (const auto& [to, p] : chain.Row(s)) {
-      if (!p.IsZero()) ++live;
-    }
-    if (live == 0 && n > 0) {
-      return Status::InvalidArgument("state " + std::to_string(s) +
-                                     " has no outgoing transitions");
-    }
-    edges += live;
-  }
-  if (n >= UINT32_MAX || edges >= UINT32_MAX) {
-    return Status::ResourceExhausted(
-        "chain too large for the compiled CSR layout");
-  }
-
+  const size_t edges = chain.num_entries();
   CompiledChain out;
-  out.state_hash_ = state_hashes;
-  out.row_offsets_.reserve(n + 1);
+  out.row_offsets_ = chain.offsets();
   out.col_.reserve(edges);
   out.prob_q_.reserve(edges);
   out.alias_cut_.assign(edges, 0);
@@ -85,7 +45,6 @@ StatusOr<CompiledChain> CompiledChain::Compile(
   std::vector<Rem> rems;
   std::vector<uint32_t> small, large;
 
-  out.row_offsets_.push_back(0);
   for (size_t s = 0; s < n; ++s) {
     const uint32_t begin = static_cast<uint32_t>(out.col_.size());
 
@@ -94,13 +53,12 @@ StatusOr<CompiledChain> CompiledChain::Compile(
     rems.clear();
     uint64_t sum_q = 0;
     for (const auto& [to, p] : chain.Row(s)) {
-      if (p.IsZero()) continue;
       BigInt q, rem;
       BigInt::DivMod(p.num() * scale, p.den(), &q, &rem);
       auto qi = q.ToInt64();
       PFQL_RETURN_NOT_OK(qi.status());
       const uint32_t j = static_cast<uint32_t>(out.col_.size()) - begin;
-      out.col_.push_back(static_cast<uint32_t>(to));
+      out.col_.push_back(to);
       out.prob_q_.push_back(static_cast<uint16_t>(*qi));
       sum_q += static_cast<uint64_t>(*qi);
       if (!rem.IsZero()) rems.push_back({j, std::move(rem), &p.den()});
@@ -161,11 +119,7 @@ StatusOr<CompiledChain> CompiledChain::Compile(
         out.alias_state_[begin + j] = out.col_[begin + j];
       }
     }
-
-    out.row_offsets_.push_back(static_cast<uint32_t>(out.col_.size()));
   }
-
-  out.structural_hash_ = StructuralHash(chain, state_hashes);
   return out;
 }
 
@@ -259,24 +213,17 @@ struct CompiledChainCache::Impl {
     std::shared_ptr<const CompiledSpace> value;
     uint64_t tick = 0;
   };
-  // Primary store keyed by chain structural hash; fingerprints alias into
-  // it so distinct kernels enumerating the same chain share one entry.
-  std::unordered_map<uint64_t, Entry> by_chain;
-  std::unordered_map<uint64_t, uint64_t> fp_to_chain;
+  std::unordered_map<uint64_t, Entry> by_fp;
   uint64_t tick = 0;
   Stats stats;
 
   void EvictIfFull() {
-    while (by_chain.size() > kCapacity) {
-      auto oldest = by_chain.begin();
-      for (auto it = by_chain.begin(); it != by_chain.end(); ++it) {
+    while (by_fp.size() > kCapacity) {
+      auto oldest = by_fp.begin();
+      for (auto it = by_fp.begin(); it != by_fp.end(); ++it) {
         if (it->second.tick < oldest->second.tick) oldest = it;
       }
-      const uint64_t gone = oldest->first;
-      by_chain.erase(oldest);
-      for (auto it = fp_to_chain.begin(); it != fp_to_chain.end();) {
-        it = it->second == gone ? fp_to_chain.erase(it) : std::next(it);
-      }
+      by_fp.erase(oldest);
     }
   }
 };
@@ -295,13 +242,8 @@ std::shared_ptr<const CompiledSpace> CompiledChainCache::FindByFingerprint(
     uint64_t fp) {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mu);
-  auto fp_it = state.fp_to_chain.find(fp);
-  if (fp_it == state.fp_to_chain.end()) {
-    ++state.stats.misses;
-    return nullptr;
-  }
-  auto it = state.by_chain.find(fp_it->second);
-  if (it == state.by_chain.end()) {
+  auto it = state.by_fp.find(fp);
+  if (it == state.by_fp.end()) {
     ++state.stats.misses;
     return nullptr;
   }
@@ -310,35 +252,21 @@ std::shared_ptr<const CompiledSpace> CompiledChainCache::FindByFingerprint(
   return it->second.value;
 }
 
-std::shared_ptr<const CompiledSpace> CompiledChainCache::FindByChainHash(
-    uint64_t hash) {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mu);
-  auto it = state.by_chain.find(hash);
-  if (it == state.by_chain.end()) return nullptr;
-  it->second.tick = ++state.tick;
-  ++state.stats.chain_hits;
-  return it->second.value;
-}
-
 void CompiledChainCache::Insert(uint64_t fp,
                                 std::shared_ptr<const CompiledSpace> entry) {
   if (entry == nullptr) return;
   Impl& state = impl();
-  const uint64_t chain_hash = entry->chain.structural_hash();
   std::lock_guard<std::mutex> lock(state.mu);
-  auto& slot = state.by_chain[chain_hash];
+  auto& slot = state.by_fp[fp];
   if (slot.value == nullptr) slot.value = std::move(entry);
   slot.tick = ++state.tick;
-  state.fp_to_chain[fp] = chain_hash;
   state.EvictIfFull();
 }
 
 void CompiledChainCache::Clear() {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mu);
-  state.by_chain.clear();
-  state.fp_to_chain.clear();
+  state.by_fp.clear();
   state.stats = Stats{};
 }
 
@@ -346,7 +274,7 @@ CompiledChainCache::Stats CompiledChainCache::GetStats() {
   Impl& state = impl();
   std::lock_guard<std::mutex> lock(state.mu);
   Stats stats = state.stats;
-  stats.entries = state.by_chain.size();
+  stats.entries = state.by_fp.size();
   return stats;
 }
 
@@ -356,8 +284,6 @@ StatusOr<std::shared_ptr<const CompiledSpace>> GetOrCompile(
   auto& registry = metrics::MetricRegistry::Instance();
   static metrics::Counter* const fp_hits = registry.GetCounter(
       "pfql_compile_total", "outcome=\"fingerprint_hit\"");
-  static metrics::Counter* const chain_hits =
-      registry.GetCounter("pfql_compile_total", "outcome=\"chain_hit\"");
   static metrics::Counter* const compiles =
       registry.GetCounter("pfql_compile_total", "outcome=\"compiled\"");
   static metrics::Counter* const states_total =
@@ -383,24 +309,10 @@ StatusOr<std::shared_ptr<const CompiledSpace>> GetOrCompile(
   PFQL_ASSIGN_OR_RETURN(StateSpace space,
                         BuildStateSpace(kernel, initial, sso));
 
-  std::vector<uint64_t> hashes;
-  hashes.reserve(space.states.size());
-  for (const Instance& state : space.states) {
-    hashes.push_back(static_cast<uint64_t>(state.Hash()));
-  }
-  // A different kernel (or budget) may have frozen this exact chain
-  // already; key by chain structure before paying for quantization.
-  const uint64_t chain_hash = StructuralHash(space.chain, hashes);
-  if (auto hit = cache.FindByChainHash(chain_hash)) {
-    chain_hits->Increment();
-    cache.Insert(fp, hit);
-    return hit;
-  }
-
   PFQL_ASSIGN_OR_RETURN(CompiledChain compiled,
-                        CompiledChain::Compile(space.chain, hashes));
+                        CompiledChain::Compile(space.chain));
   auto entry = std::make_shared<const CompiledSpace>(
-      CompiledSpace{std::move(space), std::move(compiled)});
+      CompiledSpace{std::move(space.states), std::move(compiled)});
   cache.Insert(fp, entry);
   compiles->Increment();
   states_total->Increment(entry->chain.num_states());

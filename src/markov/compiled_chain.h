@@ -1,12 +1,13 @@
-// Compiled chain tier: freezes a BuildStateSpace result into a compact
-// numeric kernel so that one random-walk step is a handful of array reads
-// instead of a datalog interpretation. The layout is a CSR transition
-// matrix with fixed-point uint16 probabilities (0..kProbScale, largest-
-// remainder rounded so every row sums exactly to kProbScale) plus per-row
-// Walker alias tables for O(1) sampling. State ids are the state ids of
-// the source StateSpace, so compiled results decode back through
-// `space.states`. Quantization error is bounded by 1/kProbScale per
-// transition entry (docs/INTERNALS.md §7 propagates the bound).
+// Compiled chain tier: freezes the exact chain of a BuildStateSpace result
+// into a compact numeric kernel so that one random-walk step is a handful
+// of array reads instead of a datalog interpretation. The layout is the
+// exact chain's own CSR with fixed-point uint16 probabilities (0..
+// kProbScale, largest-remainder rounded so every row sums exactly to
+// kProbScale) plus per-row Walker alias tables for O(1) sampling. State ids
+// are the state ids of the source StateSpace, so compiled results decode
+// back through `CompiledSpace::states`. Quantization error is bounded by
+// 1/kProbScale per transition entry (docs/INTERNALS.md §7 propagates the
+// bound).
 #ifndef PFQL_MARKOV_COMPILED_CHAIN_H_
 #define PFQL_MARKOV_COMPILED_CHAIN_H_
 
@@ -29,20 +30,13 @@ class CompiledChain {
   /// and every row's prob_q entries sum to exactly 65535.
   static constexpr uint32_t kProbScale = 65535;
 
-  /// Compiles an exact chain. `state_hashes` feeds the structural hash
-  /// (BuildStateSpace callers pass Instance::Hash() per state; synthetic
-  /// chains in tests may pass anything deterministic). Fails with
-  /// InvalidArgument on a non-stochastic chain and ResourceExhausted when
-  /// the chain does not fit the uint32 CSR layout.
-  static StatusOr<CompiledChain> Compile(
-      const MarkovChain& chain, const std::vector<uint64_t>& state_hashes);
+  /// Quantizes an exact chain row by row, entry e of the chain's CSR
+  /// becoming entry e here. The chain is stochastic by construction
+  /// (MarkovChain::FromRows), so nothing is validated again.
+  static StatusOr<CompiledChain> Compile(const MarkovChain& chain);
 
   size_t num_states() const { return row_offsets_.size() - 1; }
   size_t num_edges() const { return col_.size(); }
-  /// Order-sensitive fold of state hashes and quantized edges; the
-  /// memoization key of the compiled tier (two kernels that enumerate the
-  /// same chain share one compiled kernel).
-  uint64_t structural_hash() const { return structural_hash_; }
 
   // ---- Row access (tests, cross-checks, and the stationary solver) ----
   uint32_t RowBegin(size_t state) const { return row_offsets_[state]; }
@@ -98,15 +92,13 @@ class CompiledChain {
   std::vector<uint16_t> prob_q_;       // per entry: quantized probability
   std::vector<uint16_t> alias_cut_;    // per slot: threshold in [0, 65535]
   std::vector<uint32_t> alias_state_;  // per slot: successor above the cut
-  std::vector<uint64_t> state_hash_;   // per state: source instance hash
-  uint64_t structural_hash_ = 0;
 };
 
-/// A compiled chain together with the state space it was frozen from, so
-/// callers can evaluate events on states and decode state ids back to
-/// instances through `space.states`.
+/// What the compiled tier's walkers read: the quantized chain, and the
+/// states it was frozen from, so callers can evaluate events on states and
+/// decode state ids back to instances. The exact chain is not kept.
 struct CompiledSpace {
-  StateSpace space;
+  std::vector<Instance> states;
   CompiledChain chain;
 };
 
@@ -125,10 +117,9 @@ struct CompileOptions {
 uint64_t KernelFingerprint(const Interpretation& kernel,
                            const Instance& initial, size_t max_states);
 
-/// Process-wide memo cache for compiled chains, keyed two ways: by kernel
-/// fingerprint (cheap front door) and by the chain's structural hash
-/// (dedupes distinct kernels that enumerate the same chain). Bounded LRU;
-/// entries are immutable shared_ptrs, safe to hold across evictions.
+/// Process-wide memo cache for compiled chains, keyed by kernel
+/// fingerprint. Bounded LRU; entries are immutable shared_ptrs, safe to
+/// hold across evictions.
 class CompiledChainCache {
  public:
   static constexpr size_t kCapacity = 32;
@@ -136,14 +127,12 @@ class CompiledChainCache {
   static CompiledChainCache& Instance();
 
   std::shared_ptr<const CompiledSpace> FindByFingerprint(uint64_t fp);
-  std::shared_ptr<const CompiledSpace> FindByChainHash(uint64_t hash);
-  /// Inserts (or re-keys) an entry under both its chain hash and `fp`.
+  /// Inserts an entry under `fp`; an entry already there is kept.
   void Insert(uint64_t fp, std::shared_ptr<const CompiledSpace> entry);
   void Clear();
 
   struct Stats {
     uint64_t fingerprint_hits = 0;
-    uint64_t chain_hits = 0;
     uint64_t misses = 0;
     size_t entries = 0;
   };

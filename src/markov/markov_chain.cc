@@ -10,51 +10,55 @@
 
 namespace pfql {
 
-Status MarkovChain::AddTransition(size_t from, size_t to,
-                                  BigRational probability) {
-  if (from >= rows_.size() || to >= rows_.size()) {
-    return Status::OutOfRange("transition endpoint out of range");
+StatusOr<MarkovChain> MarkovChain::FromRows(Rows rows) {
+  const size_t n = rows.size();
+  size_t total = 0;
+  for (const auto& row : rows) total += row.size();
+  if (n >= UINT32_MAX || total >= UINT32_MAX) {
+    return Status::ResourceExhausted(
+        "chain too large for the uint32 CSR layout");
   }
-  if (probability.IsNegative()) {
-    return Status::InvalidArgument("negative transition probability");
-  }
-  if (probability.IsZero()) return Status::OK();
-  for (auto& [target, p] : rows_[from]) {
-    if (target == to) {
-      p += probability;
-      return Status::OK();
-    }
-  }
-  rows_[from].emplace_back(to, std::move(probability));
-  return Status::OK();
-}
-
-Status MarkovChain::Validate() const {
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    BigRational total;
-    for (const auto& [_, p] : rows_[i]) {
+  MarkovChain chain;
+  chain.offsets_.reserve(n + 1);
+  chain.entries_.reserve(total);
+  // listed_in[t] is the last row that listed successor t, so a repeat
+  // within one row finds that row there.
+  std::vector<size_t> listed_in(n, SIZE_MAX);
+  for (size_t s = 0; s < n; ++s) {
+    BigRational sum;
+    for (auto& [to, p] : rows[s]) {
+      auto where = [&] {
+        return "row " + std::to_string(s) + ", successor " +
+               std::to_string(to);
+      };
       if (p.IsNegative()) {
-        return Status::InvalidArgument("negative probability in row " +
-                                       std::to_string(i));
+        return Status::InvalidArgument("negative probability in " + where());
       }
-      total += p;
+      if (to >= n) return Status::OutOfRange(where() + " is not a state");
+      if (listed_in[to] == s) {
+        return Status::InvalidArgument(where() + " is listed twice");
+      }
+      listed_in[to] = s;
+      if (p.IsZero()) continue;
+      sum += p;
+      chain.entries_.emplace_back(static_cast<uint32_t>(to), std::move(p));
     }
-    if (!total.IsOne()) {
-      return Status::InvalidArgument("row " + std::to_string(i) +
-                                     " sums to " + total.ToString() +
-                                     " != 1");
+    if (!sum.IsOne()) {
+      return Status::InvalidArgument("row " + std::to_string(s) +
+                                     " sums to " + sum.ToString() + " != 1");
     }
+    chain.offsets_.push_back(static_cast<uint32_t>(chain.entries_.size()));
   }
-  return Status::OK();
+  return chain;
 }
 
 std::vector<double> MarkovChain::StepDistribution(
     const std::vector<double>& v) const {
   std::vector<double> out(num_states(), 0.0);
-  for (size_t i = 0; i < rows_.size(); ++i) {
+  for (size_t i = 0; i < num_states(); ++i) {
     const double vi = i < v.size() ? v[i] : 0.0;
     if (vi == 0.0) continue;
-    for (const auto& [j, p] : rows_[i]) {
+    for (const auto& [j, p] : Row(i)) {
       out[j] += vi * p.ToDouble();
     }
   }
@@ -85,8 +89,9 @@ SccDecomposition MarkovChain::DecomposeScc() const {
     while (!call_stack.empty()) {
       Frame& frame = call_stack.back();
       const size_t v = frame.v;
-      if (frame.edge < rows_[v].size()) {
-        const size_t w = rows_[v][frame.edge].first;
+      const std::span<const Entry> row = Row(v);
+      if (frame.edge < row.size()) {
+        const size_t w = row[frame.edge].first;
         ++frame.edge;
         if (index[w] == SIZE_MAX) {
           index[w] = lowlink[w] = next_index++;
@@ -123,7 +128,7 @@ SccDecomposition MarkovChain::DecomposeScc() const {
   std::set<std::pair<size_t, size_t>> edges;
   out.is_bottom.assign(out.components.size(), true);
   for (size_t v = 0; v < n; ++v) {
-    for (const auto& [w, _] : rows_[v]) {
+    for (const auto& [w, _] : Row(v)) {
       size_t cv = out.component_of[v], cw = out.component_of[w];
       if (cv != cw) {
         edges.insert({cv, cw});
@@ -150,7 +155,7 @@ size_t MarkovChain::PeriodOf(size_t state) const {
   int64_t g = 0;
   while (head < queue.size()) {
     size_t v = queue[head++];
-    for (const auto& [w, _] : rows_[v]) {
+    for (const auto& [w, _] : Row(v)) {
       if (scc.component_of[w] != comp) continue;
       if (level[w] < 0) {
         level[w] = level[v] + 1;
@@ -170,7 +175,7 @@ bool MarkovChain::IsAperiodic() const {
     // no periodicity constraint.
     if (comp.size() == 1) {
       bool has_self = false;
-      for (const auto& [w, _] : rows_[comp[0]]) {
+      for (const auto& [w, _] : Row(comp[0])) {
         if (w == comp[0]) has_self = true;
       }
       if (!has_self) continue;
@@ -191,33 +196,22 @@ F FromRational(const BigRational& p) {
   }
 }
 
-// Restriction of the chain to the states of one closed component, renumbered
-// by their position in `states`.
-MarkovChain RestrictTo(const MarkovChain& chain,
-                       const std::vector<size_t>& states) {
-  std::vector<size_t> local(chain.num_states(), SIZE_MAX);
-  for (size_t i = 0; i < states.size(); ++i) local[states[i]] = i;
-  MarkovChain out(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    for (const auto& [j, p] : chain.Row(states[i])) {
-      if (local[j] != SIZE_MAX) {
-        Status st = out.AddTransition(i, local[j], p);
-        (void)st;  // in-range by construction
-      }
-    }
-  }
-  return out;
-}
-
-// πP = π, Σπ = 1 over field F for an irreducible chain (unchecked): solves
-// (P^T - I) π = 0 with the last equation replaced by Σπ = 1.
+// πP = π, Σπ = 1 over field F on the closed class `states`, which must be
+// irreducible (unchecked), with π indexed like `states`: solves
+// (P^T - I) π = 0 with the last equation replaced by Σπ = 1. A closed
+// class has no entries that leave it; any that do are skipped.
 template <typename F>
 StatusOr<std::vector<F>> StationaryImpl(const MarkovChain& chain,
+                                        const std::vector<size_t>& states,
                                         const CancellationToken* cancel) {
-  const size_t n = chain.num_states();
+  const size_t n = states.size();
+  std::vector<size_t> local(chain.num_states(), SIZE_MAX);
+  for (size_t i = 0; i < n; ++i) local[states[i]] = i;
   std::vector<std::vector<F>> a(n, std::vector<F>(n, F(0)));
   for (size_t i = 0; i < n; ++i) {
-    for (const auto& [j, p] : chain.Row(i)) a[j][i] += FromRational<F>(p);
+    for (const auto& [j, p] : chain.Row(states[i])) {
+      if (local[j] != SIZE_MAX) a[local[j]][i] += FromRational<F>(p);
+    }
     a[i][i] -= F(1);
   }
   std::vector<F> b(n, F(0));
@@ -290,9 +284,8 @@ Status ForEachReachedBottom(const MarkovChain& chain, size_t start,
   for (size_t comp = 0; comp < scc.components.size(); ++comp) {
     if (!scc.is_bottom[comp] || absorb[comp] <= F(0)) continue;
     const std::vector<size_t>& states = scc.components[comp];
-    PFQL_ASSIGN_OR_RETURN(
-        std::vector<F> pi,
-        StationaryImpl<F>(RestrictTo(chain, states), cancel));
+    PFQL_ASSIGN_OR_RETURN(std::vector<F> pi,
+                          StationaryImpl<F>(chain, states, cancel));
     PFQL_RETURN_NOT_OK(visit(states, absorb[comp], pi));
   }
   return Status::OK();
@@ -305,7 +298,9 @@ StatusOr<std::vector<F>> CheckedStationary(const MarkovChain& chain) {
         "stationary distribution requires an irreducible chain; use "
         "LongRunProbability for the general case");
   }
-  return StationaryImpl<F>(chain, nullptr);
+  std::vector<size_t> all(chain.num_states());
+  std::iota(all.begin(), all.end(), 0);
+  return StationaryImpl<F>(chain, all, nullptr);
 }
 
 template <typename F>
@@ -392,7 +387,7 @@ StatusOr<double> MarkovChain::ExpectedHittingTime(
   std::vector<double> b(m, 1.0);
   for (size_t li = 0; li < m; ++li) {
     a[li][li] = 1.0;
-    for (const auto& [j, p] : rows_[non_target[li]]) {
+    for (const auto& [j, p] : Row(non_target[li])) {
       if (local[j] != SIZE_MAX) {
         a[li][local[j]] -= p.ToDouble();
       }
@@ -413,7 +408,7 @@ StatusOr<double> MarkovChain::ExpectedReturnTime(size_t state) const {
   if (state >= num_states()) return Status::OutOfRange("state out of range");
   // 1 + sum_j P(state, j) * E[hit state from j]  (j = state contributes 0).
   double total = 1.0;
-  for (const auto& [j, p] : rows_[state]) {
+  for (const auto& [j, p] : Row(state)) {
     if (j == state) continue;
     PFQL_ASSIGN_OR_RETURN(
         double h,

@@ -8,7 +8,10 @@
 #define PFQL_MARKOV_MARKOV_CHAIN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/cancellation.h"
@@ -32,22 +35,37 @@ struct SccDecomposition {
   std::vector<bool> is_bottom;
 };
 
-/// A finite Markov chain with exact rational transition probabilities.
+/// A finite Markov chain with exact rational transition probabilities,
+/// stored as one CSR: state s's row is entries_[offsets_[s], offsets_[s+1]).
+/// Stochastic by construction: FromRows is the only way to build a
+/// non-empty chain, and it admits only rows whose positive entries go to
+/// distinct states and sum to exactly 1.
 class MarkovChain {
  public:
-  explicit MarkovChain(size_t num_states) : rows_(num_states) {}
+  /// One transition of a row: (successor state, probability).
+  using Entry = std::pair<uint32_t, BigRational>;
+  /// Rows as FromRows takes them, one (successor, probability) list each.
+  using Rows = std::vector<std::vector<std::pair<size_t, BigRational>>>;
 
-  size_t num_states() const { return rows_.size(); }
+  /// The empty chain (no states).
+  MarkovChain() = default;
 
-  /// Adds probability mass to the (from, to) transition (accumulating).
-  Status AddTransition(size_t from, size_t to, BigRational probability);
+  /// The chain whose row s lists rows[s] in order, zero entries dropped.
+  /// InvalidArgument for a negative probability, a successor listed twice
+  /// in one row, or a row that does not sum to exactly 1; OutOfRange for a
+  /// successor that is not a state; ResourceExhausted when the states or
+  /// entries do not fit the uint32 CSR layout.
+  static StatusOr<MarkovChain> FromRows(Rows rows);
 
-  /// Every row must sum to exactly 1 with non-negative entries.
-  Status Validate() const;
+  size_t num_states() const { return offsets_.size() - 1; }
+  size_t num_entries() const { return entries_.size(); }
+  /// Row offsets into the entries, num_states() + 1 of them.
+  const std::vector<uint32_t>& offsets() const { return offsets_; }
 
-  /// Sparse outgoing transitions of a state.
-  const std::vector<std::pair<size_t, BigRational>>& Row(size_t state) const {
-    return rows_[state];
+  /// Sparse outgoing transitions of a state, every probability positive.
+  std::span<const Entry> Row(size_t state) const {
+    return {entries_.data() + offsets_[state],
+            entries_.data() + offsets_[state + 1]};
   }
 
   /// One step of the distribution: returns v·P using the sparse rows
@@ -138,7 +156,8 @@ class MarkovChain {
       const;
 
  private:
-  std::vector<std::vector<std::pair<size_t, BigRational>>> rows_;
+  std::vector<uint32_t> offsets_ = {0};
+  std::vector<Entry> entries_;
 };
 
 }  // namespace pfql

@@ -20,7 +20,9 @@ namespace {
 // successor instance already interned (moved into the shared concurrent
 // interner) and replaced by its provisional id. Workers do the instance
 // hashing, equality probing, and deduplication in parallel; the sequential
-// merge pass that follows only shuffles integers.
+// merge pass that follows only shuffles integers: it rewrites each
+// provisional id to its canonical one and moves the list into the chain as
+// the state's row.
 struct ExpandedState {
   Status status = Status::OK();
   std::vector<std::pair<size_t, BigRational>> successors;  // (prov id, p)
@@ -112,7 +114,7 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
   // Wave BFS over provisional ids. Workers intern successors concurrently,
   // so provisional ids are racy under threads > 1; the merge pass below
   // assigns canonical ids in frontier order, which makes state numbering,
-  // the edge list, and the first reported error identical to a sequential
+  // the rows, and the first reported error identical to a sequential
   // FIFO exploration regardless of options.threads.
   // One compiled kernel serves every expansion, on every worker.
   PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
@@ -127,13 +129,9 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
   prov_to_canon[initial_prov] = 0;
   canon_to_prov.push_back(initial_prov);
 
-  // MarkovChain needs its size up front, so transitions are collected into
-  // an edge list first.
-  struct Edge {
-    size_t from, to;
-    BigRational p;
-  };
-  std::vector<Edge> edges;
+  // Row s of the chain, successors in canonical ids: the merge pass
+  // expands states in canonical order, so each expansion is the next row.
+  MarkovChain::Rows rows;
 
   std::vector<ExpandedState> results;
   size_t wave_begin = 0;
@@ -156,8 +154,7 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
         PFQL_RETURN_NOT_OK(options.cancel->Check());
       }
       PFQL_RETURN_NOT_OK(results[k].status);
-      const size_t from = wave_begin + k;
-      for (auto& [prov, p] : results[k].successors) {
+      for (auto& [prov, _] : results[k].successors) {
         size_t to = prov_to_canon[prov];
         if (to == SIZE_MAX) {
           to = canon_to_prov.size();
@@ -177,8 +174,9 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
           prov_to_canon[prov] = to;
           canon_to_prov.push_back(prov);
         }
-        edges.push_back({from, to, std::move(p)});
+        prov = to;
       }
+      rows.push_back(std::move(results[k].successors));
     }
     wave_begin = wave_end;
   }
@@ -197,11 +195,7 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
   }
 
   states_counter->Increment(space.states.size());
-  space.chain = MarkovChain(space.states.size());
-  for (auto& e : edges) {
-    PFQL_RETURN_NOT_OK(space.chain.AddTransition(e.from, e.to, std::move(e.p)));
-  }
-  PFQL_RETURN_NOT_OK(space.chain.Validate());
+  PFQL_ASSIGN_OR_RETURN(space.chain, MarkovChain::FromRows(std::move(rows)));
   return space;
 }
 

@@ -18,7 +18,7 @@ namespace pfql {
 /// The explored state space: states[0] is the initial instance.
 struct StateSpace {
   std::vector<Instance> states;
-  MarkovChain chain{0};
+  MarkovChain chain;
 
   /// Indicator vector for an event over the explored states.
   std::vector<bool> EventStates(const QueryEvent& event) const;

@@ -123,9 +123,13 @@ std::string ScalarExpr::ToString() const {
   switch (kind_) {
     case Kind::kColumn:
       return column_;
-    case Kind::kConst:
-      return constant_.is_string() ? "'" + constant_.ToString() + "'"
-                                   : constant_.ToString();
+    case Kind::kConst: {
+      if (!constant_.is_string()) return constant_.ToString();
+      // As in datalog::Term: a quote character the literal does not hold.
+      const std::string& text = constant_.AsString();
+      const char quote = text.find('\'') == std::string::npos ? '\'' : '"';
+      return quote + text + quote;
+    }
     case Kind::kAdd:
       return "(" + lhs_->ToString() + " + " + rhs_->ToString() + ")";
     case Kind::kSub:

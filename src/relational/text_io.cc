@@ -210,22 +210,9 @@ void FormatValue(const Value& v, std::string* out) {
     case ValueType::kInt:
       *out += std::to_string(v.AsInt());
       return;
-    case ValueType::kDouble: {
-      std::ostringstream os;
-      double d = v.AsDouble();
-      os.precision(17);  // max_digits10: lossless double round-trip
-      os << d;
-      std::string s = os.str();
-      // Keep the double-ness visible so it round-trips to a double.
-      if (s.find('.') == std::string::npos &&
-          s.find('e') == std::string::npos &&
-          s.find("inf") == std::string::npos &&
-          s.find("nan") == std::string::npos) {
-        s += ".0";
-      }
-      *out += s;
+    case ValueType::kDouble:
+      *out += v.ToString();  // round-trips, and reads back as a double
       return;
-    }
     case ValueType::kString: {
       *out += '"';
       for (char c : v.AsString()) {

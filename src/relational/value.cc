@@ -1,7 +1,7 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -50,9 +50,17 @@ std::string Value::ToString() const {
     case ValueType::kInt:
       return std::to_string(AsInt());
     case ValueType::kDouble: {
-      std::ostringstream os;
-      os << AsDouble();
-      return os.str();
+      // The shortest text that reads back as the same double, kept visibly
+      // a double ("1.0", not "1"), so the text identifies the value.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof(buf), AsDouble()).ptr;
+      std::string s(buf, end);
+      if (s.find_first_of(".e") == std::string::npos &&
+          s.find("inf") == std::string::npos &&
+          s.find("nan") == std::string::npos) {
+        s += ".0";
+      }
+      return s;
     }
     case ValueType::kString:
       return AsString();

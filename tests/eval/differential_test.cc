@@ -3,13 +3,16 @@
 // the exact algorithms (Prop 4.4, Prop 5.4/Thm 5.5) on small fixtures
 // whose probabilities are known in closed form. Parameterized over 50
 // seeds; evaluation is single-threaded and seeded, so each instantiation
-// is fully deterministic — a seed that passes once passes always.
+// is fully deterministic — a seed that passes once passes always. Each
+// test calls the estimators directly.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "datalog/program.h"
-#include "eval/query.h"
+#include "eval/inflationary.h"
+#include "eval/noninflationary.h"
 #include "eval/trajectory.h"
 #include "gadgets/graphs.h"
 
@@ -49,6 +52,27 @@ datalog::Program ReachProgram() {
   return std::move(program).value();
 }
 
+// Thm 5.6 MCMC at (kEpsilon, kDelta) on `backend`, seeded with `seed`.
+// Without an explicit burn-in it measures one: the chain's TV mixing time
+// from the initial state at kEpsilon / 2.
+StatusOr<McmcResult> Mcmc(const ForeverQuery& query, const Instance& initial,
+                          Backend backend, std::optional<size_t> burn_in,
+                          uint64_t seed) {
+  McmcParams params;
+  params.epsilon = kEpsilon;
+  params.delta = kDelta;
+  params.backend = backend;
+  if (burn_in.has_value()) {
+    params.burn_in = *burn_in;
+  } else {
+    PFQL_ASSIGN_OR_RETURN(params.burn_in,
+                          MeasureMixingTimeTV(query.kernel, initial,
+                                              kEpsilon / 2));
+  }
+  Rng rng(seed);
+  return McmcForever(query, initial, params, &rng);
+}
+
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Exact Prop 4.4 traversal vs Thm 4.3 Monte Carlo on the same query.
@@ -59,24 +83,16 @@ TEST_P(DifferentialTest, ApproxAgreesWithExactInflationary) {
                                {"cur", Tuple{Value(2)}},
                                {"cur", Tuple{Value(3)}}};
   for (const QueryEvent& event : events) {
-    QueryOptions exact_options;
-    exact_options.method = Method::kExact;
-    Rng exact_rng(1);
-    auto exact = EvaluateInflationaryQuery(program, edb, event,
-                                           exact_options, &exact_rng);
+    auto exact = ExactInflationary(program, edb, event);
     ASSERT_TRUE(exact.ok()) << exact.status();
-    ASSERT_TRUE(exact->exact.has_value());
 
-    QueryOptions sampling_options;
-    sampling_options.method = Method::kSampling;
-    sampling_options.approx.epsilon = kEpsilon;
-    sampling_options.approx.delta = kDelta;
+    ApproxParams params;
+    params.epsilon = kEpsilon;
+    params.delta = kDelta;
     Rng rng(GetParam());
-    auto sampled = EvaluateInflationaryQuery(program, edb, event,
-                                             sampling_options, &rng);
+    auto sampled = ApproxInflationary(program, edb, event, params, &rng);
     ASSERT_TRUE(sampled.ok()) << sampled.status();
-    EXPECT_TRUE(sampled->sampled);
-    EXPECT_NEAR(sampled->estimate, exact->exact->ToDouble(), kEpsilon)
+    EXPECT_NEAR(sampled->estimate, exact->ToDouble(), kEpsilon)
         << "seed " << GetParam() << " event " << event.ToString();
   }
 }
@@ -88,23 +104,13 @@ TEST_P(DifferentialTest, McmcAgreesWithExactForever) {
   ASSERT_TRUE(wq.ok());
   const ForeverQuery query{wq->kernel, gadgets::WalkAtNode(1)};
 
-  QueryOptions exact_options;
-  Rng exact_rng(1);
-  auto exact = EvaluateForeverQuery(query, wq->initial, exact_options,
-                                    &exact_rng);
+  auto exact = ExactForever(query, wq->initial);
   ASSERT_TRUE(exact.ok()) << exact.status();
-  ASSERT_TRUE(exact->exact.has_value());
 
-  QueryOptions sampling_options;
-  sampling_options.method = Method::kSampling;
-  sampling_options.approx.epsilon = kEpsilon;
-  sampling_options.approx.delta = kDelta;
-  Rng rng(GetParam());
-  auto sampled = EvaluateForeverQuery(query, wq->initial, sampling_options,
-                                      &rng);
+  auto sampled = Mcmc(query, wq->initial, Backend::kInterpreted,
+                      std::nullopt, GetParam());
   ASSERT_TRUE(sampled.ok()) << sampled.status();
-  EXPECT_TRUE(sampled->sampled);
-  EXPECT_NEAR(sampled->estimate, exact->exact->ToDouble(), kEpsilon)
+  EXPECT_NEAR(sampled->estimate, exact->probability.ToDouble(), kEpsilon)
       << "seed " << GetParam();
 }
 
@@ -118,22 +124,12 @@ TEST_P(DifferentialTest, McmcAgreesWithExactOnReducibleChain) {
   ASSERT_TRUE(wq.ok());
   const ForeverQuery query{wq->kernel, gadgets::WalkAtNode(2)};
 
-  QueryOptions exact_options;
-  Rng exact_rng(1);
-  auto exact = EvaluateForeverQuery(query, wq->initial, exact_options,
-                                    &exact_rng);
+  auto exact = ExactForever(query, wq->initial);
   ASSERT_TRUE(exact.ok()) << exact.status();
-  ASSERT_TRUE(exact->exact.has_value());
-  EXPECT_EQ(*exact->exact, BigRational(3, 4));
+  EXPECT_EQ(exact->probability, BigRational(3, 4));
 
-  QueryOptions sampling_options;
-  sampling_options.method = Method::kSampling;
-  sampling_options.approx.epsilon = kEpsilon;
-  sampling_options.approx.delta = kDelta;
-  sampling_options.mcmc_burn_in = 8;
-  Rng rng(GetParam());
-  auto sampled = EvaluateForeverQuery(query, wq->initial, sampling_options,
-                                      &rng);
+  auto sampled =
+      Mcmc(query, wq->initial, Backend::kInterpreted, 8, GetParam());
   ASSERT_TRUE(sampled.ok()) << sampled.status();
   EXPECT_NEAR(sampled->estimate, 0.75, kEpsilon) << "seed " << GetParam();
 }
@@ -147,12 +143,8 @@ TEST_P(DifferentialTest, TrajectoryAgreesWithExactForever) {
   ASSERT_TRUE(wq.ok());
   const ForeverQuery query{wq->kernel, gadgets::WalkAtNode(1)};
 
-  QueryOptions exact_options;
-  Rng exact_rng(1);
-  auto exact = EvaluateForeverQuery(query, wq->initial, exact_options,
-                                    &exact_rng);
+  auto exact = ExactForever(query, wq->initial);
   ASSERT_TRUE(exact.ok()) << exact.status();
-  ASSERT_TRUE(exact->exact.has_value());
 
   TrajectoryParams params;
   params.steps = 2000;
@@ -170,7 +162,7 @@ TEST_P(DifferentialTest, TrajectoryAgreesWithExactForever) {
   const double stderr_runs =
       std::sqrt(variance / static_cast<double>(result->per_run.size()));
   const double halfwidth = std::max(2.0 * stderr_runs, kEpsilon);
-  EXPECT_NEAR(result->estimate, exact->exact->ToDouble(), halfwidth)
+  EXPECT_NEAR(result->estimate, exact->probability.ToDouble(), halfwidth)
       << "seed " << GetParam();
 }
 
@@ -186,26 +178,14 @@ TEST_P(DifferentialTest, CompiledMcmcAgreesWithExactForever) {
   ASSERT_TRUE(wq.ok());
   const ForeverQuery query{wq->kernel, gadgets::WalkAtNode(1)};
 
-  QueryOptions exact_options;
-  Rng exact_rng(1);
-  auto exact = EvaluateForeverQuery(query, wq->initial, exact_options,
-                                    &exact_rng);
+  auto exact = ExactForever(query, wq->initial);
   ASSERT_TRUE(exact.ok()) << exact.status();
-  ASSERT_TRUE(exact->exact.has_value());
 
-  QueryOptions sampling_options;
-  sampling_options.method = Method::kSampling;
-  sampling_options.approx.epsilon = kEpsilon;
-  sampling_options.approx.delta = kDelta;
-  sampling_options.backend = Backend::kCompiled;
-  Rng rng(GetParam());
-  auto sampled = EvaluateForeverQuery(query, wq->initial, sampling_options,
-                                      &rng);
+  auto sampled = Mcmc(query, wq->initial, Backend::kCompiled, std::nullopt,
+                      GetParam());
   ASSERT_TRUE(sampled.ok()) << sampled.status();
-  EXPECT_TRUE(sampled->sampled);
-  EXPECT_NE(sampled->method_used.find("compiled"), std::string::npos)
-      << sampled->method_used;
-  EXPECT_NEAR(sampled->estimate, exact->exact->ToDouble(),
+  EXPECT_TRUE(sampled->compiled);
+  EXPECT_NEAR(sampled->estimate, exact->probability.ToDouble(),
               kEpsilon + kQuantSlack)
       << "seed " << GetParam();
 }
@@ -218,16 +198,9 @@ TEST_P(DifferentialTest, CompiledMcmcAgreesWithExactOnReducibleChain) {
   ASSERT_TRUE(wq.ok());
   const ForeverQuery query{wq->kernel, gadgets::WalkAtNode(2)};
 
-  QueryOptions sampling_options;
-  sampling_options.method = Method::kSampling;
-  sampling_options.approx.epsilon = kEpsilon;
-  sampling_options.approx.delta = kDelta;
-  sampling_options.mcmc_burn_in = 8;
-  sampling_options.backend = Backend::kCompiled;
-  Rng rng(GetParam());
-  auto sampled = EvaluateForeverQuery(query, wq->initial, sampling_options,
-                                      &rng);
+  auto sampled = Mcmc(query, wq->initial, Backend::kCompiled, 8, GetParam());
   ASSERT_TRUE(sampled.ok()) << sampled.status();
+  EXPECT_TRUE(sampled->compiled);
   EXPECT_NEAR(sampled->estimate, 0.75, kEpsilon + kQuantSlack)
       << "seed " << GetParam();
 }
@@ -237,12 +210,8 @@ TEST_P(DifferentialTest, CompiledTrajectoryAgreesWithExactForever) {
   ASSERT_TRUE(wq.ok());
   const ForeverQuery query{wq->kernel, gadgets::WalkAtNode(1)};
 
-  QueryOptions exact_options;
-  Rng exact_rng(1);
-  auto exact = EvaluateForeverQuery(query, wq->initial, exact_options,
-                                    &exact_rng);
+  auto exact = ExactForever(query, wq->initial);
   ASSERT_TRUE(exact.ok()) << exact.status();
-  ASSERT_TRUE(exact->exact.has_value());
 
   TrajectoryParams params;
   params.steps = 2000;
@@ -262,7 +231,7 @@ TEST_P(DifferentialTest, CompiledTrajectoryAgreesWithExactForever) {
   const double stderr_runs =
       std::sqrt(variance / static_cast<double>(result->per_run.size()));
   const double halfwidth = std::max(2.0 * stderr_runs, kEpsilon + kQuantSlack);
-  EXPECT_NEAR(result->estimate, exact->exact->ToDouble(), halfwidth)
+  EXPECT_NEAR(result->estimate, exact->probability.ToDouble(), halfwidth)
       << "seed " << GetParam();
 }
 

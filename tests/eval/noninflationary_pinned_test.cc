@@ -1,9 +1,10 @@
 // Exact forever answers (Prop 5.4, Thm 5.5) pinned to literal values, on
 // chains whose elimination runs through multi-limb BigRational arithmetic,
-// and the interpreted samplers' seeded answers and a state-space order,
-// pinned the same way. Other checks compare against answers computed by
-// the same binary, so a deterministic arithmetic bug, or a changed draw
-// order, would pass them; it cannot pass these.
+// and the interpreted and compiled samplers' seeded answers, a compiled
+// chain and a state-space order, pinned the same way. Other checks compare
+// against answers computed by the same binary, so a deterministic
+// arithmetic bug, a changed draw order, or a chain row rebuilt in another
+// order would pass them; it cannot pass these.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "eval/partition.h"
 #include "eval/resumable.h"
 #include "eval/trajectory.h"
+#include "markov/compiled_chain.h"
 #include "markov/state_space.h"
 #include "relational/text_io.h"
 
@@ -158,6 +160,110 @@ TEST(NoninflationaryPinnedTest, McmcChainsAfterFixedQuanta) {
   for (const ChainStats& c : chains.chains()) tallies.emplace_back(c.count, c.sum);
   EXPECT_EQ(tallies, (std::vector<std::pair<size_t, double>>{
                          {91, 32.0}, {91, 31.0}, {90, 33.0}}));
+}
+
+// ---- Seeded compiled samplers and the chain they step --------------------
+
+std::shared_ptr<const CompiledSpace> Compiled(
+    const datalog::TranslatedQuery& tq) {
+  auto compiled = GetOrCompile(tq.kernel, tq.initial);
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  return compiled.ok() ? *compiled : nullptr;
+}
+
+// Every CSR entry of the ring-8 walk's compiled chain: the quantized row
+// and its alias table, folded in row order.
+TEST(NoninflationaryPinnedTest, CompiledChainOfRing8Walk) {
+  datalog::TranslatedQuery tq;
+  RingWalk(8, "cur(1)", &tq);
+  const auto compiled = Compiled(tq);
+  ASSERT_NE(compiled, nullptr);
+  const CompiledChain& chain = compiled->chain;
+  EXPECT_EQ(chain.num_states(), 66u);
+  EXPECT_EQ(chain.num_edges(), 227u);
+  std::vector<std::vector<uint64_t>> rows_1_2;
+  uint64_t fold = 0xcbf29ce484222325ull;
+  for (size_t s = 0; s < chain.num_states(); ++s) {
+    for (uint32_t e = chain.RowBegin(s); e < chain.RowEnd(s); ++e) {
+      const std::vector<uint64_t> entry = {s, chain.Col(e), chain.ProbQ(e),
+                                           chain.AliasCut(e),
+                                           chain.AliasState(e)};
+      if (s == 1 || s == 2) rows_1_2.push_back(entry);
+      for (const uint64_t v : entry) fold = (fold ^ v) * 0x100000001b3ull;
+    }
+  }
+  // (state, successor, ProbQ, AliasCut, AliasState): two halves, the odd
+  // unit of the largest-remainder pass going to the first.
+  EXPECT_EQ(rows_1_2, (std::vector<std::vector<uint64_t>>{
+                          {1, 2, 32768, 65535, 2},
+                          {1, 3, 32767, 65534, 2},
+                          {2, 4, 32768, 65535, 4},
+                          {2, 5, 32767, 65534, 4}}));
+  EXPECT_EQ(fold, 724980902881181926ull);
+}
+
+TEST(NoninflationaryPinnedTest, CompiledMcmcOnRing8) {
+  datalog::TranslatedQuery tq;
+  const ForeverQuery query = RingWalk(8, "cur(1)", &tq);
+  McmcParams params;
+  params.burn_in = 32;
+  params.epsilon = 0.05;
+  params.delta = 0.05;
+  params.backend = Backend::kCompiled;
+  Rng rng(20260117);
+  auto r = McmcForever(query, tq.initial, params, &rng);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->compiled);
+  EXPECT_EQ(r->samples, 738u);
+  EXPECT_EQ(r->total_steps, 23616u);
+  EXPECT_EQ(r->estimate, 213.0 / 738);
+  EXPECT_EQ(r->compiled_states, 66u);
+  EXPECT_EQ(r->compiled_edges, 227u);
+}
+
+TEST(NoninflationaryPinnedTest, CompiledTrajectoryOnRing8) {
+  datalog::TranslatedQuery tq;
+  const ForeverQuery query = RingWalk(8, "cur(2)", &tq);
+  TrajectoryParams params;
+  params.steps = 1000;
+  params.runs = 8;
+  params.backend = Backend::kCompiled;
+  Rng rng(7);
+  auto r = TimeAverageEstimate(query, tq.initial, params, &rng);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->compiled);
+  EXPECT_EQ(r->total_steps, 8000u);
+  // Hits over the 900 post-discard steps of each run.
+  EXPECT_EQ(r->per_run,
+            (std::vector<double>{109.0 / 900, 105.0 / 900, 99.0 / 900,
+                                 117.0 / 900, 72.0 / 900, 106.0 / 900,
+                                 77.0 / 900, 77.0 / 900}));
+  EXPECT_EQ(r->estimate, 762.0 / 7200);
+}
+
+TEST(NoninflationaryPinnedTest, CompiledMcmcChainsAfterFixedQuanta) {
+  datalog::TranslatedQuery tq;
+  const ForeverQuery query = RingWalk(8, "cur(3)", &tq);
+  McmcParams params;
+  params.burn_in = 16;
+  params.epsilon = 0.1;
+  params.delta = 0.1;
+  auto kernel = tq.kernel.Compile(tq.initial);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  const auto compiled = Compiled(tq);
+  ASSERT_NE(compiled, nullptr);
+  ResumableMcmcChains chains(*kernel, tq.initial, query.event, compiled,
+                             params, /*num_chains=*/3, Rng(11));
+  for (int q = 0; q < 5; ++q) ASSERT_TRUE(chains.RunQuantum(64, nullptr).ok());
+  EXPECT_EQ(chains.snapshot().backend, "compiled");
+  EXPECT_EQ(chains.snapshot().samples, 320u);
+  EXPECT_EQ(chains.snapshot().estimate, 9.0 / 272);
+  std::vector<std::pair<size_t, double>> tallies;
+  for (const ChainStats& c : chains.chains()) {
+    tallies.emplace_back(c.count, c.sum);
+  }
+  EXPECT_EQ(tallies, (std::vector<std::pair<size_t, double>>{
+                         {91, 4.0}, {91, 3.0}, {90, 2.0}}));
 }
 
 // The state numbering of BuildStateSpace fixes every compiled chain: each

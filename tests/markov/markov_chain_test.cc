@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "markov/compiled_chain.h"
+#include "markov/test_chains.h"
 #include "util/cancellation.h"
 
 namespace pfql {
@@ -10,50 +11,72 @@ namespace {
 
 // Two-state chain: 0 -> 1 w.p. 1/3 (stays w.p. 2/3); 1 -> 0 w.p. 1/2.
 MarkovChain TwoState() {
-  MarkovChain mc(2);
-  EXPECT_TRUE(mc.AddTransition(0, 0, BigRational(2, 3)).ok());
-  EXPECT_TRUE(mc.AddTransition(0, 1, BigRational(1, 3)).ok());
-  EXPECT_TRUE(mc.AddTransition(1, 0, BigRational(1, 2)).ok());
-  EXPECT_TRUE(mc.AddTransition(1, 1, BigRational(1, 2)).ok());
-  EXPECT_TRUE(mc.Validate().ok());
-  return mc;
+  return Chain({{{0, BigRational(2, 3)}, {1, BigRational(1, 3)}},
+                {{0, BigRational(1, 2)}, {1, BigRational(1, 2)}}});
 }
 
 // Directed 3-cycle (periodic with period 3).
 MarkovChain Cycle3() {
-  MarkovChain mc(3);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(mc.AddTransition(i, (i + 1) % 3, BigRational(1)).ok());
-  }
-  return mc;
+  return Chain({{{1, BigRational(1)}},
+                {{2, BigRational(1)}},
+                {{0, BigRational(1)}}});
 }
 
 // Reducible: 0 -> {1, 2} each w.p. 1/2; 1 and 2 absorbing.
 MarkovChain Absorbing() {
-  MarkovChain mc(3);
-  EXPECT_TRUE(mc.AddTransition(0, 1, BigRational(1, 2)).ok());
-  EXPECT_TRUE(mc.AddTransition(0, 2, BigRational(1, 2)).ok());
-  EXPECT_TRUE(mc.AddTransition(1, 1, BigRational(1)).ok());
-  EXPECT_TRUE(mc.AddTransition(2, 2, BigRational(1)).ok());
-  return mc;
+  return Chain({{{1, BigRational(1, 2)}, {2, BigRational(1, 2)}},
+                {{1, BigRational(1)}},
+                {{2, BigRational(1)}}});
 }
 
+// FromRows is the one way to build a chain, and it validates every row.
 TEST(MarkovChainTest, ValidateRejectsBadRows) {
-  MarkovChain mc(2);
-  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1, 2)).ok());
-  EXPECT_FALSE(mc.Validate().ok());  // row 0 sums to 1/2, row 1 to 0
-  EXPECT_FALSE(mc.AddTransition(0, 5, BigRational(1, 2)).ok());
-  EXPECT_FALSE(mc.AddTransition(0, 1, BigRational(-1, 2)).ok());
+  const BigRational half(1, 2);
+  auto code = [](MarkovChain::Rows rows) {
+    return MarkovChain::FromRows(std::move(rows)).status().code();
+  };
+  EXPECT_EQ(code({{{0, BigRational(3, 2)}, {1, BigRational(-1, 2)}},
+                  {{1, BigRational(1)}}}),
+            StatusCode::kInvalidArgument);  // negative probability
+  EXPECT_EQ(code({{{0, half}, {5, half}}, {{1, BigRational(1)}}}),
+            StatusCode::kOutOfRange);  // successor 5 is not a state
+  EXPECT_EQ(code({{{1, half}, {1, half}}, {{1, BigRational(1)}}}),
+            StatusCode::kInvalidArgument);  // successor 1 listed twice
+  EXPECT_EQ(code({{{0, half}, {1, half}, {1, BigRational(0)}},
+                  {{1, BigRational(1)}}}),
+            StatusCode::kInvalidArgument);  // even with weight zero
+  EXPECT_EQ(code({{{1, half}}, {{1, BigRational(1)}}}),
+            StatusCode::kInvalidArgument);  // row 0 sums to 1/2
+  EXPECT_EQ(code({{{0, BigRational(1)}}, {}}),
+            StatusCode::kInvalidArgument);  // row 1 sums to 0
+  EXPECT_EQ(code({{{0, half}, {1, BigRational(2, 3)}}, {{1, BigRational(1)}}}),
+            StatusCode::kInvalidArgument);  // row 0 sums to 7/6
+  auto message = MarkovChain::FromRows({{{1, half}}, {{1, BigRational(1)}}});
+  EXPECT_EQ(message.status().message(), "row 0 sums to 1/2 != 1");
 }
 
-TEST(MarkovChainTest, AddTransitionAccumulates) {
-  MarkovChain mc(2);
-  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1, 2)).ok());
-  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1, 2)).ok());
-  ASSERT_TRUE(mc.AddTransition(1, 1, BigRational(1)).ok());
-  EXPECT_TRUE(mc.Validate().ok());
-  ASSERT_EQ(mc.Row(0).size(), 1u);
-  EXPECT_TRUE(mc.Row(0)[0].second.IsOne());
+TEST(MarkovChainTest, FromRowsDropsZeroEntriesAndKeepsOrder) {
+  const MarkovChain mc = Chain({{{1, BigRational(1, 3)},
+                                 {2, BigRational(0)},
+                                 {0, BigRational(2, 3)}},
+                                {{1, BigRational(1)}},
+                                {{0, BigRational(0)}, {2, BigRational(1)}}});
+  EXPECT_EQ(mc.num_states(), 3u);
+  EXPECT_EQ(mc.num_entries(), 4u);
+  EXPECT_EQ(mc.offsets(), (std::vector<uint32_t>{0, 2, 3, 4}));
+  ASSERT_EQ(mc.Row(0).size(), 2u);
+  EXPECT_EQ(mc.Row(0)[0], MarkovChain::Entry(1, BigRational(1, 3)));
+  EXPECT_EQ(mc.Row(0)[1], MarkovChain::Entry(0, BigRational(2, 3)));
+  EXPECT_EQ(mc.Row(2)[0], MarkovChain::Entry(2, BigRational(1)));
+}
+
+TEST(MarkovChainTest, DefaultChainIsEmpty) {
+  const MarkovChain empty;
+  EXPECT_EQ(empty.num_states(), 0u);
+  EXPECT_EQ(empty.num_entries(), 0u);
+  auto built = MarkovChain::FromRows({});
+  ASSERT_TRUE(built.ok()) << built.status();
+  EXPECT_EQ(built->num_states(), 0u);
 }
 
 TEST(MarkovChainTest, SccOfIrreducibleChainIsSingle) {
@@ -114,19 +137,15 @@ TEST(MarkovChainTest, StationaryOfPeriodicChainIsCesaroLimit) {
 // (65535 = 3·5·17·257), so on these chains it sees P itself.
 StatusOr<CompiledChain::StationaryResult> StationaryByIteration(
     const MarkovChain& mc, double tolerance) {
-  PFQL_ASSIGN_OR_RETURN(
-      CompiledChain compiled,
-      CompiledChain::Compile(mc, std::vector<uint64_t>(mc.num_states(), 0)));
+  PFQL_ASSIGN_OR_RETURN(CompiledChain compiled, CompiledChain::Compile(mc));
   return compiled.Stationary(100000, tolerance);
 }
 
 TEST(MarkovChainTest, StationaryByIterationMatchesSolve) {
   // 0 -> 1 w.p. 1/3, 1 -> 0 w.p. 1/5: pi = (3/8, 5/8).
-  MarkovChain mc(2);
-  ASSERT_TRUE(mc.AddTransition(0, 0, BigRational(2, 3)).ok());
-  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1, 3)).ok());
-  ASSERT_TRUE(mc.AddTransition(1, 0, BigRational(1, 5)).ok());
-  ASSERT_TRUE(mc.AddTransition(1, 1, BigRational(4, 5)).ok());
+  const MarkovChain mc =
+      Chain({{{0, BigRational(2, 3)}, {1, BigRational(1, 3)}},
+             {{0, BigRational(1, 5)}, {1, BigRational(4, 5)}}});
   auto direct = mc.StationaryDistribution();
   auto iterated = StationaryByIteration(mc, 1e-12);
   ASSERT_TRUE(direct.ok());
@@ -202,12 +221,11 @@ TEST(MarkovChainTest, LongRunProbabilityReducible) {
 
 TEST(MarkovChainTest, LongRunChainedTransients) {
   // 0 -> 1 -> {2 absorbing, 3 absorbing}; multi-level transient DAG.
-  MarkovChain mc(4);
-  ASSERT_TRUE(mc.AddTransition(0, 1, BigRational(1)).ok());
-  ASSERT_TRUE(mc.AddTransition(1, 2, BigRational(1, 4)).ok());
-  ASSERT_TRUE(mc.AddTransition(1, 3, BigRational(3, 4)).ok());
-  ASSERT_TRUE(mc.AddTransition(2, 2, BigRational(1)).ok());
-  ASSERT_TRUE(mc.AddTransition(3, 3, BigRational(1)).ok());
+  const MarkovChain mc =
+      Chain({{{1, BigRational(1)}},
+             {{2, BigRational(1, 4)}, {3, BigRational(3, 4)}},
+             {{2, BigRational(1)}},
+             {{3, BigRational(1)}}});
   auto p = mc.ExactLongRunProbability(0, [](size_t s) { return s == 3; });
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value(), BigRational(3, 4));
@@ -234,13 +252,11 @@ TEST(MarkovChainTest, TotalVariation) {
 
 TEST(MarkovChainTest, MixingTimeCompleteGraphIsFast) {
   // Uniform 4-state chain mixes in one step.
-  MarkovChain mc(4);
+  MarkovChain::Rows rows(4);
   for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      ASSERT_TRUE(mc.AddTransition(i, j, BigRational(1, 4)).ok());
-    }
+    for (size_t j = 0; j < 4; ++j) rows[i].emplace_back(j, BigRational(1, 4));
   }
-  auto t = mc.MixingTime(0.01);
+  auto t = Chain(std::move(rows)).MixingTime(0.01);
   ASSERT_TRUE(t.ok());
   EXPECT_LE(t.value(), 1u);
 }
@@ -261,12 +277,11 @@ TEST(MarkovChainTest, TvMixingTimeFromTransientStartTargetsLongRunLimit) {
 
 TEST(MarkovChainTest, MixingTimeLazyCycleGrowsWithSize) {
   auto lazy_cycle = [](size_t n) {
-    MarkovChain mc(n);
+    MarkovChain::Rows rows(n);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(mc.AddTransition(i, i, BigRational(1, 2)).ok());
-      EXPECT_TRUE(mc.AddTransition(i, (i + 1) % n, BigRational(1, 2)).ok());
+      rows[i] = {{i, BigRational(1, 2)}, {(i + 1) % n, BigRational(1, 2)}};
     }
-    return mc;
+    return Chain(std::move(rows));
   };
   auto t4 = lazy_cycle(4).MixingTimeFrom(0, 0.05);
   auto t12 = lazy_cycle(12).MixingTimeFrom(0, 0.05);

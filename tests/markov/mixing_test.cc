@@ -1,27 +1,25 @@
 #include <gtest/gtest.h>
 
 #include "markov/markov_chain.h"
+#include "markov/test_chains.h"
 
 namespace pfql {
 namespace {
 
 MarkovChain LazyCycle(size_t n) {
-  MarkovChain mc(n);
+  MarkovChain::Rows rows(n);
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(mc.AddTransition(i, i, BigRational(1, 2)).ok());
-    EXPECT_TRUE(mc.AddTransition(i, (i + 1) % n, BigRational(1, 2)).ok());
+    rows[i] = {{i, BigRational(1, 2)}, {(i + 1) % n, BigRational(1, 2)}};
   }
-  return mc;
+  return Chain(std::move(rows));
 }
 
 TEST(TvMixingTest, UniformChainMixesInstantly) {
-  MarkovChain mc(4);
+  MarkovChain::Rows rows(4);
   for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      ASSERT_TRUE(mc.AddTransition(i, j, BigRational(1, 4)).ok());
-    }
+    for (size_t j = 0; j < 4; ++j) rows[i].emplace_back(j, BigRational(1, 4));
   }
-  auto t = mc.TvMixingTimeFrom(0, 0.01);
+  auto t = Chain(std::move(rows)).TvMixingTimeFrom(0, 0.01);
   ASSERT_TRUE(t.ok());
   EXPECT_LE(t.value(), 1u);
 }
@@ -46,15 +44,12 @@ TEST(TvMixingTest, GrowsWithCycleLength) {
 }
 
 TEST(TvMixingTest, RequiresErgodicity) {
-  MarkovChain periodic(2);
-  ASSERT_TRUE(periodic.AddTransition(0, 1, BigRational(1)).ok());
-  ASSERT_TRUE(periodic.AddTransition(1, 0, BigRational(1)).ok());
+  const MarkovChain periodic =
+      Chain({{{1, BigRational(1)}}, {{0, BigRational(1)}}});
   EXPECT_FALSE(periodic.TvMixingTimeFrom(0, 0.01).ok());
   // A transient start absorbed into that 2-cycle has no limit either.
-  MarkovChain feeding(3);
-  ASSERT_TRUE(feeding.AddTransition(0, 1, BigRational(1)).ok());
-  ASSERT_TRUE(feeding.AddTransition(1, 2, BigRational(1)).ok());
-  ASSERT_TRUE(feeding.AddTransition(2, 1, BigRational(1)).ok());
+  const MarkovChain feeding = Chain(
+      {{{1, BigRational(1)}}, {{2, BigRational(1)}}, {{1, BigRational(1)}}});
   auto t = feeding.TvMixingTimeFrom(0, 0.01);
   ASSERT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kFailedPrecondition);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/instance.h"
 #include "relational/schema.h"
+#include "relational/text_io.h"
 #include "relational/tuple.h"
 
 namespace pfql {
@@ -54,6 +56,34 @@ TEST(ValueTest, HashRespectsEquality) {
   EXPECT_EQ(Value(7).Hash(), Value(7).Hash());
   EXPECT_EQ(Value("abc").Hash(), Value("abc").Hash());
   EXPECT_NE(Value(1).Hash(), Value(1.0).Hash());
+}
+
+// A double prints as the shortest text that reads back as it, and never as
+// an int: the caches key on printed program text.
+TEST(ValueTest, DoublesPrintWithoutLoss) {
+  EXPECT_EQ(Value(1).ToString(), "1");
+  EXPECT_EQ(Value(1.0).ToString(), "1.0");
+  EXPECT_EQ(Value(0.1).ToString(), "0.1");
+  EXPECT_EQ(Value(-2.5).ToString(), "-2.5");
+  EXPECT_EQ(Value(0.1234567).ToString(), "0.1234567");
+  EXPECT_EQ(Value(0.1234568).ToString(), "0.1234568");
+  EXPECT_EQ(Value(1e-7).ToString(), "1e-07");
+
+  const double doubles[] = {0.1,       1.0,       2.0,       0.50000015,
+                            1e-7,      1e21,      1e300,     1.0 / 3,
+                            0.1234567, 0.1234568, -123456789.0,
+                            2.2250738585072014e-308};
+  for (const double d : doubles) {
+    Instance db;
+    Relation r(Schema({"v"}));
+    r.Insert(Tuple{Value(d)});
+    db.Set("r", std::move(r));
+    auto parsed = ParseInstanceText(FormatInstance(db));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const Value& back = parsed->Find("r")->tuples()[0][0];
+    ASSERT_TRUE(back.is_double()) << Value(d).ToString();
+    EXPECT_EQ(back.AsDouble(), d) << Value(d).ToString();
+  }
 }
 
 TEST(SchemaTest, ValidateRejectsDuplicatesAndEmpty) {

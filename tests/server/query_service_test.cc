@@ -390,6 +390,34 @@ TEST(QueryServiceTest, RegistrationViaWire) {
   EXPECT_EQ(query.result.Find("probability")->AsString(), "1/2");
 }
 
+// The result cache keys on the program's printed text, which must keep
+// every digit of a double constant: 0.5000001 and 0.5000002 both printed as
+// 0.5 once, and the second bound was answered from the first's entry.
+TEST(QueryServiceTest, ResultCacheKeepsEveryDigitOfADoubleConstant) {
+  QueryService service;
+  auto exact = [&](const std::string& bound, bool no_cache) {
+    return service.CallLine(
+        "{\"method\":\"exact\",\"program_text\":"
+        "\"ok(X) :- e(X, W), W < " + bound + ".\",\"data_text\":"
+        "\"relation e(i, w) {\\n  (0, 0.50000015)\\n}\","
+        "\"event\":\"ok(0)\"" + (no_cache ? ",\"no_cache\":true" : "") +
+        "}");
+  };
+  const Response below = exact("0.5000001", false);
+  ASSERT_TRUE(below.status.ok()) << below.status.ToString();
+  EXPECT_EQ(below.result.Find("probability")->AsString(), "0");
+
+  const Response above = exact("0.5000002", false);
+  ASSERT_TRUE(above.status.ok()) << above.status.ToString();
+  EXPECT_FALSE(above.cached);
+  EXPECT_EQ(above.result.Find("probability")->AsString(), "1");
+
+  const Response fresh = exact("0.5000002", true);
+  ASSERT_TRUE(fresh.status.ok()) << fresh.status.ToString();
+  EXPECT_EQ(fresh.result.Find("probability")->AsString(), "1");
+  EXPECT_TRUE(exact("0.5000002", false).cached);
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace pfql
