@@ -23,7 +23,8 @@ bool IsDeltaName(const std::string& name) {
   return name.rfind(kDeltaPrefix, 0) == 0;
 }
 
-// The state as callers see it: `db` without its delta relations.
+// The state as callers see it: `db` without its delta relations, sharing
+// the rest.
 Instance WithoutDeltas(const Instance& db) {
   Instance out;
   for (const auto& [name, rel] : db.relations()) {
@@ -66,8 +67,10 @@ class CompiledProgram {
     heads->emplace_back(rules_[r].head, rules_[r].head_layout.Build(row));
   }
 
-  // Inserts a step's head tuples into `db` and replaces its delta relations
-  // with the tuples that were not there yet.
+  // Replaces each IDB relation of `db` that a step's head tuples grow, and
+  // each delta relation with the tuples that were not there yet. `db` may
+  // share its relations (with a parent node or the initial instance), so
+  // nothing is written into them.
   Status Apply(const Heads& heads, Instance* db) const;
 
  private:
@@ -153,9 +156,9 @@ StatusOr<Instance> CompiledProgram::InitialInstance(
   PFQL_ASSIGN_OR_RETURN(Instance initial, program_.InitialInstance(edb));
   for (const auto& [name, rel] : initial.relations()) {
     const Schema& compiled = initial_.Find(name)->schema();
-    if (!(rel.schema() == compiled)) {
+    if (!(rel->schema() == compiled)) {
       return Status::InvalidArgument(
-          "relation '" + name + "' has schema " + rel.schema().ToString() +
+          "relation '" + name + "' has schema " + rel->schema().ToString() +
           ", but the program was compiled for " + compiled.ToString());
     }
   }
@@ -196,7 +199,7 @@ Status CompiledProgram::Apply(const Heads& heads, Instance* db) const {
   std::vector<std::vector<Tuple>> staged(idb_.size());
   for (const auto& [idb, tuple] : heads) staged[idb].push_back(tuple);
   for (size_t i = 0; i < idb_.size(); ++i) {
-    Relation* rel = db->FindMutable(idb_[i].name);
+    const Relation* rel = db->Find(idb_[i].name);
     if (rel == nullptr) {
       return Status::Internal("head relation '" + idb_[i].name +
                               "' missing from instance");
@@ -207,7 +210,10 @@ Status CompiledProgram::Apply(const Heads& heads, Instance* db) const {
     }
     Relation added(idb_[i].schema);
     added.InsertAll(std::move(fresh));
-    rel->InsertAll(added.tuples());
+    if (!added.empty()) {  // else the relation keeps its pointer
+      PFQL_ASSIGN_OR_RETURN(Relation grown, rel->UnionWith(added));
+      db->Set(idb_[i].name, std::move(grown));
+    }
     db->Set(idb_[i].delta, std::move(added));
   }
   return Status::OK();
@@ -225,7 +231,7 @@ StatusOr<InflationaryEngine> InflationaryEngine::Make(Program program,
 }
 
 void InflationaryEngine::Restart() {
-  db_ = program_->initial();
+  db_ = program_->initial();  // shares the initial relations
   steps_ = 0;
 }
 
@@ -335,6 +341,7 @@ class ExactTraversal {
                         const Instance& db, CompiledProgram::Heads* heads,
                         BigRational prob) {
     if (depth == points.size()) {
+      // Shares db's relations; Apply replaces the ones the step grows.
       Instance child = db;
       PFQL_RETURN_NOT_OK(program_.Apply(*heads, &child));
       return Visit(std::move(child), std::move(prob), /*first_step=*/false);

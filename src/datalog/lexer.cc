@@ -1,6 +1,7 @@
 #include "datalog/lexer.h"
 
 #include <cctype>
+#include <optional>
 
 namespace pfql {
 namespace datalog {
@@ -231,12 +232,16 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view source,
         text.push_back(source[i]);
         advance(1);
       }
-      if (is_double) {
-        push(TokenKind::kNumber, text, Value(std::stod(text)));
-      } else {
-        push(TokenKind::kNumber, text,
-             Value(static_cast<int64_t>(std::stoll(text))));
+      std::optional<Value> value = ParseNumericLiteral(text);
+      if (!value.has_value()) {
+        if (error_span != nullptr) {  // the whole literal
+          error_span->begin = {tok_line, tok_column};
+          error_span->end = {line, column};
+        }
+        return LexError(tok_line, tok_column,
+                        "invalid numeric literal '" + text + "'");
       }
+      push(TokenKind::kNumber, text, *std::move(value));
       continue;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {

@@ -162,15 +162,18 @@ StatusOr<Instance> Program::InitialInstance(
     const Instance& edb_instance) const {
   Instance out;
   for (const auto& pred : edb_) {
-    PFQL_ASSIGN_OR_RETURN(Relation rel, edb_instance.Get(pred));
+    Instance::RelationPtr rel = edb_instance.FindShared(pred);
+    if (rel == nullptr) {
+      return Status::NotFound("relation '" + pred + "' not in instance");
+    }
     const size_t expected = arities_.at(pred);
-    if (!rel.empty() && rel.schema().size() != expected) {
+    if (!rel->empty() && rel->schema().size() != expected) {
       return Status::TypeError("EDB relation '" + pred + "' has arity " +
-                               std::to_string(rel.schema().size()) +
+                               std::to_string(rel->schema().size()) +
                                ", program expects " +
                                std::to_string(expected));
     }
-    out.Set(pred, std::move(rel));
+    out.Set(pred, std::move(rel));  // shared with the input
   }
   for (const auto& pred : idb_) {
     if (edb_instance.Has(pred)) {

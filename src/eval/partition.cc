@@ -56,18 +56,21 @@ StatusOr<Partition> ComputePartition(const datalog::Program& program,
 
   Partition partition;
   for (const auto& [_, members] : groups) {
-    Instance cls;
-    for (const auto& pred : program.edb_predicates()) {
-      PFQL_ASSIGN_OR_RETURN(Relation rel, edb.Get(pred));
-      cls.Set(pred, Relation(rel.schema()));
-    }
     std::map<std::string, std::vector<Tuple>> per_relation;
     for (size_t id : members) {
       const auto& [relation, tuple] = prov.base[id];
       per_relation[relation].push_back(tuple);
     }
-    for (auto& [relation, tuples] : per_relation) {
-      cls.FindMutable(relation)->InsertAll(std::move(tuples));
+    Instance cls;
+    for (const auto& pred : program.edb_predicates()) {
+      const Relation* rel = edb.Find(pred);
+      if (rel == nullptr) {
+        return Status::NotFound("relation '" + pred + "' not in instance");
+      }
+      PFQL_ASSIGN_OR_RETURN(
+          Relation part,
+          Relation::Make(rel->schema(), std::move(per_relation[pred])));
+      cls.Set(pred, std::move(part));
     }
     partition.classes.push_back(std::move(cls));
     partition.class_sizes.push_back(members.size());

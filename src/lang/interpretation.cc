@@ -1,7 +1,5 @@
 #include "lang/interpretation.h"
 
-#include <algorithm>
-
 namespace pfql {
 
 bool Interpretation::IsDeterministic() const {
@@ -31,13 +29,6 @@ StatusOr<std::shared_ptr<const CompiledKernel>> Interpretation::Compile(
   return std::shared_ptr<const CompiledKernel>(std::move(kernel));
 }
 
-bool CompiledKernel::Defines(const std::string& name) const {
-  auto it = std::lower_bound(
-      plans_.begin(), plans_.end(), name,
-      [](const auto& plan, const std::string& n) { return plan.first < n; });
-  return it != plans_.end() && it->first == name;
-}
-
 Status CompiledKernel::Step(Instance* state, Rng* rng) const {
   // Every query reads the old state before any relation is replaced.
   std::vector<Relation> results;
@@ -54,9 +45,12 @@ Status CompiledKernel::Step(Instance* state, Rng* rng) const {
 
 StatusOr<Distribution<Instance>> CompiledKernel::Exact(
     const Instance& instance, const ExactEvalOptions& options) const {
-  // Each query's outcome distribution, in name order, with the world count
-  // checked as each one joins the product.
-  std::vector<Distribution<Relation>> results;
+  // Each query's outcomes, in name order, with the world count checked as
+  // each one joins the product. Every outcome is wrapped once: the
+  // successors that pick it share it, and so do the states interned from
+  // them.
+  using Outcomes = std::vector<std::pair<Instance::RelationPtr, BigRational>>;
+  std::vector<Outcomes> results;
   results.reserve(plans_.size());
   size_t worlds = 1;
   for (const auto& [name, plan] : plans_) {
@@ -68,25 +62,27 @@ StatusOr<Distribution<Instance>> CompiledKernel::Exact(
           std::to_string(options.max_worlds));
     }
     worlds *= result.size();
-    results.push_back(std::move(result));
+    Outcomes& outcomes = results.emplace_back();
+    outcomes.reserve(result.size());
+    for (auto& outcome : result.MutableOutcomes()) {
+      outcomes.emplace_back(
+          std::make_shared<Relation>(std::move(outcome.value)),
+          std::move(outcome.probability));
+    }
   }
   // Successors share the relations no query defines and differ in the
   // defined ones, compared in name order. So an odometer over the sorted
   // outcome lists, first query outermost, visits them in Instance order,
   // each once: the distribution comes out normalized.
-  Instance carried;
-  for (const auto& [name, rel] : instance.relations()) {
-    if (!Defines(name)) carried.Set(name, rel);
-  }
   Distribution<Instance> out;
   std::vector<size_t> pick(results.size(), 0);
   for (;;) {
-    Instance next = carried;
+    Instance next = instance;
     BigRational p(1);
     for (size_t i = 0; i < results.size(); ++i) {
-      const auto& outcome = results[i].outcomes()[pick[i]];
-      next.Set(plans_[i].first, outcome.value);
-      p *= outcome.probability;
+      const auto& [relation, probability] = results[i][pick[i]];
+      next.Set(plans_[i].first, relation);
+      p *= probability;
     }
     out.Add(std::move(next), std::move(p));
     size_t i = results.size();
@@ -113,7 +109,7 @@ StatusOr<bool> Interpretation::IsInflationaryOn(
   for (const auto& w : worlds.outcomes()) {
     for (const auto& [name, rel] : instance.relations()) {
       const Relation* next_rel = w.value.Find(name);
-      if (next_rel == nullptr || !rel.IsSubsetOf(*next_rel)) return false;
+      if (next_rel == nullptr || !rel->IsSubsetOf(*next_rel)) return false;
     }
   }
   return true;

@@ -85,8 +85,6 @@ class CompiledKernel {
  private:
   friend class Interpretation;
 
-  bool Defines(const std::string& name) const;
-
   std::vector<std::pair<std::string, RaPlan>> plans_;  // by name
 };
 

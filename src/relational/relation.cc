@@ -115,6 +115,7 @@ StatusOr<Relation> Relation::UnionWith(const Relation& other) const {
                                std::to_string(other.schema_.size()));
     }
   }
+  out.tuples_.reserve(tuples_.size() + other.tuples_.size());
   std::set_union(tuples_.begin(), tuples_.end(), other.tuples_.begin(),
                  other.tuples_.end(), std::back_inserter(out.tuples_));
   return out;

@@ -122,12 +122,11 @@ class TextParser {
         num.push_back(Peek());
         Advance();
       }
-      try {
-        if (is_double) return Value(std::stod(num));
-        return Value(static_cast<int64_t>(std::stoll(num)));
-      } catch (const std::exception&) {
+      std::optional<Value> value = ParseNumericLiteral(num);
+      if (!value.has_value()) {
         return Error("invalid numeric literal '" + num + "'");
       }
+      return *std::move(value);
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       PFQL_ASSIGN_OR_RETURN(std::string word, ParseWord());
@@ -240,12 +239,12 @@ std::string FormatInstance(const Instance& instance) {
   std::string out;
   for (const auto& [name, rel] : instance.relations()) {
     out += "relation " + name + "(";
-    for (size_t i = 0; i < rel.schema().size(); ++i) {
+    for (size_t i = 0; i < rel->schema().size(); ++i) {
       if (i > 0) out += ", ";
-      out += rel.schema().column(i);
+      out += rel->schema().column(i);
     }
     out += ") {\n";
-    for (const auto& t : rel.tuples()) {
+    for (const auto& t : rel->tuples()) {
       out += "  (";
       for (size_t i = 0; i < t.size(); ++i) {
         if (i > 0) out += ", ";

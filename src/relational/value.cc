@@ -68,6 +68,25 @@ std::string Value::ToString() const {
   return "<corrupt>";
 }
 
+std::optional<Value> ParseNumericLiteral(std::string_view text) {
+  // std::from_chars takes no '+'.
+  if (!text.empty() && text.front() == '+') {
+    text.remove_prefix(1);
+    if (!text.empty() && text.front() == '-') return std::nullopt;
+  }
+  const char* const end = text.data() + text.size();
+  if (text.find_first_of(".eE") != std::string_view::npos) {
+    double d = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, d);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return Value(d);
+  }
+  int64_t i = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, i);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return Value(i);
+}
+
 int Value::Compare(const Value& other) const {
   if (type() != other.type()) {
     return static_cast<int>(type()) < static_cast<int>(other.type()) ? -1 : 1;

@@ -6,8 +6,10 @@
 #define PFQL_RELATIONAL_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "util/rational.h"
@@ -72,6 +74,14 @@ class Value {
 inline std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();
 }
+
+/// Reads a whole numeric literal, the one reader of program text and
+/// instance text: a double if `text` holds '.', 'e' or 'E', an int64
+/// otherwise, with one optional leading '+' or '-'. Doubles read exactly
+/// (subnormals too) and read back what Value::ToString prints. Nullopt if
+/// characters are left over or the value is out of range (beyond int64,
+/// overflowing a double, or underflowing one to zero).
+std::optional<Value> ParseNumericLiteral(std::string_view text);
 
 }  // namespace pfql
 

@@ -1,5 +1,7 @@
 #include "server/wire.h"
 
+#include "relational/value.h"
+
 namespace pfql {
 namespace server {
 
@@ -110,8 +112,8 @@ std::string Request::CacheParams() const {
       out += ";max_nodes=" + std::to_string(max_nodes);
       break;
     case RequestKind::kApprox:
-      out += ";eps=" + std::to_string(epsilon) +
-             ";delta=" + std::to_string(delta) +
+      out += ";eps=" + Value(epsilon).ToString() +
+             ";delta=" + Value(delta).ToString() +
              ";seed=" + std::to_string(seed) +
              ";max_samples=" + std::to_string(max_samples);
       break;
@@ -124,8 +126,8 @@ std::string Request::CacheParams() const {
       // tier quantizes probabilities, so its estimates must never alias a
       // cached interpreted payload (or a differently-budgeted compiled
       // one) under the same key.
-      out += ";eps=" + std::to_string(epsilon) +
-             ";delta=" + std::to_string(delta) +
+      out += ";eps=" + Value(epsilon).ToString() +
+             ";delta=" + Value(delta).ToString() +
              ";seed=" + std::to_string(seed) + ";burn_in=" +
              (burn_in.has_value() ? std::to_string(*burn_in) : "auto") +
              ";max_states=" + std::to_string(max_states) +

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "datalog/lexer.h"
 #include "datalog/program.h"
 
@@ -76,6 +79,33 @@ TEST(LexerTest, ErrorsOnGarbage) {
   EXPECT_FALSE(Tokenize("f(\"unterminated).").ok());
   EXPECT_FALSE(Tokenize("f(x) :").ok());
   EXPECT_FALSE(Tokenize("f(!x).").ok());
+}
+
+// A literal beyond int64, or a double beyond its range, is a ParseError
+// over the literal's span, never an exception escaping the lexer.
+TEST(LexerTest, OutOfRangeNumbersAreParseErrors) {
+  SourceSpan span;
+  auto big = Tokenize("p(1, 99999999999999999999).", &span);
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kParseError);
+  EXPECT_NE(big.status().message().find(
+                "invalid numeric literal '99999999999999999999'"),
+            std::string::npos)
+      << big.status();
+  EXPECT_EQ(span.begin, (SourcePos{1, 6}));
+  EXPECT_EQ(span.end, (SourcePos{1, 26}));
+
+  const std::string huge = "p(1" + std::string(400, '0') + ".5).";
+  auto overflow = Tokenize(huge);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ParseProgram("p(99999999999999999999).").status().code(),
+            StatusCode::kParseError);
+
+  auto extremes = Tokenize("p(9223372036854775807, -9223372036854775808).");
+  ASSERT_TRUE(extremes.ok()) << extremes.status();
+  EXPECT_EQ((*extremes)[2].value, Value(INT64_MAX));
+  EXPECT_EQ((*extremes)[4].value, Value(INT64_MIN));
 }
 
 TEST(ParserTest, ParsesReachabilityExample39) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "relational/instance.h"
 #include "relational/schema.h"
 #include "relational/text_io.h"
@@ -72,7 +74,8 @@ TEST(ValueTest, DoublesPrintWithoutLoss) {
   const double doubles[] = {0.1,       1.0,       2.0,       0.50000015,
                             1e-7,      1e21,      1e300,     1.0 / 3,
                             0.1234567, 0.1234568, -123456789.0,
-                            2.2250738585072014e-308};
+                            2.2250738585072014e-308,
+                            std::numeric_limits<double>::denorm_min()};
   for (const double d : doubles) {
     Instance db;
     Relation r(Schema({"v"}));

@@ -371,6 +371,29 @@ TEST(QueryServiceTest, CallLineSpeaksTheWireSchema) {
   EXPECT_FALSE(unknown.status.ok());
 }
 
+// An integer literal beyond int64, in the program or in the event, is a
+// ParseError response, and the service goes on answering.
+TEST(QueryServiceTest, OversizedNumericLiteralsAreParseErrors) {
+  QueryService service;
+  const Response in_program = service.CallLine(
+      "{\"method\":\"exact\",\"program_text\":"
+      "\"p(99999999999999999999).\",\"data_text\":\"\","
+      "\"event\":\"p(1)\"}");
+  EXPECT_EQ(in_program.status.code(), StatusCode::kParseError)
+      << in_program.status.ToString();
+  const Response in_event = service.CallLine(
+      "{\"method\":\"exact\",\"program_text\":"
+      "\"flip(<K>, V) :- opts(K, V).\",\"data_text\":"
+      "\"relation opts(k, v) {\\n  (0, 0)\\n  (0, 1)\\n}\","
+      "\"event\":\"flip(0, 99999999999999999999)\"}");
+  EXPECT_EQ(in_event.status.code(), StatusCode::kParseError)
+      << in_event.status.ToString();
+
+  const Response after = service.Call(CoinRequest(RequestKind::kExact));
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  EXPECT_EQ(after.result.Find("probability")->AsString(), "1/2");
+}
+
 TEST(QueryServiceTest, RegistrationViaWire) {
   QueryService service;
   const Response reg_program = service.CallLine(

@@ -218,6 +218,25 @@ TEST(WireTest, CacheParamsKeysSampleBudgetForSampledKinds) {
   }
 }
 
+// ε and δ keep every digit in the key: with six decimals, ε = 0.0100004
+// was answered from ε = 0.01's entry, with ε = 0.01's sample count.
+TEST(WireTest, CacheParamsKeysEveryDigitOfEpsilonAndDelta) {
+  for (RequestKind kind : {RequestKind::kApprox, RequestKind::kMcmc}) {
+    Request a = QueryRequest(kind);
+    Request b = QueryRequest(kind);
+    a.epsilon = 0.01;
+    b.epsilon = 0.0100004;
+    EXPECT_NE(a.CacheParams(), b.CacheParams())
+        << RequestKindToString(kind);
+    Request c = QueryRequest(kind);
+    Request d = QueryRequest(kind);
+    c.delta = 0.05;
+    d.delta = 0.0500001;
+    EXPECT_NE(c.CacheParams(), d.CacheParams())
+        << RequestKindToString(kind);
+  }
+}
+
 TEST(WireTest, CacheParamsKeysBackendForSampledWalkKinds) {
   // The compiled tier quantizes probabilities, so its estimates must not
   // alias cached interpreted payloads (and vice versa) under one key.
