@@ -184,6 +184,11 @@ class MutexLruCache {
       index_;
 };
 
+// One probe result as a hit count: an id from the baseline, a node from the
+// concurrent interner.
+size_t Hit(size_t id) { return id != SequentialInterner::kNotFound; }
+size_t Hit(const ConcurrentInterner::Node* node) { return node != nullptr; }
+
 // Drives `threads` workers over a shared op stream: 95% Find of a resident
 // instance, 5% Intern of a thread-private fresh instance. Returns ops/sec.
 template <typename InternerT>
@@ -203,10 +208,11 @@ double InternerOpsPerSec(InternerT* interner, size_t threads,
         std::vector<Instance>& mine = (*fresh)[t];
         for (size_t i = 0; i < ops_per_thread; ++i) {
           if (next_fresh < mine.size() && rng.NextBernoulli(0.05)) {
-            hits += interner->Intern(std::move(mine[next_fresh++])).first;
+            hits +=
+                Hit(interner->Intern(std::move(mine[next_fresh++])).first);
           } else {
-            hits += interner->Find(
-                resident[rng.NextIndex(resident.size())]);
+            hits += Hit(
+                interner->Find(resident[rng.NextIndex(resident.size())]));
           }
         }
         sink.fetch_add(hits, std::memory_order_relaxed);
@@ -351,7 +357,6 @@ int main(int argc, char** argv) {
       const double conc_ops =
           InternerOpsPerSec(&concurrent, n, ops_per_thread, resident,
                             &fresh_c);
-      epoch::Collector::Instance().Collect();
       return std::make_pair(base_ops, conc_ops);
     };
 

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <thread>
 
-#include "util/epoch.h"
 #include "util/metrics.h"
 
 namespace pfql {
@@ -29,33 +28,39 @@ class SpinLockGuard {
   std::atomic_flag* flag_;
 };
 
+// Instance::Hash() varies mostly in its low bits, and near-equal instances
+// get near-equal hashes, which linear probing turns into long runs. Slots
+// and stripes index by this multiplicative mix of it instead (the murmur3
+// finalizer), which spreads every input bit over the whole word.
+size_t Mix(size_t hash) {
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdULL;
+  hash ^= hash >> 33;
+  hash *= 0xc4ceb9fe1a85ec53ULL;
+  return hash ^ (hash >> 33);
+}
+
 }  // namespace
 
 ConcurrentInterner::ConcurrentInterner(size_t stripes)
-    : stripe_mask_(stripes - 1),
-      stripes_(new Stripe[stripes]),
-      chunks_(new std::atomic<Instance*>[kMaxChunks]) {
+    : stripe_mask_(stripes - 1), stripes_(new Stripe[stripes]) {
   assert(stripes > 0 && (stripes & (stripes - 1)) == 0 &&
          "stripe count must be a power of two");
   for (size_t s = 0; s < stripes; ++s) {
     stripes_[s].table.store(new Table(kInitialSlotsPerStripe),
                             std::memory_order_relaxed);
   }
-  for (size_t c = 0; c < kMaxChunks; ++c) {
-    chunks_[c].store(nullptr, std::memory_order_relaxed);
-  }
 }
 
 ConcurrentInterner::~ConcurrentInterner() {
   for (size_t s = 0; s <= stripe_mask_; ++s) {
-    Table* table = stripes_[s].table.load(std::memory_order_relaxed);
-    if (table != nullptr) {
-      delete[] table->slots;
-      delete table;
+    // The live table holds every node of its stripe exactly once; its
+    // destructor frees the outgrown tables behind it.
+    std::unique_ptr<Table> table(
+        stripes_[s].table.load(std::memory_order_relaxed));
+    for (size_t i = 0; i <= table->mask; ++i) {
+      delete table->slots[i].node.load(std::memory_order_relaxed);
     }
-  }
-  for (size_t c = 0; c < kMaxChunks; ++c) {
-    delete[] chunks_[c].load(std::memory_order_relaxed);
   }
   auto& registry = metrics::MetricRegistry::Instance();
   const uint64_t inserts = inserts_.load(std::memory_order_relaxed);
@@ -72,43 +77,40 @@ ConcurrentInterner::~ConcurrentInterner() {
   }
 }
 
-size_t ConcurrentInterner::Probe(const Table& table, size_t hash,
-                                 const Instance& instance) const {
+ConcurrentInterner::Node* ConcurrentInterner::Probe(const Table& table,
+                                                    size_t hash,
+                                                    const Instance& instance) {
   size_t i = hash & table.mask;
   for (;;) {
     const Slot& slot = table.slots[i];
-    const size_t id_plus_one = slot.id_plus_one.load(std::memory_order_acquire);
-    if (id_plus_one == 0) return kNotFound;  // empty slot ends the probe
+    Node* node = slot.node.load(std::memory_order_acquire);
+    if (node == nullptr) return nullptr;  // empty slot ends the probe
     if (slot.hash.load(std::memory_order_relaxed) == hash &&
-        At(id_plus_one - 1) == instance) {
-      return id_plus_one - 1;
+        node->instance == instance) {
+      return node;
     }
     i = (i + 1) & table.mask;
   }
 }
 
-size_t ConcurrentInterner::Find(const Instance& instance) const {
-  const size_t hash = instance.Hash();
-  epoch::Guard guard;
-  const Stripe& stripe = StripeFor(hash);
-  const Table* table = stripe.table.load(std::memory_order_acquire);
+const ConcurrentInterner::Node* ConcurrentInterner::Find(
+    const Instance& instance) const {
+  const size_t hash = Mix(instance.Hash());
+  const Table* table = StripeFor(hash).table.load(std::memory_order_acquire);
   return Probe(*table, hash, instance);
 }
 
-std::pair<size_t, bool> ConcurrentInterner::Intern(Instance instance) {
-  const size_t hash = instance.Hash();
-  epoch::Guard guard;
+std::pair<ConcurrentInterner::Node*, bool> ConcurrentInterner::Intern(
+    Instance instance) {
+  const size_t hash = Mix(instance.Hash());
   Stripe& stripe = StripeFor(hash);
 
   // Optimistic lock-free pre-check: the common case in a BFS wave is a
   // duplicate successor, which never needs the stripe lock at all.
-  {
-    const Table* table = stripe.table.load(std::memory_order_acquire);
-    const size_t found = Probe(*table, hash, instance);
-    if (found != kNotFound) {
-      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-      return {found, false};
-    }
+  if (Node* found = Probe(*stripe.table.load(std::memory_order_acquire),
+                          hash, instance)) {
+    dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+    return {found, false};
   }
 
   SpinLockGuard lock(&stripe.lock);
@@ -116,8 +118,7 @@ std::pair<size_t, bool> ConcurrentInterner::Intern(Instance instance) {
   // won. Same-instance races always land on this stripe (hash-partitioned),
   // so the lock fully serializes them.
   Table* table = stripe.table.load(std::memory_order_relaxed);
-  const size_t found = Probe(*table, hash, instance);
-  if (found != kNotFound) {
+  if (Node* found = Probe(*table, hash, instance)) {
     dedup_hits_.fetch_add(1, std::memory_order_relaxed);
     return {found, false};
   }
@@ -128,92 +129,43 @@ std::pair<size_t, bool> ConcurrentInterner::Intern(Instance instance) {
     table = stripe.table.load(std::memory_order_relaxed);
   }
 
-  const size_t id = count_.fetch_add(1, std::memory_order_acq_rel);
-  Store(id, std::move(instance));
-
+  Node* node = new Node{std::move(instance)};
   size_t i = hash & table->mask;
-  while (table->slots[i].id_plus_one.load(std::memory_order_relaxed) != 0) {
+  while (table->slots[i].node.load(std::memory_order_relaxed) != nullptr) {
     i = (i + 1) & table->mask;
   }
   table->slots[i].hash.store(hash, std::memory_order_relaxed);
-  // Release-publish after the instance is stored: any reader that acquires
-  // this id sees the fully constructed instance through At().
-  table->slots[i].id_plus_one.store(id + 1, std::memory_order_release);
+  // Release-publish after the node is constructed: any reader that
+  // acquires this pointer sees the whole instance and the slot's hash.
+  table->slots[i].node.store(node, std::memory_order_release);
   ++stripe.size;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  return {id, true};
+  inserts_.fetch_add(1, std::memory_order_release);
+  return {node, true};
 }
 
 void ConcurrentInterner::Grow(Stripe* stripe) {
   Table* old_table = stripe->table.load(std::memory_order_relaxed);
-  Table* new_table = new Table((old_table->mask + 1) * 2);
+  auto new_table = std::make_unique<Table>((old_table->mask + 1) * 2);
   // Only the lock holder writes slots, so plain-order reads of the old
-  // table are stable here; published ids are re-inserted by stored hash.
+  // table are stable here; published nodes are re-inserted by stored hash.
   for (size_t i = 0; i <= old_table->mask; ++i) {
-    const size_t id_plus_one =
-        old_table->slots[i].id_plus_one.load(std::memory_order_relaxed);
-    if (id_plus_one == 0) continue;
-    const size_t hash = old_table->slots[i].hash.load(std::memory_order_relaxed);
+    Node* node = old_table->slots[i].node.load(std::memory_order_relaxed);
+    if (node == nullptr) continue;
+    const size_t hash =
+        old_table->slots[i].hash.load(std::memory_order_relaxed);
     size_t j = hash & new_table->mask;
-    while (new_table->slots[j].id_plus_one.load(std::memory_order_relaxed) !=
-           0) {
+    while (new_table->slots[j].node.load(std::memory_order_relaxed) !=
+           nullptr) {
       j = (j + 1) & new_table->mask;
     }
     new_table->slots[j].hash.store(hash, std::memory_order_relaxed);
-    new_table->slots[j].id_plus_one.store(id_plus_one,
-                                          std::memory_order_release);
+    new_table->slots[j].node.store(node, std::memory_order_relaxed);
   }
-  stripe->table.store(new_table, std::memory_order_release);
-  // Readers may still be probing the old table; the epoch collector frees
-  // it once every possible reader has unpinned.
-  epoch::RetireArray(old_table->slots);
-  epoch::RetireObject(old_table);
+  // Readers may still be probing the old table: it stays allocated, owned
+  // by its replacement, until the interner is destroyed.
+  new_table->outgrown.reset(old_table);
+  stripe->table.store(new_table.release(), std::memory_order_release);
   grows_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ConcurrentInterner::Store(size_t id, Instance&& instance) {
-  const size_t chunk = id >> kChunkBits;
-  assert(chunk < kMaxChunks && "interner capacity exceeded");
-  Instance* base = chunks_[chunk].load(std::memory_order_acquire);
-  if (base == nullptr) {
-    Instance* fresh = new Instance[kChunkSize];
-    if (chunks_[chunk].compare_exchange_strong(base, fresh,
-                                               std::memory_order_acq_rel)) {
-      base = fresh;
-    } else {
-      delete[] fresh;  // another thread installed the chunk first
-    }
-  }
-  base[id & (kChunkSize - 1)] = std::move(instance);
-}
-
-const Instance& ConcurrentInterner::At(size_t id) const {
-  Instance* base = chunks_[id >> kChunkBits].load(std::memory_order_acquire);
-  return base[id & (kChunkSize - 1)];
-}
-
-std::vector<Instance> ConcurrentInterner::TakeAll() {
-  const size_t n = count_.load(std::memory_order_acquire);
-  std::vector<Instance> out;
-  out.reserve(n);
-  for (size_t id = 0; id < n; ++id) {
-    Instance* base = chunks_[id >> kChunkBits].load(std::memory_order_relaxed);
-    out.push_back(std::move(base[id & (kChunkSize - 1)]));
-  }
-  for (size_t s = 0; s <= stripe_mask_; ++s) {
-    Table* table = stripes_[s].table.load(std::memory_order_relaxed);
-    delete[] table->slots;
-    delete table;
-    stripes_[s].table.store(new Table(kInitialSlotsPerStripe),
-                            std::memory_order_relaxed);
-    stripes_[s].size = 0;
-  }
-  for (size_t c = 0; c < kMaxChunks; ++c) {
-    delete[] chunks_[c].load(std::memory_order_relaxed);
-    chunks_[c].store(nullptr, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_release);
-  return out;
 }
 
 }  // namespace pfql

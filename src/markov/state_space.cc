@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <cstdint>
 #include <thread>
 #include <utility>
 
 #include "markov/concurrent_interner.h"
-#include "util/epoch.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -16,27 +15,30 @@ namespace pfql {
 
 namespace {
 
-// One expanded frontier state: the successor distribution with every
-// successor instance already interned (moved into the shared concurrent
-// interner) and replaced by its provisional id. Workers do the instance
-// hashing, equality probing, and deduplication in parallel; the sequential
-// merge pass that follows only shuffles integers: it rewrites each
-// provisional id to its canonical one and moves the list into the chain as
-// the state's row.
+using Node = ConcurrentInterner::Node;
+
+// One expanded frontier state: its row, with every successor instance
+// already interned (moved into the shared concurrent interner). Until the
+// merge numbers it, a row entry holds its successor's node address rather
+// than a second vector of nodes: one allocation per state, not two. Workers
+// do the instance hashing, equality probing, and deduplication in
+// parallel; the sequential merge pass that follows only numbers the nodes
+// it has not seen and writes their numbers into the row.
 struct ExpandedState {
   Status status = Status::OK();
-  std::vector<std::pair<size_t, BigRational>> successors;  // (prov id, p)
+  std::vector<std::pair<size_t, BigRational>> row;
 };
+static_assert(sizeof(uintptr_t) <= sizeof(size_t));
 
-// Expands every state in [wave_begin, wave_end) of the canonical frontier,
-// writing the result for canonical state (wave_begin + k) into
-// (*results)[k]. With options.threads > 1 the frontier indices are claimed
-// from an atomic counter by worker threads; each worker writes a slot no
-// other worker touches, and interns successors through `interner`, whose
-// striped table is the only shared write target (per-stripe spinlocks, no
-// global lock — see concurrent_interner.h).
+// Expands every state in [wave_begin, wave_end) of `states`, writing the
+// result for state (wave_begin + k) into (*results)[k]. With
+// options.threads > 1 the frontier indices are claimed from an atomic
+// counter by worker threads; each worker writes a slot no other worker
+// touches, and interns successors through `interner`, whose striped table
+// is the only shared write target (per-stripe spinlocks, no global lock —
+// see concurrent_interner.h).
 void ExpandWave(const CompiledKernel& q, ConcurrentInterner* interner,
-                const std::vector<size_t>& canon_to_prov, size_t wave_begin,
+                const std::vector<Node*>& states, size_t wave_begin,
                 size_t wave_end, const StateSpaceOptions& options,
                 std::vector<ExpandedState>* results) {
   const size_t wave_size = wave_end - wave_begin;
@@ -55,18 +57,19 @@ void ExpandWave(const CompiledKernel& q, ConcurrentInterner* interner,
       out.status = fault::InjectedError(fault::points::kStateSpaceExpand);
       return;
     }
-    StatusOr<Distribution<Instance>> successors = q.Exact(
-        interner->At(canon_to_prov[wave_begin + k]), options.eval);
+    StatusOr<Distribution<Instance>> successors =
+        q.Exact(states[wave_begin + k]->instance, options.eval);
     if (!successors.ok()) {
       out.status = successors.status();
       return;
     }
-    out.successors.reserve(successors.value().outcomes().size());
+    out.row.reserve(successors.value().outcomes().size());
     for (auto& outcome : successors.value().MutableOutcomes()) {
       // Interning here (worker thread) does the hash + equality work in
       // parallel; duplicates across workers resolve inside one stripe.
-      const size_t prov = interner->Intern(std::move(outcome.value)).first;
-      out.successors.emplace_back(prov, std::move(outcome.probability));
+      Node* node = interner->Intern(std::move(outcome.value)).first;
+      out.row.emplace_back(reinterpret_cast<uintptr_t>(node),
+                           std::move(outcome.probability));
     }
   };
 
@@ -111,87 +114,76 @@ StatusOr<StateSpace> BuildStateSpace(const Interpretation& q,
       metrics::MetricRegistry::Instance().GetCounter(
           "pfql_state_space_waves_total");
 
-  // Wave BFS over provisional ids. Workers intern successors concurrently,
-  // so provisional ids are racy under threads > 1; the merge pass below
-  // assigns canonical ids in frontier order, which makes state numbering,
-  // the rows, and the first reported error identical to a sequential
-  // FIFO exploration regardless of options.threads.
+  // Wave BFS. Workers intern successors concurrently, in racy order; the
+  // merge pass below numbers new states in frontier order, which makes
+  // state numbering, the rows, and the first reported error identical to
+  // a sequential FIFO exploration regardless of options.threads.
   // One compiled kernel serves every expansion, on every worker.
   PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
                         q.Compile(initial));
 
-  ConcurrentInterner interner;
-  std::vector<size_t> prov_to_canon;  // SIZE_MAX = not yet canonicalized
-  std::vector<size_t> canon_to_prov;
+  // A single-threaded build has no stripe contention to spread.
+  ConcurrentInterner interner(
+      options.threads > 1 ? ConcurrentInterner::kDefaultStripes : 1);
+  // states[s] is the node of state s, and states[s]->id == s.
+  std::vector<Node*> states;
+  states.push_back(interner.Intern(initial).first);
+  states[0]->id = 0;
 
-  const size_t initial_prov = interner.Intern(initial).first;
-  prov_to_canon.assign(interner.size(), SIZE_MAX);
-  prov_to_canon[initial_prov] = 0;
-  canon_to_prov.push_back(initial_prov);
-
-  // Row s of the chain, successors in canonical ids: the merge pass
-  // expands states in canonical order, so each expansion is the next row.
+  // Row s of the chain: the merge pass expands states in order, so each
+  // expansion is the next row.
   MarkovChain::Rows rows;
 
   std::vector<ExpandedState> results;
   size_t wave_begin = 0;
   size_t peak_wave = 0;
-  while (wave_begin < canon_to_prov.size()) {
-    const size_t wave_end = canon_to_prov.size();
+  while (wave_begin < states.size()) {
+    const size_t wave_end = states.size();
     peak_wave = std::max(peak_wave, wave_end - wave_begin);
     results.assign(wave_end - wave_begin, ExpandedState{});
     waves_counter->Increment();
     trace::Span wave_span("state_space.wave");
-    ExpandWave(*kernel, &interner, canon_to_prov, wave_begin, wave_end,
-               options, &results);
+    ExpandWave(*kernel, &interner, states, wave_begin, wave_end, options,
+               &results);
 
-    // Merge in frontier order: remap provisional ids to dense canonical
-    // ids in first-seen order. Pure integer work — all hashing happened in
+    // Merge in frontier order: number each node the first time a row
+    // lists it. Pure pointer and integer work — all hashing happened in
     // the workers.
-    prov_to_canon.resize(interner.size(), SIZE_MAX);
-    for (size_t k = 0; k < results.size(); ++k) {
+    for (ExpandedState& result : results) {
       if (options.cancel != nullptr) {
         PFQL_RETURN_NOT_OK(options.cancel->Check());
       }
-      PFQL_RETURN_NOT_OK(results[k].status);
-      for (auto& [prov, _] : results[k].successors) {
-        size_t to = prov_to_canon[prov];
-        if (to == SIZE_MAX) {
-          to = canon_to_prov.size();
-          if (to + 1 > options.max_states) {
+      PFQL_RETURN_NOT_OK(result.status);
+      for (auto& [successor, p] : result.row) {
+        Node* node = reinterpret_cast<Node*>(successor);
+        if (node->id == Node::kNoId) {
+          if (states.size() + 1 > options.max_states) {
             // The interner count and peak wave width guide budget tuning:
             // a wide peak wave means the next wave multiplies the state
             // count, so a small max_states bump will not help.
             return Status::ResourceExhausted(
                 "state space exceeds max_states = " +
                 std::to_string(options.max_states) + " (explored " +
-                std::to_string(to + 1) + " states; interner holds " +
-                std::to_string(interner.size()) +
+                std::to_string(states.size() + 1) +
+                " states; interner holds " + std::to_string(interner.size()) +
                 " live instances; peak wave width " +
                 std::to_string(peak_wave) +
                 "; raise max_states or use the sampling path)");
           }
-          prov_to_canon[prov] = to;
-          canon_to_prov.push_back(prov);
+          node->id = states.size();
+          states.push_back(node);
         }
-        prov = to;
+        successor = node->id;
       }
-      rows.push_back(std::move(results[k].successors));
+      rows.push_back(std::move(result.row));
     }
     wave_begin = wave_end;
   }
 
-  // Quiescent point: workers are joined, so the deferred table frees from
-  // any stripe grows can drain now instead of riding along in limbo.
-  epoch::Collector::Instance().Collect();
-
-  // Materialize the canonical ordering into the StateSpace's public shape:
-  // `states` in canonical order, moved out of the interner.
   StateSpace space;
-  std::vector<Instance> interned = interner.TakeAll();
-  space.states.reserve(canon_to_prov.size());
-  for (const size_t prov : canon_to_prov) {
-    space.states.push_back(std::move(interned[prov]));
+  space.states.reserve(states.size());
+  for (Node* node : states) {
+    space.states.push_back(std::move(node->instance));
   }
 
   states_counter->Increment(space.states.size());

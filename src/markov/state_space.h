@@ -30,8 +30,8 @@ struct StateSpaceOptions {
   size_t max_states = 1 << 14;
   /// Worker threads for expanding a BFS wave. Workers intern successor
   /// instances concurrently (markov/concurrent_interner.h) and the merge
-  /// pass renumbers them in frontier order, so states, edges, and errors
-  /// are identical for any value.
+  /// pass numbers them in frontier order, so states, edges, and errors are
+  /// identical for any value.
   size_t threads = 1;
   /// Optional cooperative cancel/deadline token, polled once per expanded
   /// state during the merge pass, and by the solves that eval runs on the

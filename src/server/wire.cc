@@ -211,6 +211,10 @@ StatusOr<Request> ParseRequest(const Json& json) {
   PFQL_RETURN_NOT_OK(positive_size("runs", request.runs, &request.runs));
   PFQL_RETURN_NOT_OK(
       positive_size("threads", request.threads, &request.threads));
+  if (request.threads > kMaxRequestThreads) {
+    return Status::InvalidArgument("field 'threads' must be at most " +
+                                   std::to_string(kMaxRequestThreads));
+  }
 
   if (const Json* burn = json.Find("burn_in")) {
     if (burn->is_string() && burn->AsString() == "auto") {

@@ -57,6 +57,12 @@ bool IsQueryKind(RequestKind kind);
 /// name (last write wins), control reads are stateless.
 bool IsIdempotent(RequestKind kind);
 
+/// The largest `threads` a request may ask for. One evaluation starts up to
+/// that many std::threads (sampler shards, BFS wave workers, mcmc chains),
+/// and a thread that fails to start ends the process, so the wire bounds
+/// the count; 64 is ample for the core counts pfqld serves on.
+inline constexpr size_t kMaxRequestThreads = 64;
+
 /// A parsed request. Field applicability by kind is documented in
 /// docs/SERVER.md; ParseRequest validates the combination.
 struct Request {

@@ -1,9 +1,8 @@
-// Epoch-based memory reclamation (EBR) for the lock-free read paths of the
-// concurrent hot-path structures (markov/concurrent_interner.h and the
-// sharded server/result_cache.h). The problem it solves: a reader probing a
-// table or walking a bucket chain without a lock may hold a raw pointer to
-// a node that a concurrent writer just unlinked — the writer must not free
-// that memory until every such reader is provably gone.
+// Epoch-based memory reclamation (EBR) for the lock-free read path of the
+// sharded server/result_cache.h. The problem it solves: a reader walking a
+// bucket chain without a lock may hold a raw pointer to a node that a
+// concurrent writer just unlinked — the writer must not free that memory
+// until every such reader is provably gone.
 //
 // Protocol (classic three-epoch EBR, Fraser-style):
 //   * Readers wrap every lock-free read section in an epoch::Guard. Pinning
@@ -24,7 +23,7 @@
 // the true epoch by more than the advance it is racing with.
 //
 // Guards may nest. Retire is mutex-protected but off the hot path (it runs
-// only on eviction, replacement, and table growth). A thread that exits
+// only on eviction, replacement, and clearing). A thread that exits
 // returns its record to a free list, so thread churn does not leak records.
 #ifndef PFQL_UTIL_EPOCH_H_
 #define PFQL_UTIL_EPOCH_H_

@@ -1,10 +1,12 @@
 // Concurrency proof obligations for ConcurrentInterner: ≥10k-operation
 // histories of Intern/Find from 8 threads, recorded and verified against a
-// sequential model by the linearizability checker, plus the global id
-// invariants that per-key linearizability cannot see (density, uniqueness,
-// id↔instance agreement). Stripes are deliberately scarce so every
-// operation contends inside a couple of stripes and the grow path runs
-// many times under fire. Run under TSan in the concurrency-stress CI job.
+// sequential model by the linearizability checker, plus the global node
+// invariants that per-key linearizability cannot see (one node per key,
+// one insert win per key, node↔instance agreement). Stripes are
+// deliberately scarce so every operation contends inside a couple of
+// stripes and the grow path runs many times under fire while lock-free
+// Finds probe the arrays it outgrows. Run under TSan in the
+// concurrency-stress CI job.
 #include "markov/concurrent_interner.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +20,6 @@
 #include "linearizability.h"
 #include "schedule_permuter.h"
 #include "relational/instance.h"
-#include "util/epoch.h"
 
 namespace pfql {
 namespace {
@@ -41,21 +42,21 @@ Instance KeyInstance(uint64_t k) {
 struct InternOp {
   enum Kind { kIntern, kFind } kind = kIntern;
   uint64_t key = 0;
-  size_t id = ConcurrentInterner::kNotFound;  // kNotFound = Find miss
-  bool inserted = false;                      // Intern only
+  const ConcurrentInterner::Node* node = nullptr;  // nullptr = Find miss
+  bool inserted = false;                           // Intern only
 };
 
 // Sequential model per key: has this key ever been interned? The first
 // linearized Intern must report inserted=true; every later Intern must
 // dedup; a Find must miss before the first Intern and hit after (the
-// interner never forgets). Ids are checked globally, not here.
+// interner never forgets). Node identity is checked globally, not here.
 std::optional<bool> ApplyInternOp(const bool& interned, const InternOp& op) {
   if (op.kind == InternOp::kIntern) {
     if (!interned) return op.inserted ? std::optional<bool>(true)
                                       : std::nullopt;
     return op.inserted ? std::nullopt : std::optional<bool>(true);
   }
-  const bool found = op.id != ConcurrentInterner::kNotFound;
+  const bool found = op.node != nullptr;
   if (found != interned) return std::nullopt;
   return interned;
 }
@@ -81,14 +82,14 @@ TEST(ConcurrentInternerConcurrencyTest, TenThousandOpHistoryLinearizes) {
       if (rng.NextBernoulli(0.5)) {
         op.kind = InternOp::kIntern;
         const uint64_t invoke = history.Invoke();
-        auto [id, inserted] = interner.Intern(KeyInstance(op.key));
-        op.id = id;
+        auto [node, inserted] = interner.Intern(KeyInstance(op.key));
+        op.node = node;
         op.inserted = inserted;
         history.Record(thread, invoke, op);
       } else {
         op.kind = InternOp::kFind;
         const uint64_t invoke = history.Invoke();
-        op.id = interner.Find(KeyInstance(op.key));
+        op.node = interner.Find(KeyInstance(op.key));
         history.Record(thread, invoke, op);
       }
     }
@@ -97,34 +98,34 @@ TEST(ConcurrentInternerConcurrencyTest, TenThousandOpHistoryLinearizes) {
   std::vector<Event<InternOp>> events = history.Take();
   ASSERT_GE(events.size(), 10000u) << "history too small to be meaningful";
 
-  // Global invariants first: every key maps to exactly one id, ids are
-  // dense in [0, size), exactly one Intern per key won the insert, and
-  // At(id) round-trips to the key's instance.
-  std::map<uint64_t, size_t> key_to_id;
+  // Global invariants first: every key maps to exactly one node, no node
+  // serves two keys, exactly one Intern per key won the insert, and each
+  // node holds its key's instance, which Find returns.
+  std::map<uint64_t, const ConcurrentInterner::Node*> key_to_node;
   std::map<uint64_t, size_t> insert_wins;
   for (const auto& event : events) {
-    if (event.op.id == ConcurrentInterner::kNotFound) continue;
-    auto [it, fresh] = key_to_id.emplace(event.op.key, event.op.id);
-    EXPECT_EQ(it->second, event.op.id)
-        << "key " << event.op.key << " observed under two ids";
+    if (event.op.node == nullptr) continue;
+    auto [it, fresh] = key_to_node.emplace(event.op.key, event.op.node);
+    EXPECT_EQ(it->second, event.op.node)
+        << "key " << event.op.key << " observed in two nodes";
     if (event.op.kind == InternOp::kIntern && event.op.inserted) {
       ++insert_wins[event.op.key];
     }
   }
-  EXPECT_EQ(interner.size(), key_to_id.size());
-  std::vector<bool> id_seen(interner.size(), false);
-  for (const auto& [key, id] : key_to_id) {
-    ASSERT_LT(id, interner.size()) << "id not dense";
-    EXPECT_FALSE(id_seen[id]) << "id " << id << " assigned to two keys";
-    id_seen[id] = true;
-    EXPECT_EQ(interner.At(id), KeyInstance(key));
-    EXPECT_EQ(interner.Find(KeyInstance(key)), id);
+  EXPECT_EQ(interner.size(), key_to_node.size());
+  std::map<const ConcurrentInterner::Node*, uint64_t> node_to_key;
+  for (const auto& [key, node] : key_to_node) {
+    auto [it, fresh] = node_to_key.emplace(node, key);
+    EXPECT_TRUE(fresh) << "keys " << it->second << " and " << key
+                       << " share a node";
+    EXPECT_EQ(node->instance, KeyInstance(key));
+    EXPECT_EQ(interner.Find(KeyInstance(key)), node);
     EXPECT_EQ(insert_wins[key], 1u)
         << "key " << key << " reported inserted=true " << insert_wins[key]
         << " times";
   }
   EXPECT_GT(interner.grow_count(), 0u)
-      << "test never exercised the epoch-protected grow path";
+      << "test never raced lock-free Finds against the grow path";
 
   // Per-key linearizability: the publication protocol must never let a
   // Find miss after any thread's Intern has returned, nor hit before any
@@ -139,25 +140,6 @@ TEST(ConcurrentInternerConcurrencyTest, TenThousandOpHistoryLinearizes) {
     EXPECT_TRUE(linearizable)
         << "key " << key << ": " << error << " (seed " << seed << ")";
   }
-
-  // Quiesced now: draining the collector here keeps retired stripe tables
-  // from accumulating across tests in this binary.
-  epoch::Collector::Instance().Collect();
-}
-
-TEST(ConcurrentInternerConcurrencyTest, TakeAllPreservesIdOrder) {
-  ConcurrentInterner interner(/*stripes=*/1);
-  constexpr uint64_t kKeys = 100;
-  std::vector<size_t> ids;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    ids.push_back(interner.Intern(KeyInstance(k)).first);
-  }
-  std::vector<Instance> all = interner.TakeAll();
-  ASSERT_EQ(all.size(), kKeys);
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    EXPECT_EQ(all[ids[k]], KeyInstance(k));
-  }
-  EXPECT_TRUE(interner.empty());
 }
 
 }  // namespace

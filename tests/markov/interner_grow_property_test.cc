@@ -1,8 +1,8 @@
 // Property test for the instance interner's Grow path: a long randomized
 // insert/find mix that crosses several table doublings (16 → 2048+ slots)
-// must keep ids dense and stable and agree with a std::map oracle at every
-// step. One stripe and one thread, so every operation goes through the same
-// table and ids come out in first-seen order. Runs multiple seeds so
+// must keep every node where it was first handed out and agree with a
+// std::map oracle at every step. One stripe and one thread, so every
+// operation goes through the same table. Runs multiple seeds so
 // slot-cluster shapes vary.
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ TEST(InstanceInternerGrowPropertyTest, RandomMixAgreesWithMapOracle) {
   constexpr size_t kOps = 20000;
   for (const uint64_t seed : {1ull, 7ull, 20260808ull}) {
     ConcurrentInterner interner(/*stripes=*/1);
-    std::map<uint64_t, size_t> oracle;  // key -> id
+    std::map<uint64_t, const ConcurrentInterner::Node*> oracle;  // key -> node
 
     Rng rng(seed);
     for (size_t i = 0; i < kOps; ++i) {
@@ -40,46 +40,48 @@ TEST(InstanceInternerGrowPropertyTest, RandomMixAgreesWithMapOracle) {
       const Instance instance = KeyInstance(key);
       auto it = oracle.find(key);
       if (rng.NextBernoulli(0.7)) {
-        const auto [id, inserted] = interner.Intern(instance);
+        const auto [node, inserted] = interner.Intern(instance);
+        ASSERT_NE(node, nullptr);
         if (it == oracle.end()) {
-          // New key: inserted, with the next dense id, stable from now on.
+          // New key: inserted into a fresh node, stable from now on.
           ASSERT_TRUE(inserted) << "seed " << seed << " op " << i;
-          ASSERT_EQ(id, oracle.size()) << "ids must stay dense";
-          oracle.emplace(key, id);
+          ASSERT_EQ(node->instance, instance);
+          oracle.emplace(key, node);
         } else {
           ASSERT_FALSE(inserted) << "seed " << seed << " op " << i;
-          ASSERT_EQ(id, it->second) << "id changed across Grow";
+          ASSERT_EQ(node, it->second) << "node moved across Grow";
         }
       } else {
-        const size_t id = interner.Find(instance);
+        const ConcurrentInterner::Node* node = interner.Find(instance);
         if (it == oracle.end()) {
-          ASSERT_EQ(id, ConcurrentInterner::kNotFound)
-              << "Find invented key " << key;
+          ASSERT_EQ(node, nullptr) << "Find invented key " << key;
         } else {
-          ASSERT_EQ(id, it->second) << "Find disagrees with oracle";
+          ASSERT_EQ(node, it->second) << "Find disagrees with oracle";
         }
       }
       ASSERT_EQ(interner.size(), oracle.size());
     }
 
     // Complete the universe (dedup on already-present keys), then sweep:
-    // after the final doubling every id still round-trips.
+    // after the final doubling every node still round-trips.
     for (uint64_t key = 0; key < kUniverse; ++key) {
-      const bool known = oracle.count(key) > 0;
-      const auto [id, inserted] = interner.Intern(KeyInstance(key));
-      ASSERT_EQ(inserted, !known);
-      if (known) {
-        ASSERT_EQ(id, oracle[key]);
+      auto it = oracle.find(key);
+      const auto [node, inserted] = interner.Intern(KeyInstance(key));
+      ASSERT_EQ(inserted, it == oracle.end());
+      if (it != oracle.end()) {
+        ASSERT_EQ(node, it->second);
       } else {
-        ASSERT_EQ(id, oracle.size());
-        oracle.emplace(key, id);
+        oracle.emplace(key, node);
       }
     }
     ASSERT_EQ(oracle.size(), kUniverse);
+    ASSERT_EQ(interner.size(), kUniverse);
     EXPECT_GE(interner.grow_count(), 5u);
-    for (const auto& [key, id] : oracle) {
-      ASSERT_EQ(interner.Find(KeyInstance(key)), id);
-      ASSERT_EQ(interner.At(id), KeyInstance(key));
+    for (const auto& [key, node] : oracle) {
+      ASSERT_EQ(interner.Find(KeyInstance(key)), node);
+      ASSERT_EQ(node->instance, KeyInstance(key));
+      ASSERT_EQ(node->id, ConcurrentInterner::Node::kNoId)
+          << "the interner wrote a caller's id";
     }
   }
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "datalog/program.h"
+#include "datalog/translate.h"
+#include "relational/text_io.h"
+
 namespace pfql {
 namespace {
 
@@ -161,6 +167,84 @@ TEST(StateSpaceTest, ThreadedBuildBitIdenticalToSequential) {
     par.threads = threads;
     auto space = BuildStateSpace(q, initial, par);
     ASSERT_TRUE(space.ok()) << "threads = " << threads;
+    ExpectSameSpace(*base, *space);
+  }
+}
+
+// The noninflationary datalog walks and choice chains the serving
+// benchmarks explore: a walk on a ring or torus (one weighted step per
+// iteration) and k independent binary choices re-made every step.
+constexpr char kWalkProgram[] =
+    "cur(0).\n"
+    "mv(<K>, Y) @P :- one(K), cur(X), e(X, Y, P).\n"
+    "cur(Y) :- mv(K, Y).\n";
+constexpr char kChoiceProgram[] = "pick(<K>, V) @W :- opt(K, V, W).\n";
+
+std::string Edge(int from, int to, int weight) {
+  return "  (" + std::to_string(from) + ", " + std::to_string(to) + ", " +
+         std::to_string(weight) + ")\n";
+}
+
+// A rows x cols torus with edges to the right and down, and to the left
+// and up too unless `rows` is 1 (then it is a two-way ring of `cols`).
+std::string TorusWalkData(int rows, int cols) {
+  std::string out = "relation one(k) {\n  (0)\n}\nrelation e(i, j, p) {\n";
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const int i = r * cols + c;
+      out += Edge(i, r * cols + (c + 1) % cols, 1 + i % 3);
+      out += Edge(i, r * cols + (c + cols - 1) % cols, 1 + (i + 1) % 4);
+      if (rows > 1) {
+        out += Edge(i, ((r + 1) % rows) * cols + c, 2);
+        out += Edge(i, ((r + rows - 1) % rows) * cols + c, 1 + i % 2);
+      }
+    }
+  }
+  return out + "}\n";
+}
+
+std::string ChoiceData(int k) {
+  std::string out = "relation opt(k, v, w) {\n";
+  for (int i = 0; i < k; ++i) {
+    out += Edge(i, 0, 1 + i % 3);
+    out += Edge(i, 1, 1 + (i + 1) % 4);
+  }
+  return out + "}\n";
+}
+
+// Threads change who interns a successor first, never the numbering: the
+// merge numbers states in frontier order, so a 4-thread build lists the
+// same states in the same order with the same rows as a sequential one.
+TEST(StateSpaceTest, DatalogWalksAndChoicesBuildIdenticallyAcrossThreads) {
+  struct Case {
+    const char* program;
+    std::string data;
+    size_t states;
+  };
+  const Case cases[] = {
+      {kWalkProgram, TorusWalkData(1, 5), 5 * 5 + 2},
+      {kWalkProgram, TorusWalkData(3, 3), 81 + 2},
+      {kChoiceProgram, ChoiceData(3), 8 + 1},
+      {kChoiceProgram, ChoiceData(6), 64 + 1},
+  };
+  for (const Case& c : cases) {
+    auto program = datalog::ParseProgram(c.program);
+    ASSERT_TRUE(program.ok()) << program.status();
+    auto edb = ParseInstanceText(c.data);
+    ASSERT_TRUE(edb.ok()) << edb.status();
+    auto tq = datalog::TranslateNonInflationary(*program, *edb);
+    ASSERT_TRUE(tq.ok()) << tq.status();
+
+    StateSpaceOptions seq;
+    seq.threads = 1;
+    auto base = BuildStateSpace(tq->kernel, tq->initial, seq);
+    ASSERT_TRUE(base.ok()) << base.status();
+    EXPECT_EQ(base->states.size(), c.states) << c.data;
+    EXPECT_EQ(base->states[0], tq->initial);
+    StateSpaceOptions par;
+    par.threads = 4;
+    auto space = BuildStateSpace(tq->kernel, tq->initial, par);
+    ASSERT_TRUE(space.ok()) << space.status();
     ExpectSameSpace(*base, *space);
   }
 }

@@ -166,6 +166,39 @@ TEST(WireTest, RejectsMalformedRequests) {
                    .ok());
 }
 
+// Every kind that starts threads per request (approx and mcmc sampler
+// shards, forever's BFS wave workers, subscribe's chains) is capped at one
+// named bound, checked on the parsed request before anything runs.
+TEST(WireTest, ThreadsCappedAtNamedBound) {
+  const std::string max = std::to_string(kMaxRequestThreads);
+  const std::string over = std::to_string(kMaxRequestThreads + 1);
+  for (const char* shape :
+       {"\"method\":\"approx\",\"program\":\"a\",\"event\":\"p(0)\"",
+        "\"method\":\"mcmc\",\"program\":\"a\",\"event\":\"p(0)\"",
+        "\"method\":\"forever\",\"program\":\"a\",\"event\":\"p(0)\"",
+        "\"method\":\"subscribe\",\"target\":\"mcmc\",\"program\":\"a\","
+        "\"event\":\"p(0)\""}) {
+    auto at_max = ParseRequestLine("{" + std::string(shape) +
+                                   ",\"threads\":" + max + "}");
+    ASSERT_TRUE(at_max.ok()) << shape << ": " << at_max.status().ToString();
+    EXPECT_EQ(at_max->threads, kMaxRequestThreads);
+
+    auto above = ParseRequestLine("{" + std::string(shape) +
+                                  ",\"threads\":" + over + "}");
+    ASSERT_FALSE(above.ok()) << shape;
+    EXPECT_EQ(above.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(above.status().message().find("field 'threads'"),
+              std::string::npos)
+        << above.status().message();
+
+    auto huge = ParseRequestLine("{" + std::string(shape) +
+                                 ",\"threads\":9223372036854775807}");
+    ASSERT_FALSE(huge.ok()) << shape;
+    EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(kMaxRequestThreads, 64u);
+}
+
 Request QueryRequest(RequestKind kind) {
   Request request;
   request.kind = kind;

@@ -36,6 +36,7 @@
 //
 // Programs use the datalog syntax of datalog/ast.h; data files use the
 // relational/text_io.h instance format; events are ground atoms.
+#include <charconv>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -363,18 +364,62 @@ int RunParse(const Args& args, const std::string& program_text) {
   return 0;
 }
 
-// Builds the wire subscribe request object for `pfql client subscribe`
-// from flags (an explicit --request wins verbatim).
-StatusOr<Json> BuildSubscribeRequest(const Args& args) {
-  if (args.Has("request")) return Json::Parse(args.Get("request", ""));
-  if (!args.Has("target") || !args.Has("program") || !args.Has("event")) {
-    return Status::InvalidArgument(
-        "client subscribe needs --target, --program, and --event "
-        "(or a full --request)");
+// The flags that set wire request fields (docs/SERVER.md). Every query
+// path — local, --watch and `client subscribe` — maps its flags through
+// this one table into one JSON request and parses it with ParseRequest, so
+// the defaults and range checks are the wire's.
+struct FlagField {
+  enum Type { kString, kInt, kDouble, kIntOrAuto };
+  const char* flag;
+  const char* field;
+  Type type;
+};
+constexpr FlagField kFlagFields[] = {
+    {"event", "event", FlagField::kString},
+    {"epsilon", "epsilon", FlagField::kDouble},
+    {"delta", "delta", FlagField::kDouble},
+    {"seed", "seed", FlagField::kInt},
+    {"max-states", "max_states", FlagField::kInt},
+    {"max-nodes", "max_nodes", FlagField::kInt},
+    {"burn-in", "burn_in", FlagField::kIntOrAuto},
+    {"steps", "steps", FlagField::kInt},
+    {"runs", "runs", FlagField::kInt},
+    {"threads", "threads", FlagField::kInt},
+    {"timeout-ms", "timeout_ms", FlagField::kInt},
+    {"max-samples", "max_samples", FlagField::kInt},
+    {"backend", "backend", FlagField::kString},
+    {"compile-max-states", "compile_max_states", FlagField::kInt},
+    {"fallback", "fallback", FlagField::kString},
+    {"target", "target", FlagField::kString},
+};
+
+// The JSON value of one flag: the whole text must be the number its field
+// takes (a 64-bit integer or a double), so "-1" stays -1 for ParseRequest
+// to reject rather than wrapping to 2^64 - 1.
+StatusOr<Json> FlagValue(const FlagField& field, const std::string& text) {
+  if (field.type == FlagField::kString ||
+      (field.type == FlagField::kIntOrAuto && text == "auto")) {
+    return Json(text);
   }
+  const char* const end = text.data() + text.size();
+  if (field.type == FlagField::kDouble) {
+    double d = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, d);
+    if (ec == std::errc() && ptr == end && !text.empty()) return Json(d);
+  } else {
+    int64_t i = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, i);
+    if (ec == std::errc() && ptr == end && !text.empty()) return Json(i);
+  }
+  return Status::InvalidArgument("malformed numeric value '" + text +
+                                 "' for --" + field.flag);
+}
+
+// The wire request `method` that the flags describe: --program and --data
+// files go inline as program_text and data_text.
+StatusOr<Json> RequestFromFlags(const Args& args, const std::string& method) {
   Json request = Json::Object();
-  request.Set("method", std::string("subscribe"));
-  request.Set("target", args.Get("target", ""));
+  request.Set("method", method);
   PFQL_ASSIGN_OR_RETURN(std::string program_text,
                         ReadFile(args.Get("program", "")));
   request.Set("program_text", program_text);
@@ -383,33 +428,26 @@ StatusOr<Json> BuildSubscribeRequest(const Args& args) {
                           ReadFile(args.Get("data", "")));
     request.Set("data_text", data_text);
   }
-  request.Set("event", args.Get("event", ""));
-  try {
-    request.Set("epsilon", std::stod(args.Get("epsilon", "0.05")));
-    request.Set("delta", std::stod(args.Get("delta", "0.05")));
-    request.Set("seed",
-                static_cast<int64_t>(std::stoll(args.Get("seed", "42"))));
-    request.Set("threads", static_cast<int64_t>(
-                               std::stoll(args.Get("threads", "1"))));
-    request.Set("steps", static_cast<int64_t>(
-                             std::stoll(args.Get("steps", "1000"))));
-    request.Set("runs",
-                static_cast<int64_t>(std::stoll(args.Get("runs", "16"))));
-    if (args.Has("max-samples")) {
-      request.Set("max_samples", static_cast<int64_t>(std::stoll(
-                                     args.Get("max-samples", "0"))));
-    }
-    const std::string burn = args.Get("burn-in", "auto");
-    if (burn != "auto") {
-      request.Set("burn_in", static_cast<int64_t>(std::stoll(burn)));
-    }
-    request.Set("compile_max_states",
-                static_cast<int64_t>(
-                    std::stoll(args.Get("compile-max-states", "4096"))));
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("malformed numeric flag value");
+  for (const FlagField& field : kFlagFields) {
+    if (!args.Has(field.flag)) continue;
+    PFQL_ASSIGN_OR_RETURN(Json value,
+                          FlagValue(field, args.Get(field.flag, "")));
+    request.Set(field.field, std::move(value));
   }
-  request.Set("backend", args.Get("backend", "auto"));
+  return request;
+}
+
+// The subscribe request of `pfql client subscribe`, checked by ParseRequest
+// before it is sent (an explicit --request goes verbatim).
+StatusOr<Json> BuildSubscribeRequest(const Args& args) {
+  if (args.Has("request")) return Json::Parse(args.Get("request", ""));
+  if (!args.Has("target") || !args.Has("program") || !args.Has("event")) {
+    return Status::InvalidArgument(
+        "client subscribe needs --target, --program, and --event "
+        "(or a full --request)");
+  }
+  PFQL_ASSIGN_OR_RETURN(Json request, RequestFromFlags(args, "subscribe"));
+  PFQL_RETURN_NOT_OK(server::ParseRequest(request).status());
   return request;
 }
 
@@ -544,13 +582,9 @@ int RunClient(const Args& args) {
 // --watch: run the query as an in-process streaming subscription. Each
 // scheduler quantum pushes one NDJSON update line; the loop ends when the
 // estimate converges, the budget runs out, or the sampler errors.
-int RunWatch(const Args& args, const server::Request& query) {
+int RunWatch(const Args& args, const server::Request& request) {
   server::ServiceOptions options;
   server::QueryService service(options);
-
-  server::Request request = query;
-  request.target = server::RequestKindToString(query.kind);
-  request.kind = server::RequestKind::kSubscribe;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -602,79 +636,40 @@ int main(int argc, char** argv) {
   if (args.mode == "client") return RunClient(args);
 
   if (!args.Has("program")) return Usage();
-  auto program_text = ReadFile(args.Get("program", ""));
-  if (!program_text.ok()) return Fail(program_text.status(), args);
-
-  if (args.mode == "parse") return RunParse(args, *program_text);
+  if (args.mode == "parse") {
+    auto program_text = ReadFile(args.Get("program", ""));
+    if (!program_text.ok()) return Fail(program_text.status(), args);
+    return RunParse(args, *program_text);
+  }
 
   auto kind = server::RequestKindFromString(args.mode);
   if (!kind.ok() || !server::IsQueryKind(*kind)) return Usage();
 
-  // Build the same Request the daemon would parse off the wire, resolve
-  // it locally, and execute through the shared executor.
-  server::Request request;
-  request.kind = *kind;
-  request.program_text = *program_text;
   // run samples without an event; plan analyzes statically, so both its
   // data (catalog statistics) and event (validated echo) are optional.
-  if (args.Has("data")) {
-    auto data_text = ReadFile(args.Get("data", ""));
-    if (!data_text.ok()) return Fail(data_text.status(), args, args.mode);
-    request.data_text = *data_text;
-  } else if (args.mode != "run" && args.mode != "plan") {
+  if (args.mode != "run" && args.mode != "plan" &&
+      (!args.Has("data") || !args.Has("event"))) {
     return Usage();
   }
-  if (args.mode != "run" && args.mode != "plan") {
-    if (!args.Has("event")) return Usage();
-  }
-  request.event = args.Get("event", "");
-  try {
-    request.epsilon = std::stod(args.Get("epsilon", "0.05"));
-    request.delta = std::stod(args.Get("delta", "0.05"));
-    request.seed = std::stoull(args.Get("seed", "42"));
-    request.max_states = std::stoull(args.Get("max-states", "16384"));
-    request.max_nodes = std::stoull(args.Get("max-nodes", "4194304"));
-    request.steps = std::stoull(args.Get("steps", "1000"));
-    request.runs = std::stoull(args.Get("runs", "16"));
-    request.threads = std::stoull(args.Get("threads", "1"));
-    request.timeout_ms = std::stoll(args.Get("timeout-ms", "0"));
-    request.max_samples = std::stoull(args.Get("max-samples", "0"));
-    request.compile_max_states =
-        std::stoull(args.Get("compile-max-states", "4096"));
-    const std::string burn = args.Get("burn-in", "auto");
-    if (burn != "auto") request.burn_in = std::stoull(burn);
-  } catch (const std::exception&) {
-    return Fail(Status::InvalidArgument("malformed numeric flag value"),
+
+  if (args.watch && *kind != server::RequestKind::kApprox &&
+      *kind != server::RequestKind::kMcmc &&
+      *kind != server::RequestKind::kTrajectory) {
+    return Fail(Status::InvalidArgument("--watch requires a sampled kind "
+                                        "(approx, mcmc, or trajectory)"),
                 args, args.mode);
-  }
-  request.backend = args.Get("backend", "auto");
-  if (request.backend != "auto" && request.backend != "interpreted" &&
-      request.backend != "compiled") {
-    return Fail(Status::InvalidArgument(
-                    "--backend must be auto, interpreted, or compiled"),
-                args, args.mode);
-  }
-  if (args.Has("fallback")) {
-    request.fallback = args.Get("fallback", "");
-    if (request.fallback != "approx" ||
-        request.kind != server::RequestKind::kExact) {
-      return Fail(Status::InvalidArgument(
-                      "--fallback approx is only valid with 'exact'"),
-                  args, args.mode);
-    }
   }
 
-  if (args.watch) {
-    if (request.kind != server::RequestKind::kApprox &&
-        request.kind != server::RequestKind::kMcmc &&
-        request.kind != server::RequestKind::kTrajectory) {
-      return Fail(Status::InvalidArgument(
-                      "--watch requires a sampled kind "
-                      "(approx, mcmc, or trajectory)"),
-                  args, args.mode);
-    }
-    return RunWatch(args, request);
-  }
+  // Build the request the daemon would parse off the wire, parse it the
+  // same way, resolve it locally, and execute through the shared executor.
+  // --watch streams the same query as a subscription.
+  auto json = RequestFromFlags(args, args.watch ? "subscribe" : args.mode);
+  if (!json.ok()) return Fail(json.status(), args, args.mode);
+  if (args.watch) json->Set("target", args.mode);
+  auto request_or = server::ParseRequest(*json);
+  if (!request_or.ok()) return Fail(request_or.status(), args, args.mode);
+  const server::Request& request = *request_or;
+  if (args.watch) return RunWatch(args, request);
 
   auto program = datalog::ParseProgram(request.program_text);
   if (!program.ok()) return Fail(program.status(), args, args.mode);
