@@ -318,22 +318,7 @@ bool BuiltinNeverHolds(const BuiltinAtom& builtin) {
   const Term& l = builtin.lhs;
   const Term& r = builtin.rhs;
   if (!l.IsVar() && !r.IsVar()) {
-    const Value& a = l.value;
-    const Value& b = r.value;
-    switch (builtin.op) {
-      case CmpOp::kEq:
-        return !(a == b);
-      case CmpOp::kNe:
-        return !(a != b);
-      case CmpOp::kLt:
-        return !(a < b);
-      case CmpOp::kLe:
-        return !(a <= b);
-      case CmpOp::kGt:
-        return !(a > b);
-      case CmpOp::kGe:
-        return !(a >= b);
-    }
+    return !CmpHolds(builtin.op, l.value, r.value);
   }
   if (l.IsVar() && r.IsVar() && l.var == r.var) {
     // X op X is unsatisfiable for the strict / inequality operators.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "relational/expr.h"
 #include "relational/relation.h"
 #include "relational/value.h"
 
@@ -112,8 +113,10 @@ ChoiceStats AnalyzeChoices(const datalog::Rule& rule,
       const datalog::Term& term = atom.terms[i];
       if (term.IsVar()) {
         auto [it, inserted] = sub.emplace(term.var, t[i]);
-        if (!inserted && !(it->second == t[i])) match = false;
-      } else if (!(term.value == t[i])) {
+        if (!inserted && !CmpHolds(CmpOp::kEq, it->second, t[i])) {
+          match = false;
+        }
+      } else if (!CmpHolds(CmpOp::kEq, term.value, t[i])) {
         match = false;
       }
     }

@@ -98,29 +98,29 @@ StatusOr<RaExpr::Ptr> CompileBody(
   return expr;
 }
 
-StatusOr<HeadLayout> HeadLayout::Resolve(const Head& head,
+StatusOr<HeadLayout> HeadLayout::Resolve(const std::vector<Term>& terms,
                                          const Schema& binding_schema) {
   HeadLayout layout;
-  for (const auto& term : head.terms) {
+  for (const auto& term : terms) {
     if (!term.IsVar()) {
-      layout.terms_.push_back({0, term.value});
+      layout.slots_.push_back({0, term.value});
       continue;
     }
     auto idx = binding_schema.IndexOf(term.var);
     if (!idx) {
-      return Status::NotFound("head variable '" + term.var +
+      return Status::NotFound("variable '" + term.var +
                               "' missing from binding schema " +
                               binding_schema.ToString());
     }
-    layout.terms_.push_back({*idx, std::nullopt});
+    layout.slots_.push_back({*idx, std::nullopt});
   }
   return layout;
 }
 
 Tuple HeadLayout::Build(const Tuple& binding) const {
   std::vector<Value> values;
-  values.reserve(terms_.size());
-  for (const Term& t : terms_) {
+  values.reserve(slots_.size());
+  for (const Slot& t : slots_) {
     values.push_back(t.constant ? *t.constant : binding[t.position]);
   }
   return Tuple(std::move(values));

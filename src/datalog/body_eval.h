@@ -2,7 +2,8 @@
 // conjunction of relational atoms plus builtin comparisons) compiles to an
 // RaExpr producing the rule's *valuation relation*: one column per distinct
 // body variable, one row per satisfying assignment. Shared by the
-// inflationary engine (Sec 3.3) and the datalog→interpretation translators.
+// inflationary engine (Sec 3.3), the datalog→interpretation translators and
+// the Sec 5.1 partition.
 #ifndef PFQL_DATALOG_BODY_EVAL_H_
 #define PFQL_DATALOG_BODY_EVAL_H_
 
@@ -25,23 +26,24 @@ namespace datalog {
 StatusOr<RaExpr::Ptr> CompileBody(const Rule& rule,
                                   const std::map<std::string, Schema>& schemas);
 
-/// A rule head resolved, once, against the schema of its valuation rows
-/// (variable names as columns): each term is a row position or a constant.
+/// A term list (a rule head, a body atom, a repair-key key) resolved, once,
+/// against the schema of its valuation rows (variable names as columns):
+/// each term is a row position or a constant.
 class HeadLayout {
  public:
-  /// NotFound if a head variable is not a column of `binding_schema`.
-  static StatusOr<HeadLayout> Resolve(const Head& head,
+  /// NotFound if a variable is not a column of `binding_schema`.
+  static StatusOr<HeadLayout> Resolve(const std::vector<Term>& terms,
                                       const Schema& binding_schema);
 
-  /// The head tuple for one valuation row.
+  /// The terms' tuple for one valuation row.
   Tuple Build(const Tuple& binding) const;
 
  private:
-  struct Term {
+  struct Slot {
     size_t position = 0;
     std::optional<Value> constant;
   };
-  std::vector<Term> terms_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace datalog

@@ -143,7 +143,7 @@ StatusOr<CompiledProgram> CompiledProgram::Make(Program program,
                                                      rule.head.weight_var}));
     }
     PFQL_ASSIGN_OR_RETURN(compiled.head_layout,
-                          HeadLayout::Resolve(rule.head, row_schema));
+                          HeadLayout::Resolve(rule.head.terms, row_schema));
     compiled.head = idb_index.at(rule.head.predicate);
     cp.rules_.push_back(std::move(compiled));
   }

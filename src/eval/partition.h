@@ -1,9 +1,8 @@
-// The Sec 5.1 "Partitioning" optimization: a provenance-tracking
-// pre-processing pass over the (classical, non-probabilistic) inflationary
-// evaluation of the program splits the EDB into independence classes — sets
-// of base tuples whose derivations never interact. A noninflationary query
-// is then evaluated per class on an exponentially smaller Markov chain, and
-// the per-class results combine as
+// The Sec 5.1 "Partitioning" optimization: a pre-processing pass over the
+// classical (non-probabilistic) fixpoint of the program splits the EDB into
+// independence classes — sets of base tuples whose derivations never
+// interact. A noninflationary query is then evaluated per class on an
+// exponentially smaller Markov chain, and the per-class results combine as
 //    Pr(event) = 1 − ∏_classes (1 − Pr_class(event)).
 #ifndef PFQL_EVAL_PARTITION_H_
 #define PFQL_EVAL_PARTITION_H_
@@ -25,10 +24,10 @@ struct Partition {
   std::vector<size_t> class_sizes;
 };
 
-/// Runs the provenance pre-processing of Sec 5.1: evaluates the program
-/// inflationarily (classical semantics, all valuations fire), tags every
-/// derived tuple with the union of its sources' identifier sets, and builds
-/// the partition as connected components of co-occurring base tuples.
+/// Runs Sec 5.1's pre-processing on the engine's compiled rule bodies: the
+/// EDB tuples of each connected component of the classical fixpoint's
+/// facts form one class (docs/INTERNALS.md §13). A program with a body-less
+/// rule, or an input with no EDB tuple, is one class.
 StatusOr<Partition> ComputePartition(const datalog::Program& program,
                                      const Instance& edb);
 

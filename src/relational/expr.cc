@@ -160,6 +160,30 @@ const char* CmpOpToString(CmpOp op) {
   return "?";
 }
 
+bool CmpHolds(CmpOp op, const Value& lhs, const Value& rhs) {
+  int c = lhs.Compare(rhs);
+  if (lhs.type() != rhs.type() && !lhs.is_string() && !rhs.is_string()) {
+    const double a = lhs.is_int() ? lhs.AsInt() : lhs.AsDouble();
+    const double b = rhs.is_int() ? rhs.AsInt() : rhs.AsDouble();
+    c = a < b ? -1 : (a > b ? 1 : 0);
+  }
+  switch (op) {
+    case CmpOp::kEq:
+      return c == 0;
+    case CmpOp::kNe:
+      return c != 0;
+    case CmpOp::kLt:
+      return c < 0;
+    case CmpOp::kLe:
+      return c <= 0;
+    case CmpOp::kGt:
+      return c > 0;
+    case CmpOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
 std::shared_ptr<Predicate> Predicate::True() {
   return std::make_shared<Predicate>();
 }
@@ -219,32 +243,7 @@ StatusOr<bool> Predicate::Eval(const Schema& schema, const Tuple& row) const {
     case Kind::kCmp: {
       PFQL_ASSIGN_OR_RETURN(Value lv, sl_->Eval(schema, row));
       PFQL_ASSIGN_OR_RETURN(Value rv, sr_->Eval(schema, row));
-      int c;
-      // Numeric comparison coerces int vs double; otherwise use the
-      // canonical Value order.
-      if ((lv.is_int() || lv.is_double()) && (rv.is_int() || rv.is_double()) &&
-          lv.type() != rv.type()) {
-        double a = lv.is_int() ? static_cast<double>(lv.AsInt()) : lv.AsDouble();
-        double b = rv.is_int() ? static_cast<double>(rv.AsInt()) : rv.AsDouble();
-        c = a < b ? -1 : (a > b ? 1 : 0);
-      } else {
-        c = lv.Compare(rv);
-      }
-      switch (op_) {
-        case CmpOp::kEq:
-          return c == 0;
-        case CmpOp::kNe:
-          return c != 0;
-        case CmpOp::kLt:
-          return c < 0;
-        case CmpOp::kLe:
-          return c <= 0;
-        case CmpOp::kGt:
-          return c > 0;
-        case CmpOp::kGe:
-          return c >= 0;
-      }
-      return Status::Internal("unreachable cmp op");
+      return CmpHolds(op_, lv, rv);
     }
     case Kind::kAnd: {
       PFQL_ASSIGN_OR_RETURN(bool a, pl_->Eval(schema, row));

@@ -57,6 +57,12 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CmpOpToString(CmpOp op);
 
+/// `lhs op rhs`, the one comparison of select predicates, datalog builtins,
+/// an atom's constants and its repeated variables: an int and a double
+/// compare numerically (1 == 1.0, 2 > 1.5), every other pair by
+/// Value::Compare (so a string is greater than every number).
+bool CmpHolds(CmpOp op, const Value& lhs, const Value& rhs);
+
 /// Boolean predicate over a row.
 class Predicate {
  public:

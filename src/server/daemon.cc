@@ -2,13 +2,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "relational/text_io.h"
 #include "server/tcp_server.h"
 #include "util/fault_injection.h"
+#include "util/string_util.h"
 
 namespace pfql {
 namespace server {
@@ -33,17 +33,6 @@ StatusOr<std::pair<std::string, std::string>> SplitNameEqPath(
   return std::make_pair(value.substr(0, eq), value.substr(eq + 1));
 }
 
-StatusOr<uint64_t> ParseUint(const std::string& value,
-                             const std::string& flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value.empty()) {
-    return Status::InvalidArgument("--" + flag + " expects a number, got '" +
-                                   value + "'");
-  }
-  return static_cast<uint64_t>(v);
-}
-
 }  // namespace
 
 StatusOr<DaemonOptions> ParseDaemonArgs(int argc, char** argv) {
@@ -63,20 +52,22 @@ StatusOr<DaemonOptions> ParseDaemonArgs(int argc, char** argv) {
     }
     const std::string value = argv[++i];
     if (arg == "--port") {
-      PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "port"));
-      if (v > 65535) return Status::InvalidArgument("--port out of range");
+      PFQL_ASSIGN_OR_RETURN(uint64_t v,
+                            ParseFlagValue("port", value, 0, kMaxPort));
       options.port = static_cast<uint16_t>(v);
     } else if (arg == "--workers") {
-      PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "workers"));
-      options.service.workers = static_cast<size_t>(v);
+      PFQL_ASSIGN_OR_RETURN(
+          options.service.workers,
+          ParseFlagValue("workers", value, 1, kMaxDaemonWorkers));
     } else if (arg == "--queue") {
-      PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "queue"));
-      options.service.queue_capacity = static_cast<size_t>(v);
+      PFQL_ASSIGN_OR_RETURN(options.service.queue_capacity,
+                            ParseFlagValue("queue", value, 0, kMaxDaemonQueue));
     } else if (arg == "--cache") {
-      PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "cache"));
-      options.service.cache_entries = static_cast<size_t>(v);
+      PFQL_ASSIGN_OR_RETURN(options.service.cache_entries,
+                            ParseFlagValue("cache", value, 0, kMaxDaemonCache));
     } else if (arg == "--timeout-ms") {
-      PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "timeout-ms"));
+      PFQL_ASSIGN_OR_RETURN(
+          uint64_t v, ParseFlagValue("timeout-ms", value, 0, kMaxTimeoutMs));
       options.service.default_timeout_ms = static_cast<int64_t>(v);
     } else if (arg == "--program") {
       PFQL_ASSIGN_OR_RETURN(auto pair, SplitNameEqPath(value, "program"));
@@ -87,8 +78,9 @@ StatusOr<DaemonOptions> ParseDaemonArgs(int argc, char** argv) {
     } else if (arg == "--faults") {
       options.faults = value;
     } else if (arg == "--fault-seed") {
-      PFQL_ASSIGN_OR_RETURN(uint64_t v, ParseUint(value, "fault-seed"));
-      options.fault_seed = v;
+      PFQL_ASSIGN_OR_RETURN(
+          options.fault_seed,
+          ParseFlagValue("fault-seed", value, 0, UINT64_MAX));
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'");
     }

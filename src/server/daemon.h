@@ -15,6 +15,15 @@
 namespace pfql {
 namespace server {
 
+/// Bounds of the numeric flags of pfqld (and of `pfql client` and pfqlr
+/// where they take the same quantity; docs/SERVER.md §14). A value past
+/// its bound is InvalidArgument, so nothing is sized or started from it.
+inline constexpr uint64_t kMaxPort = 65535;
+inline constexpr uint64_t kMaxDaemonWorkers = 256;
+inline constexpr uint64_t kMaxDaemonQueue = 1 << 20;
+inline constexpr uint64_t kMaxDaemonCache = 1 << 20;
+inline constexpr uint64_t kMaxTimeoutMs = 86'400'000;  // one day
+
 struct DaemonOptions {
   /// --port; 0 picks an ephemeral port (printed as {"port":N}).
   uint16_t port = 0;

@@ -2,9 +2,12 @@
 #ifndef PFQL_UTIL_STRING_UTIL_H_
 #define PFQL_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace pfql {
 
@@ -29,6 +32,12 @@ std::string_view StripWhitespace(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Reads numeric command-line flag `--flag`: all of `text` must be decimal
+/// digits (no sign, space or trailing text) for a value in [lo, hi], else
+/// InvalidArgument naming the flag and its range.
+StatusOr<uint64_t> ParseFlagValue(std::string_view flag, std::string_view text,
+                                  uint64_t lo, uint64_t hi);
 
 /// Combines a hash into a seed (boost::hash_combine recipe, 64-bit).
 inline void HashCombine(size_t* seed, size_t value) {

@@ -194,15 +194,19 @@ TEST(ProgramAnalysisTest, SummaryFacts) {
 // ---- Dead code ----------------------------------------------------------
 
 TEST(DeadCodePassTest, UnsatisfiableBuiltinsNeverFire) {
+  // An int and a double compare numerically, as the engine compares them.
   auto codes = LintCodes(R"(
 h(X) :- r(X), X != X.
 g(X) :- r(X), 1 > 2.
 live(X) :- r(X), X != 1.
+mixed(X) :- r(X), 2 > 1.5.
+same(X) :- r(X), 1 == 1.0.
+dead(X) :- r(X), 2 < 1.5.
 r(1).
 )");
   EXPECT_EQ(std::count(codes.begin(), codes.end(),
                        std::string(kCodeNeverFires)),
-            2);
+            3);
 }
 
 TEST(DeadCodePassTest, DuplicateRulesWarn) {

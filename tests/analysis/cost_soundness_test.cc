@@ -109,6 +109,21 @@ TEST(CostSoundnessTest, DiamondPick) {
   CheckBounds(Parse(kPickSource), DiamondEdb(), "diamond-pick");
 }
 
+// An atom's constant matches as the engine's select does: 1.0 matches the
+// int weight 1, so four choices of two keys are live (5 states).
+TEST(CostSoundnessTest, ConstantMatchesIntNumerically) {
+  Instance edb;
+  Relation opt(Schema({"k", "v", "w"}));
+  opt.Insert(Tuple{Value(0), Value(0), Value(1)});
+  opt.Insert(Tuple{Value(0), Value(1), Value(1)});
+  opt.Insert(Tuple{Value(1), Value(0), Value(1)});
+  opt.Insert(Tuple{Value(1), Value(1), Value(1)});
+  opt.Insert(Tuple{Value(1), Value(2), Value(2)});
+  edb.Set("opt", std::move(opt));
+  CheckBounds(Parse("pick(<K>, V) :- opt(K, V, 1.0)."), edb,
+              "constant-pick");
+}
+
 class CostSoundnessSeeds : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CostSoundnessSeeds, RandomDigraphReach) {

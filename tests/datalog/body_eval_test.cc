@@ -107,7 +107,7 @@ TEST(BuildHeadTupleTest, MixesVariablesAndConstants) {
   head.is_key = {true, true, true};
   Schema binding_schema({"X", "Y"});
   Tuple binding{Value(7), Value(8)};
-  auto layout = HeadLayout::Resolve(head, binding_schema);
+  auto layout = HeadLayout::Resolve(head.terms, binding_schema);
   ASSERT_TRUE(layout.ok());
   EXPECT_EQ(layout->Build(binding), (Tuple{Value("tag"), Value(7), Value(7)}));
 }
@@ -117,7 +117,7 @@ TEST(BuildHeadTupleTest, MissingVariableFails) {
   head.predicate = "h";
   head.terms = {Term::Var("Z")};
   head.is_key = {true};
-  auto layout = HeadLayout::Resolve(head, Schema({"X"}));
+  auto layout = HeadLayout::Resolve(head.terms, Schema({"X"}));
   EXPECT_EQ(layout.status().code(), StatusCode::kNotFound);
 }
 

@@ -88,6 +88,49 @@ TEST(NoninflationaryPinnedTest, PartitionOnRing8) {
   EXPECT_EQ(r->probability.ToString(), "4203/15196");
 }
 
+// The partition keys of the e2e exact_chain workload:
+// `pick(<K>, V) @W :- opt(K, V, W).` over k binary choices whose weights
+// 1..4 follow a fixed hash of (pattern, key, value).
+int PatternWeight(int pattern, int i, int e) {
+  uint64_t z = static_cast<uint64_t>(pattern) * 0x9e3779b97f4a7c15ULL +
+               static_cast<uint64_t>(i) * 0xbf58476d1ce4e5b9ULL +
+               static_cast<uint64_t>(e) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  z *= 0xd6e8feb86659fd39ULL;
+  z ^= z >> 29;
+  return 1 + static_cast<int>(z % 4);
+}
+
+std::string ChoiceData(int k, int pattern) {
+  std::string out = "relation opt(k, v, w) {\n";
+  for (int i = 0; i < k; ++i) {
+    for (int v = 0; v < 2; ++v) {
+      out += "  (" + std::to_string(i) + ", " + std::to_string(v) + ", " +
+             std::to_string(PatternWeight(pattern, i, v)) + ")\n";
+    }
+  }
+  return out + "}\n";
+}
+
+TEST(NoninflationaryPinnedTest, PartitionOnEightChoices) {
+  auto program = datalog::ParseProgram("pick(<K>, V) @W :- opt(K, V, W).\n");
+  ASSERT_TRUE(program.ok()) << program.status();
+  const char* const expected[] = {"1/5", "2/5", "2/3", "3/7"};
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    auto event =
+        datalog::ParseGroundAtom("pick(" + std::to_string(i) + ", 0)");
+    ASSERT_TRUE(event.ok()) << event.status();
+    auto r = PartitionedExactForever(*program, Edb(ChoiceData(8, i)), *event);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->probability.ToString(), expected[i]);
+    EXPECT_EQ(r->num_classes, 8u);
+    size_t states = 0;
+    for (size_t s : r->states_per_class) states += s;
+    EXPECT_EQ(states, 24u);
+  }
+}
+
 TEST(NoninflationaryPinnedTest, ForeverOnRing10) {
   EXPECT_EQ(Forever(Edb(RingData(10)), "cur(1)"), "389841/1402294");
 }

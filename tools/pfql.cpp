@@ -57,6 +57,7 @@
 #include "server/wire.h"
 #include "util/cancellation.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 using namespace pfql;
 
@@ -475,26 +476,34 @@ int RunClientSubscribe(server::Client& client, const Args& args) {
   }
 }
 
+// The most retries `pfql client --retries` takes.
+constexpr uint64_t kMaxClientRetries = 100;
+
 int RunClient(const Args& args) {
   if (!args.Has("port")) return Usage();
-  server::ClientOptions options;
-  int retries = 0;
-  try {
-    retries = std::stoi(args.Get("retries", "0"));
-    if (retries < 0) retries = 0;
-    options.retry.max_attempts = retries + 1;
-    options.retry.max_backoff =
-        std::chrono::milliseconds(std::stoll(args.Get("max-backoff-ms",
-                                                      "2000")));
-    options.retry.attempt_timeout = std::chrono::milliseconds(
-        std::stoll(args.Get("attempt-timeout-ms", "0")));
-  } catch (const std::exception&) {
-    return Fail(Status::InvalidArgument("malformed numeric flag value"),
-                args, "client");
+  // Every numeric flag is read whole and bounded before anything connects.
+  auto flag = [&args](const char* name, const char* fallback, uint64_t lo,
+                      uint64_t hi) {
+    return ParseFlagValue(name, args.Get(name, fallback), lo, hi);
+  };
+  const StatusOr<uint64_t> port = flag("port", "", 1, server::kMaxPort);
+  const StatusOr<uint64_t> retries =
+      flag("retries", "0", 0, kMaxClientRetries);
+  const StatusOr<uint64_t> max_backoff_ms =
+      flag("max-backoff-ms", "2000", 0, server::kMaxTimeoutMs);
+  const StatusOr<uint64_t> attempt_timeout_ms =
+      flag("attempt-timeout-ms", "0", 0, server::kMaxTimeoutMs);
+  for (const auto* value :
+       {&port, &retries, &max_backoff_ms, &attempt_timeout_ms}) {
+    if (!value->ok()) return Fail(value->status(), args, "client");
   }
+  server::ClientOptions options;
+  options.retry.max_attempts = static_cast<int>(*retries) + 1;
+  options.retry.max_backoff = std::chrono::milliseconds(*max_backoff_ms);
+  options.retry.attempt_timeout =
+      std::chrono::milliseconds(*attempt_timeout_ms);
   server::Client client(options);
-  Status status = client.Connect(
-      static_cast<uint16_t>(std::stoul(args.Get("port", "0"))));
+  Status status = client.Connect(static_cast<uint16_t>(*port));
   if (!status.ok()) return Fail(status, args, "client");
 
   if (!args.positionals.empty() && args.positionals[0] == "subscribe") {
@@ -540,7 +549,7 @@ int RunClient(const Args& args) {
     // With --retries, parsed requests go through the retrying path
     // (reconnect + backoff on Unavailable); anything unparseable is sent
     // raw, once, so the server's parse error still comes back verbatim.
-    if (retries > 0) {
+    if (*retries > 0) {
       if (auto request = Json::Parse(line); request.ok()) {
         auto response = client.CallWithRetry(*request);
         if (!response.ok()) {

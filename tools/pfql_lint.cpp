@@ -30,10 +30,15 @@
 #include "analysis/diagnostic.h"
 #include "analysis/sarif.h"
 #include "relational/text_io.h"
+#include "util/string_util.h"
 
 using namespace pfql;
 
 namespace {
+
+// The largest --max-states and --compile-max-states: the largest state
+// budget the wire's max_states field (a JSON int64) can carry.
+constexpr uint64_t kMaxStatesFlag = INT64_MAX;
 
 int Usage() {
   std::fprintf(stderr,
@@ -115,11 +120,13 @@ int main(int argc, char** argv) {
       data_file = argv[++i];
     } else if (arg == "--max-states" || arg == "--compile-max-states") {
       if (i + 1 >= argc) return Usage();
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0) return Usage();
+      auto v = ParseFlagValue(arg.substr(2), argv[++i], 1, kMaxStatesFlag);
+      if (!v.ok()) {
+        std::fprintf(stderr, "pfql-lint: %s\n", v.status().ToString().c_str());
+        return Usage();
+      }
       (arg == "--max-states" ? cost_options.max_states
-                             : cost_options.compile_max_states) = v;
+                             : cost_options.compile_max_states) = *v;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "pfql-lint: unknown option '%s'\n", arg.c_str());
       return Usage();

@@ -27,7 +27,8 @@
 //                     degraded flag; schema in docs/OBSERVABILITY.md)
 //
 // Runs until SIGINT/SIGTERM. Exit status: 0 clean shutdown, 1 startup
-// failure (including port already in use), 2 usage error.
+// failure (including port already in use), 2 usage error (including a
+// numeric flag outside its range, docs/SERVER.md §14).
 #include <cstdio>
 
 #include "server/daemon.h"

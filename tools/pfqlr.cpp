@@ -26,17 +26,20 @@
 //
 // Runs until SIGINT/SIGTERM; shuts the fleet down cleanly (SIGTERM, then
 // SIGKILL on a deadline). Exit status: 0 clean shutdown, 1 startup
-// failure, 2 usage error.
+// failure, 2 usage error (including a numeric flag outside its range,
+// docs/SERVER.md §14).
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include <unistd.h>
 
 #include "router/router.h"
+#include "server/daemon.h"
 #include "util/fault_injection.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -62,15 +65,16 @@ std::string SiblingPfqld() {
   return path.substr(0, slash + 1) + "pfqld";
 }
 
-bool ParseInt(const char* value, long* out) {
-  char* end = nullptr;
-  *out = std::strtol(value, &end, 10);
-  return end != nullptr && *end == '\0' && *value != '\0';
-}
+// The most pfqld processes --workers starts, and the most restarts
+// --max-restarts tolerates per window.
+constexpr uint64_t kMaxRouterWorkers = 64;
+constexpr uint64_t kMaxRestarts = 1000;
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using pfql::server::kMaxPort;
+  using pfql::server::kMaxTimeoutMs;
   pfql::router::RouterOptions options;
   std::string faults;
   for (int i = 1; i < argc; ++i) {
@@ -80,29 +84,40 @@ int main(int argc, char** argv) {
       return Usage();
     }
     const char* value = argv[++i];
-    long n = 0;
+    // Reads `value` whole into *out, within [lo, hi].
+    auto number = [&](uint64_t lo, uint64_t hi, auto* out) {
+      auto v = pfql::ParseFlagValue(arg.substr(2), value, lo, hi);
+      if (!v.ok()) {
+        std::fprintf(stderr, "error: %s\n", v.status().ToString().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_reference_t<decltype(*out)>>(*v);
+      return true;
+    };
     if (arg == "--port") {
-      if (!ParseInt(value, &n) || n < 0 || n > 65535) return Usage();
-      options.port = static_cast<uint16_t>(n);
+      if (!number(0, kMaxPort, &options.port)) return Usage();
     } else if (arg == "--workers") {
-      if (!ParseInt(value, &n) || n < 1) return Usage();
-      options.num_workers = static_cast<int>(n);
+      if (!number(1, kMaxRouterWorkers, &options.num_workers)) return Usage();
     } else if (arg == "--pfqld") {
       options.pfqld_binary = value;
     } else if (arg == "--worker-arg") {
       options.worker_args.push_back(value);
     } else if (arg == "--probe-interval-ms") {
-      if (!ParseInt(value, &n) || n < 1) return Usage();
-      options.probe_interval_ms = static_cast<int>(n);
+      if (!number(1, kMaxTimeoutMs, &options.probe_interval_ms)) {
+        return Usage();
+      }
     } else if (arg == "--probe-timeout-ms") {
-      if (!ParseInt(value, &n) || n < 1) return Usage();
-      options.probe_timeout_ms = static_cast<int>(n);
+      if (!number(1, kMaxTimeoutMs, &options.probe_timeout_ms)) {
+        return Usage();
+      }
     } else if (arg == "--restart-window-ms") {
-      if (!ParseInt(value, &n) || n < 1) return Usage();
-      options.restart_window_ms = static_cast<int>(n);
+      if (!number(1, kMaxTimeoutMs, &options.restart_window_ms)) {
+        return Usage();
+      }
     } else if (arg == "--max-restarts") {
-      if (!ParseInt(value, &n) || n < 1) return Usage();
-      options.max_restarts_in_window = static_cast<int>(n);
+      if (!number(1, kMaxRestarts, &options.max_restarts_in_window)) {
+        return Usage();
+      }
     } else if (arg == "--faults") {
       faults = value;
     } else {
