@@ -44,6 +44,11 @@ class CompiledProgram {
 
   const Instance& initial() const { return initial_; }
 
+  // True iff `relation` is the head of some rule.
+  bool Writes(const std::string& relation) const {
+    return program_.idb_predicates().count(relation) > 0;
+  }
+
   // Program::InitialInstance(edb), provided `edb` has the schemas the rules
   // were compiled against.
   StatusOr<Instance> InitialInstance(const Instance& edb) const;
@@ -274,17 +279,23 @@ StatusOr<Instance> InflationaryEngine::RunToFixpoint(Rng* rng,
 
 namespace {
 
-// Exhaustive traversal of the computation tree. Choice points (one per
-// repair-key group per fired rule) are iterated lazily so memory stays
-// proportional to tree depth (Prop 4.4).
+// Depth-first search of the computation tree (Prop 4.4). Choice points (one
+// per repair-key group per fired rule) are iterated lazily so memory stays
+// proportional to tree depth. Without an event it reaches every fixpoint
+// and hands each to `on_fixpoint`. With one it settles at the event (see
+// Visit), and settled() is the probability that the event holds at the
+// fixpoint.
 class ExactTraversal {
  public:
   ExactTraversal(const CompiledProgram& program,
                  const ExactInflationaryOptions& options,
+                 const QueryEvent* event,
                  std::function<Status(const Instance&, const BigRational&)>
                      on_fixpoint)
       : program_(program),
         options_(options),
+        event_(event),
+        event_written_(event != nullptr && program.Writes(event->relation)),
         on_fixpoint_(std::move(on_fixpoint)),
         poller_(options.cancel) {}
 
@@ -293,6 +304,7 @@ class ExactTraversal {
   }
 
   size_t nodes_visited() const { return nodes_; }
+  const BigRational& settled() const { return settled_; }
 
  private:
   // One probabilistic choice point within a step.
@@ -309,6 +321,15 @@ class ExactTraversal {
           std::to_string(nodes_) + " nodes)");
     }
     PFQL_RETURN_NOT_OK(poller_.Tick());
+    if (event_ != nullptr) {
+      // The instance only grows and the event is monotone, so once it holds
+      // it holds at every fixpoint below, whose probabilities sum to this
+      // node's. A written relation is never a "__delta_" one, so `db`
+      // answers as its fixpoint would (docs/INTERNALS.md §9).
+      const bool holds = event_->Holds(db);
+      if (holds) settled_ += prob;
+      if (holds || !event_written_) return Status::OK();
+    }
     PFQL_ASSIGN_OR_RETURN(std::vector<std::vector<Tuple>> rows,
                           program_.NewValuations(db, first_step));
 
@@ -331,7 +352,10 @@ class ExactTraversal {
         choice_points.push_back({r, std::move(g)});
       }
     }
-    if (!fired) return on_fixpoint_(WithoutDeltas(db), prob);
+    if (!fired) {
+      return on_fixpoint_ ? on_fixpoint_(WithoutDeltas(db), prob)
+                          : Status::OK();
+    }
 
     // Lazily iterate the product over choice points.
     return IterateChoices(choice_points, 0, db, &heads, std::move(prob));
@@ -358,9 +382,12 @@ class ExactTraversal {
 
   const CompiledProgram& program_;
   const ExactInflationaryOptions& options_;
+  const QueryEvent* event_;
+  const bool event_written_;
   std::function<Status(const Instance&, const BigRational&)> on_fixpoint_;
   CancelPoller poller_;
   size_t nodes_ = 0;
+  BigRational settled_;
 };
 
 }  // namespace
@@ -370,32 +397,30 @@ StatusOr<BigRational> ExactFixpointEventProbability(
     const ExactInflationaryOptions& options, size_t* nodes_visited) {
   PFQL_ASSIGN_OR_RETURN(CompiledProgram compiled,
                         CompiledProgram::Make(program, edb));
-  BigRational total;
+  // A fixpoint the search reaches fails the event, or it would have
+  // settled above.
+  ExactTraversal traversal(compiled, options, &event, nullptr);
+  Status status = traversal.Run();
+  if (nodes_visited != nullptr) *nodes_visited = traversal.nodes_visited();
+  PFQL_RETURN_NOT_OK(status);
+  return traversal.settled();
+}
+
+StatusOr<Distribution<Instance>> ExactFixpointDistribution(
+    const Program& program, const Instance& edb,
+    const ExactInflationaryOptions& options, size_t* nodes_visited) {
+  PFQL_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                        CompiledProgram::Make(program, edb));
+  Distribution<Instance> dist;
   ExactTraversal traversal(
-      compiled, options,
+      compiled, options, /*event=*/nullptr,
       [&](const Instance& fixpoint, const BigRational& p) -> Status {
-        if (event.Holds(fixpoint)) total += p;
+        dist.Add(fixpoint, p);
         return Status::OK();
       });
   Status status = traversal.Run();
   if (nodes_visited != nullptr) *nodes_visited = traversal.nodes_visited();
   PFQL_RETURN_NOT_OK(status);
-  return total;
-}
-
-StatusOr<Distribution<Instance>> ExactFixpointDistribution(
-    const Program& program, const Instance& edb,
-    const ExactInflationaryOptions& options) {
-  PFQL_ASSIGN_OR_RETURN(CompiledProgram compiled,
-                        CompiledProgram::Make(program, edb));
-  Distribution<Instance> dist;
-  ExactTraversal traversal(
-      compiled, options,
-      [&](const Instance& fixpoint, const BigRational& p) -> Status {
-        dist.Add(fixpoint, p);
-        return Status::OK();
-      });
-  PFQL_RETURN_NOT_OK(traversal.Run());
   dist.Normalize();
   return dist;
 }

@@ -18,8 +18,8 @@
 // Two evaluation modes share one compiled program and one step:
 //  * sampling (one random computation path to a fixpoint) — the basis of the
 //    PTIME absolute approximation of Thm 4.3;
-//  * exact (full traversal of the computation tree, Prop 4.4) — worst-case
-//    exponential time but polynomial memory (a root-to-leaf path).
+//  * exact (depth-first search of the computation tree, Prop 4.4) —
+//    worst-case exponential time but polynomial memory (a root-to-leaf path).
 #ifndef PFQL_DATALOG_ENGINE_H_
 #define PFQL_DATALOG_ENGINE_H_
 
@@ -90,19 +90,25 @@ struct ExactInflationaryOptions {
   ExactEvalOptions eval;
 };
 
-/// Exact probability that `event` holds at the fixpoint, by exhaustive
-/// depth-first traversal of the computation tree (Prop 4.4). Memory use is
-/// proportional to the tree depth (polynomial), time may be exponential.
+/// Exact probability that `event` holds at the fixpoint, by depth-first
+/// search of the computation tree (Prop 4.4). Memory use is proportional to
+/// the tree depth (polynomial), time may be exponential. A node whose
+/// instance holds the event adds its probability and is not entered, and an
+/// event on a relation no rule writes is decided at the root; `max_nodes`
+/// and `nodes_visited` count the nodes searched, and a data error below a
+/// settled node is not reported (docs/INTERNALS.md §9).
 StatusOr<BigRational> ExactFixpointEventProbability(
     const Program& program, const Instance& edb, const QueryEvent& event,
     const ExactInflationaryOptions& options = {},
     size_t* nodes_visited = nullptr);
 
-/// Exact distribution over fixpoint instances (merges equal fixpoints).
+/// Exact distribution over fixpoint instances (merges equal fixpoints), by
+/// a walk of the whole tree: the oracle of the settled search above.
 /// Exponentially large in the worst case; bounded by options.max_nodes.
 StatusOr<Distribution<Instance>> ExactFixpointDistribution(
     const Program& program, const Instance& edb,
-    const ExactInflationaryOptions& options = {});
+    const ExactInflationaryOptions& options = {},
+    size_t* nodes_visited = nullptr);
 
 }  // namespace datalog
 }  // namespace pfql

@@ -3,9 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 #include "util/metrics.h"
+#include "util/string_util.h"
 
 namespace pfql {
 namespace fault {
@@ -82,7 +84,8 @@ void FaultRegistry::SetSeed(uint64_t seed) {
 
 Status FaultRegistry::ArmFromSpec(std::string_view spec) {
   // Entries are separated by ',' or ';'. Each is point=trigger[:delay_ms]
-  // with trigger p<prob> or n<hit>; `seed=<n>` seeds the trigger RNG.
+  // with trigger p<prob> or n<hit>; `seed=<n>` seeds the trigger RNG. Each
+  // number is read whole: a sign or a value that would wrap is refused.
   size_t pos = 0;
   while (pos <= spec.size()) {
     size_t end = spec.find_first_of(",;", pos);
@@ -104,28 +107,30 @@ Status FaultRegistry::ArmFromSpec(std::string_view spec) {
     std::string_view trigger = entry.substr(eq + 1);
 
     if (point == "seed") {
-      char* endp = nullptr;
-      const std::string value(trigger);
-      const unsigned long long seed = std::strtoull(value.c_str(), &endp, 10);
-      if (endp == nullptr || *endp != '\0' || value.empty()) {
-        return Status::InvalidArgument("fault seed '" + value +
-                                       "' is not a number");
+      const std::optional<uint64_t> seed =
+          ParseDecimal(trigger, 0, kMaxFaultSeed);
+      if (!seed) {
+        return Status::InvalidArgument(
+            "fault seed '" + std::string(trigger) +
+            "' must be a number from 0 to " + std::to_string(kMaxFaultSeed));
       }
-      SetSeed(static_cast<uint64_t>(seed));
+      SetSeed(*seed);
       continue;
     }
 
     uint32_t delay_ms = 0;
     const size_t colon = trigger.find(':');
     if (colon != std::string_view::npos) {
-      const std::string delay(trigger.substr(colon + 1));
-      char* endp = nullptr;
-      const unsigned long long d = std::strtoull(delay.c_str(), &endp, 10);
-      if (endp == nullptr || *endp != '\0' || delay.empty()) {
-        return Status::InvalidArgument("fault delay '" + delay +
-                                       "' is not a number of milliseconds");
+      const std::string_view delay = trigger.substr(colon + 1);
+      const std::optional<uint64_t> d =
+          ParseDecimal(delay, 0, kMaxFaultDelayMs);
+      if (!d) {
+        return Status::InvalidArgument(
+            "fault delay '" + std::string(delay) +
+            "' must be a number of milliseconds from 0 to " +
+            std::to_string(kMaxFaultDelayMs));
       }
-      delay_ms = static_cast<uint32_t>(d);
+      delay_ms = static_cast<uint32_t>(*d);
       trigger = trigger.substr(0, colon);
     }
     if (trigger.empty()) {
@@ -138,20 +143,20 @@ Status FaultRegistry::ArmFromSpec(std::string_view spec) {
     if (mode == 'p') {
       char* endp = nullptr;
       const double p = std::strtod(value.c_str(), &endp);
-      if (endp == nullptr || *endp != '\0' || value.empty() || p < 0.0 ||
-          p > 1.0) {
+      if (endp == nullptr || *endp != '\0' || value.empty() ||
+          !(p >= 0.0 && p <= 1.0)) {  // NaN too
         return Status::InvalidArgument("fault probability '" + value +
                                        "' must be in [0, 1]");
       }
       Arm(point, FaultSpec::Probability(p, delay_ms));
     } else if (mode == 'n') {
-      char* endp = nullptr;
-      const unsigned long long n = std::strtoull(value.c_str(), &endp, 10);
-      if (endp == nullptr || *endp != '\0' || value.empty() || n == 0) {
-        return Status::InvalidArgument("fault hit index '" + value +
-                                       "' must be a positive integer");
+      const std::optional<uint64_t> n = ParseDecimal(value, 1, kMaxFaultHit);
+      if (!n) {
+        return Status::InvalidArgument(
+            "fault hit index '" + value + "' must be a number from 1 to " +
+            std::to_string(kMaxFaultHit));
       }
-      Arm(point, FaultSpec::NthHit(static_cast<uint64_t>(n), delay_ms));
+      Arm(point, FaultSpec::NthHit(*n, delay_ms));
     } else {
       return Status::InvalidArgument(
           "fault trigger '" + std::string(trigger) +

@@ -88,6 +88,12 @@ struct FaultSpec {
   }
 };
 
+/// Bounds of a spec string's numbers (ArmFromSpec refuses any other): a
+/// hit index counts from 1, and a delay of at most an hour fits delay_ms.
+inline constexpr uint64_t kMaxFaultSeed = UINT64_MAX;
+inline constexpr uint64_t kMaxFaultHit = UINT64_MAX;
+inline constexpr uint32_t kMaxFaultDelayMs = 3'600'000;
+
 /// Process-global registry of armed points and hit/fired counters.
 /// Thread-safe; the disarmed fast path is a single relaxed atomic load.
 class FaultRegistry {

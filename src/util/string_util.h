@@ -3,6 +3,7 @@
 #define PFQL_UTIL_STRING_UTIL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,8 +34,12 @@ std::string_view StripWhitespace(std::string_view s);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Reads numeric command-line flag `--flag`: all of `text` must be decimal
-/// digits (no sign, space or trailing text) for a value in [lo, hi], else
+/// Reads all of `text` as decimal digits (no sign, space or trailing text)
+/// for a value in [lo, hi]; nullopt otherwise, a value that wraps included.
+std::optional<uint64_t> ParseDecimal(std::string_view text, uint64_t lo,
+                                     uint64_t hi);
+
+/// Reads numeric command-line flag `--flag` with ParseDecimal, else
 /// InvalidArgument naming the flag and its range.
 StatusOr<uint64_t> ParseFlagValue(std::string_view flag, std::string_view text,
                                   uint64_t lo, uint64_t hi);

@@ -103,6 +103,48 @@ TEST(EngineTest, TwoHopChoiceMultiplies) {
   EXPECT_EQ(p.value(), BigRational(1, 4));
 }
 
+TEST(EngineTest, ExactSearchSettlesWhereTheEventFirstHolds) {
+  // a -> {b, c}; b -> {d, e}. The whole tree has 10 nodes: the root, the
+  // step that adds cur(a), c2(a, b) or c2(a, c) and the cur(Y) they add
+  // (cur(c) is a fixpoint), then c2(b, d) or c2(b, e) and their fixpoints.
+  Instance edb;
+  Relation e(Schema({"i", "j", "p"}));
+  for (auto [from, to] : std::vector<std::pair<const char*, const char*>>{
+           {"a", "b"}, {"a", "c"}, {"b", "d"}, {"b", "e"}}) {
+    e.Insert(Tuple{Value(from), Value(to), Value(1)});
+  }
+  edb.Set("e", std::move(e));
+  size_t tree_nodes = 0;
+  ASSERT_TRUE(
+      ExactFixpointDistribution(ReachProgram(), edb, {}, &tree_nodes).ok());
+  EXPECT_EQ(tree_nodes, 10u);
+
+  struct Case {
+    QueryEvent event;
+    BigRational probability;
+    size_t nodes;
+  };
+  const Case cases[] = {
+      // Settles at cur(b), so the choice at b is never searched.
+      {{"cur", Tuple{Value("b")}}, BigRational(1, 2), 6},
+      // Holds only at fixpoints: every node is searched.
+      {{"cur", Tuple{Value("d")}}, BigRational(1, 4), 10},
+      // Holds at no node: every node is searched.
+      {{"cur", Tuple{Value("f")}}, BigRational(0), 10},
+      // No rule writes `e`, so the root decides.
+      {{"e", Tuple{Value("a"), Value("b"), Value(1)}}, BigRational(1), 1},
+      {{"e", Tuple{Value("b"), Value("a"), Value(1)}}, BigRational(0), 1},
+  };
+  for (const Case& c : cases) {
+    size_t nodes = 0;
+    auto p = ExactFixpointEventProbability(ReachProgram(), edb, c.event, {},
+                                           &nodes);
+    ASSERT_TRUE(p.ok()) << p.status();
+    EXPECT_EQ(p->ToString(), c.probability.ToString()) << c.event.ToString();
+    EXPECT_EQ(nodes, c.nodes) << c.event.ToString();
+  }
+}
+
 TEST(EngineTest, FixpointDistributionSumsToOne) {
   auto dist = ExactFixpointDistribution(ReachProgram(), TwoEdgeGraph());
   ASSERT_TRUE(dist.ok());

@@ -1,8 +1,9 @@
 // Answers of the inflationary evaluator pinned to literal values: exact
-// probabilities with their computation-tree node counts (Prop 4.4), seeded
-// approx estimates (Thm 4.3) at one and three threads, and one sampled
-// fixpoint. A change to the order of the repair-key draws, to the number
-// of tree nodes, or to which relations a fixpoint holds moves one of them.
+// probabilities with the computation-tree nodes their search visits (Prop
+// 4.4), seeded approx estimates (Thm 4.3) at one and three threads, and one
+// sampled fixpoint. A change to the order of the repair-key draws, to the
+// number of nodes searched or in the whole tree, or to which relations a
+// fixpoint holds moves one of them.
 #include <gtest/gtest.h>
 
 #include "datalog/engine.h"
@@ -43,6 +44,9 @@ Instance Circulant9(int64_t pattern) {
   return edb;
 }
 
+// The search settles where `cur` first holds the node, so it visits a
+// part of the 2,654-node tree; node 9 is on no path, so its event holds at
+// no node and the search walks the whole tree.
 TEST(InflationaryPinnedTest, ExactReachProbabilityAndNodes) {
   struct Case {
     int64_t pattern;
@@ -51,17 +55,67 @@ TEST(InflationaryPinnedTest, ExactReachProbabilityAndNodes) {
     size_t nodes;
   };
   const Case cases[] = {
-      {0, 5, "39725/93312", 2654},
-      {1, 7, "40856/107163", 2654},
+      {0, 5, "39725/93312", 926},
+      {1, 7, "40856/107163", 692},
+      {0, 9, "0", 2654},
+      {1, 9, "0", 2654},
   };
   for (const Case& c : cases) {
     size_t nodes = 0;
     auto p = ExactInflationary(Reach(), Circulant9(c.pattern),
                                {"cur", Tuple{Value(c.node)}}, {}, &nodes);
     ASSERT_TRUE(p.ok()) << p.status();
-    EXPECT_EQ(p->ToString(), c.probability) << "pattern " << c.pattern;
-    EXPECT_EQ(nodes, c.nodes) << "pattern " << c.pattern;
+    EXPECT_EQ(p->ToString(), c.probability)
+        << "pattern " << c.pattern << ", node " << c.node;
+    EXPECT_EQ(nodes, c.nodes) << "pattern " << c.pattern << ", node "
+                              << c.node;
   }
+}
+
+// max_nodes budgets the nodes the search visits: 1,000 covers the settled
+// search for cur(5) but not the whole tree that cur(9) needs.
+TEST(InflationaryPinnedTest, ExactNodeBudgetCountsVisitedNodes) {
+  datalog::ExactInflationaryOptions options;
+  options.max_nodes = 1000;
+  auto settled = ExactInflationary(Reach(), Circulant9(0),
+                                   {"cur", Tuple{Value(int64_t{5})}}, options);
+  ASSERT_TRUE(settled.ok()) << settled.status();
+  EXPECT_EQ(settled->ToString(), "39725/93312");
+  auto whole = ExactInflationary(Reach(), Circulant9(0),
+                                 {"cur", Tuple{Value(int64_t{9})}}, options);
+  EXPECT_EQ(whole.status().code(), StatusCode::kResourceExhausted)
+      << whole.status();
+}
+
+// Over e(0,1,1), e(1,2,0), node 1's only out-edge has weight 0, so its
+// repair-key group has total weight zero. `cur(1)` holds before the step
+// that would fire that group, so the search settles there and does not
+// report the error; `cur(2)` needs that step and reports it. `approx` runs
+// every sample to its fixpoint, so it reports the error for either event.
+TEST(InflationaryPinnedTest, ZeroWeightGroupBelowASettledNode) {
+  Instance edb;
+  edb.Set("e", Relation::Make(Schema({"i", "j", "p"}),
+                              {Tuple{Value(0), Value(1), Value(1)},
+                               Tuple{Value(1), Value(2), Value(0)}})
+                   .value());
+  size_t nodes = 0;
+  auto settled = ExactInflationary(
+      Reach(), edb, {"cur", Tuple{Value(int64_t{1})}}, {}, &nodes);
+  ASSERT_TRUE(settled.ok()) << settled.status();
+  EXPECT_EQ(settled->ToString(), "1");
+  EXPECT_EQ(nodes, 4u);
+  auto unsettled =
+      ExactInflationary(Reach(), edb, {"cur", Tuple{Value(int64_t{2})}});
+  EXPECT_EQ(unsettled.status().code(), StatusCode::kInvalidArgument)
+      << unsettled.status();
+
+  ApproxParams params;
+  params.max_samples = 4;
+  Rng rng(1);
+  auto sampled = ApproxInflationary(
+      Reach(), edb, {"cur", Tuple{Value(int64_t{1})}}, params, &rng);
+  EXPECT_EQ(sampled.status().code(), StatusCode::kInvalidArgument)
+      << sampled.status();
 }
 
 TEST(InflationaryPinnedTest, SeededApproxAtOneAndThreeThreads) {

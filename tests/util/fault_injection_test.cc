@@ -102,6 +102,36 @@ TEST_F(FaultInjectionTest, MalformedSpecsAreRejected) {
   EXPECT_FALSE(registry.ArmFromSpec("seed=notanumber").ok());
 }
 
+// Each integer is read whole and bounded, not wrapped into range: a signed
+// delay, hit index or seed and a delay that does not fit uint32_t are
+// refused, as is a probability that is not a number, and nothing is armed.
+TEST_F(FaultInjectionTest, SpecNumbersAreReadWholeWithinBounds) {
+  auto& registry = FaultRegistry::Instance();
+  for (const char* spec :
+       {"point=n3:-1", "point=n3:4294967296", "point=n3:3600001", "point=n-1",
+        "point=n+1", "point=n1x", "point=n18446744073709551616", "seed=-1",
+        "seed=18446744073709551616", "seed=", "point=pnan", "point=p-0.5",
+        "point=n2: 5"}) {
+    Status status = registry.ArmFromSpec(spec);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << spec << ": " << status;
+  }
+  EXPECT_TRUE(registry.ArmedPoints().empty());
+
+  ASSERT_TRUE(registry
+                  .ArmFromSpec("a=n3:3600000, b=n18446744073709551615, "
+                               "c=p1:0, seed=18446744073709551615")
+                  .ok());
+  const Json snapshot = registry.SnapshotJson();
+  EXPECT_EQ(registry.ArmedPoints().size(), 3u);
+  for (const char* point : {"a", "b", "c"}) {
+    const Json* state = snapshot.Find(point);
+    ASSERT_NE(state, nullptr) << point;
+    EXPECT_TRUE(state->Find("armed")->AsBool()) << point;
+  }
+  EXPECT_EQ(snapshot.Find("a")->Find("delay_ms")->AsInt(), 3600000);
+}
+
 TEST_F(FaultInjectionTest, ScopedFaultDisarmsOnDestruction) {
   {
     ScopedFault fault(points::kStateSpaceExpand, FaultSpec::Probability(1.0));
