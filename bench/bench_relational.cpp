@@ -1,16 +1,19 @@
-// Experiment A4: relational-substrate microbenchmarks — the operator
-// kernels every query evaluation is built from.
+// Experiment A4: relational-substrate microbenchmarks — relation
+// construction and hashing, and the RA operators every query evaluation is
+// built from, each timed as a compiled plan (ra/plan.h).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "relational/algebra.h"
+#include "ra/plan.h"
 #include "relational/instance.h"
 #include "util/random.h"
 
 namespace pfql {
 namespace {
 
+// `rows` distinct random pairs over [0, domain)²; rows must not exceed
+// domain², or the loop never ends.
 Relation RandomBinary(size_t rows, size_t domain, uint64_t seed) {
   Rng rng(seed);
   Relation r(Schema({"i", "j"}));
@@ -82,18 +85,46 @@ void BM_ConstructBuilder(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructBuilder)->Arg(10000)->Arg(100000)->Arg(1000000);
 
+// Times the plans of `exprs`, each compiled once against `db`, the way the
+// engine runs an operator: base relations read in place, columns by
+// position.
+void TimePlans(benchmark::State& state, const std::vector<RaExpr::Ptr>& exprs,
+               const Instance& db, int64_t items) {
+  std::vector<RaPlan> plans;
+  for (const RaExpr::Ptr& expr : exprs) {
+    auto plan = RaPlan::Compile(expr, db.Schemas());
+    if (!plan.ok()) {
+      state.SkipWithError("compile failed");
+      return;
+    }
+    plans.push_back(std::move(plan).value());
+  }
+  for (auto _ : state) {
+    for (const RaPlan& plan : plans) {
+      auto out = plan.Sample(db, nullptr);
+      if (!out.ok()) state.SkipWithError("eval failed");
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * items);
+}
+
+Instance Pair(Relation a, Relation b) {
+  Instance db;
+  db.Set("a", std::move(a));
+  db.Set("b", std::move(b));
+  return db;
+}
+
 void BM_NaturalJoin(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Relation a = RandomBinary(n, n / 4 + 4, 1);
-  auto renamed = RenameColumns(RandomBinary(n, n / 4 + 4, 2),
-                               {{"i", "j"}, {"j", "k"}});
-  if (!renamed.ok()) return;
-  for (auto _ : state) {
-    auto joined = NaturalJoin(a, *renamed);
-    if (!joined.ok()) state.SkipWithError("join failed");
-    benchmark::DoNotOptimize(joined);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+  const Instance db = Pair(RandomBinary(n, n / 4 + 4, 1),
+                           RandomBinary(n, n / 4 + 4, 2));
+  TimePlans(state,
+            {RaExpr::Join(RaExpr::Base("a"),
+                          RaExpr::Rename(RaExpr::Base("b"),
+                                         {{"i", "j"}, {"j", "k"}}))},
+            db, state.range(0));
 }
 // 65536 rows against ~16 matches per key yields a ~10^6-tuple join output.
 BENCHMARK(BM_NaturalJoin)->Range(64, 65536);
@@ -101,54 +132,44 @@ BENCHMARK(BM_NaturalJoin)->Range(64, 65536);
 // Cartesian product with n² output tuples: 100 → 10⁴, 1000 → 10⁶.
 void BM_Product(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Relation a = RandomBinary(n, 1 << 30, 11);
-  auto b = RenameColumns(RandomBinary(n, 1 << 30, 12),
-                         {{"i", "k"}, {"j", "l"}});
-  if (!b.ok()) return;
-  for (auto _ : state) {
-    auto out = Product(a, *b);
-    if (!out.ok()) state.SkipWithError("product failed");
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
+  const Instance db = Pair(RandomBinary(n, 1 << 30, 11),
+                           RandomBinary(n, 1 << 30, 12));
+  TimePlans(state,
+            {RaExpr::Product(RaExpr::Base("a"),
+                             RaExpr::Rename(RaExpr::Base("b"),
+                                            {{"i", "k"}, {"j", "l"}}))},
+            db, state.range(0) * state.range(0));
 }
 BENCHMARK(BM_Product)->Arg(100)->Arg(1000);
 
 void BM_Select(benchmark::State& state) {
-  Relation r = RandomBinary(static_cast<size_t>(state.range(0)), 1024, 5);
-  auto pred = Predicate::Cmp(CmpOp::kLt, ScalarExpr::Column("i"),
-                             ScalarExpr::Const(Value(512)));
-  for (auto _ : state) {
-    auto out = Select(r, pred);
-    if (!out.ok()) state.SkipWithError("select failed");
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Instance db = Pair(RandomBinary(n, 1024, 5), Relation());
+  TimePlans(state,
+            {RaExpr::Select(RaExpr::Base("a"),
+                            Predicate::Cmp(CmpOp::kLt,
+                                           ScalarExpr::Column("i"),
+                                           ScalarExpr::Const(Value(512))))},
+            db, state.range(0));
 }
 BENCHMARK(BM_Select)->Range(64, 16384);
 
 void BM_Project(benchmark::State& state) {
-  Relation r = RandomBinary(static_cast<size_t>(state.range(0)), 64, 6);
-  for (auto _ : state) {
-    auto out = Project(r, {"j"});
-    if (!out.ok()) state.SkipWithError("project failed");
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
+  // 256 values of j: the projection keeps at most 256 of up to 16384 rows.
+  const Instance db = Pair(RandomBinary(n, 256, 6), Relation());
+  TimePlans(state, {RaExpr::Project(RaExpr::Base("a"), {"j"})}, db,
+            state.range(0));
 }
 BENCHMARK(BM_Project)->Range(64, 16384);
 
 void BM_UnionDifference(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Relation a = RandomBinary(n, n, 7), b = RandomBinary(n, n, 8);
-  for (auto _ : state) {
-    auto u = Union(a, b);
-    auto d = Difference(a, b);
-    if (!u.ok() || !d.ok()) state.SkipWithError("set op failed");
-    benchmark::DoNotOptimize(u);
-    benchmark::DoNotOptimize(d);
-  }
-  state.SetItemsProcessed(state.iterations() * n * 2);
+  const Instance db = Pair(RandomBinary(n, n, 7), RandomBinary(n, n, 8));
+  TimePlans(state,
+            {RaExpr::Union(RaExpr::Base("a"), RaExpr::Base("b")),
+             RaExpr::Difference(RaExpr::Base("a"), RaExpr::Base("b"))},
+            db, state.range(0) * 2);
 }
 BENCHMARK(BM_UnionDifference)->Range(64, 16384);
 

@@ -33,10 +33,6 @@ const std::vector<DiagnosticCodeInfo>& AllDiagnosticCodes() {
        "conflicting key positions across probabilistic rules"},
       {kCodeKeysNotProperSubset, Severity::kError,
        "key columns not a proper subset of the head columns"},
-      {kCodeNotInflationary, Severity::kError,
-       "kernel query provably violates Def 3.4 containment"},
-      {kCodeRepairSpecWeightIsKey, Severity::kError,
-       "repair-key weight column listed among the key columns"},
       {kCodeWeightedDeterministic, Severity::kWarning,
        "weighted rule makes no probabilistic choice"},
       {kCodeOverlappingKeyGroups, Severity::kWarning,
@@ -47,12 +43,6 @@ const std::vector<DiagnosticCodeInfo>& AllDiagnosticCodes() {
       {kCodeDeadPredicate, Severity::kWarning,
        "predicate does not contribute to the query event"},
       {kCodeDuplicateRule, Severity::kWarning, "duplicate rule"},
-      {kCodeValueInvention, Severity::kWarning,
-       "value invention may unbound the reachable state space"},
-      {kCodeCannotVerifyInflationary, Severity::kWarning,
-       "cannot verify Def 3.4 containment"},
-      {kCodeNonMonotoneCycle, Severity::kWarning,
-       "non-monotone self-dependency"},
       {kCodeRecursiveScc, Severity::kNote, "recursive predicate group"},
       {kCodeProbabilisticRecursion, Severity::kNote,
        "probabilistic choice inside recursion"},
@@ -62,8 +52,8 @@ const std::vector<DiagnosticCodeInfo>& AllDiagnosticCodes() {
       {kCodeBoundedStateSpace, Severity::kNote,
        "reachable state space bounded by the active domain"},
       {kCodeNonLinearRule, Severity::kNote, "rule outside linear datalog"},
-      {kCodeProvablyInflationary, Severity::kNote,
-       "kernel provably inflationary (Def 3.4)"},
+      {kCodeForcedCompileFailed, Severity::kError,
+       "forced compiled backend failed to compile the chain"},
       {kCodePlanOverBudget, Severity::kError,
        "predicted state space exceeds the evaluation budget"},
       {kCodeUnboundedStateSpace, Severity::kWarning,

@@ -27,8 +27,8 @@ const char* SeverityToString(Severity severity);
 // ---- Stable diagnostic codes ------------------------------------------
 //
 // Codes are never renumbered or reused; docs/ANALYSIS.md catalogs each one
-// with a minimal trigger and the paper definition it enforces. The E/W/N
-// letter mirrors the default severity.
+// with a minimal trigger and the paper definition it enforces, and lists
+// the retired ones. The E/W/N letter mirrors the default severity.
 inline constexpr char kCodeSyntax[] = "PFQL-E001";
 inline constexpr char kCodeArityMismatch[] = "PFQL-E002";
 inline constexpr char kCodeUnsafeHeadVar[] = "PFQL-E003";
@@ -39,25 +39,21 @@ inline constexpr char kCodeMalformedAst[] = "PFQL-E007";
 inline constexpr char kCodeWeightInKey[] = "PFQL-E010";
 inline constexpr char kCodeKeyMaskConflict[] = "PFQL-E011";
 inline constexpr char kCodeKeysNotProperSubset[] = "PFQL-E012";
-inline constexpr char kCodeNotInflationary[] = "PFQL-E050";
-inline constexpr char kCodeRepairSpecWeightIsKey[] = "PFQL-E051";
 inline constexpr char kCodeWeightedDeterministic[] = "PFQL-W011";
 inline constexpr char kCodeOverlappingKeyGroups[] = "PFQL-W012";
 inline constexpr char kCodeMixedRuleKinds[] = "PFQL-W013";
 inline constexpr char kCodeNeverFires[] = "PFQL-W030";
 inline constexpr char kCodeDeadPredicate[] = "PFQL-W031";
 inline constexpr char kCodeDuplicateRule[] = "PFQL-W032";
-inline constexpr char kCodeValueInvention[] = "PFQL-W043";
-inline constexpr char kCodeCannotVerifyInflationary[] = "PFQL-W051";
-inline constexpr char kCodeNonMonotoneCycle[] = "PFQL-W054";
 inline constexpr char kCodeRecursiveScc[] = "PFQL-N020";
 inline constexpr char kCodeProbabilisticRecursion[] = "PFQL-N021";
 inline constexpr char kCodeLinearFragment[] = "PFQL-N040";
 inline constexpr char kCodeNoProbabilisticRules[] = "PFQL-N041";
 inline constexpr char kCodeBoundedStateSpace[] = "PFQL-N042";
 inline constexpr char kCodeNonLinearRule[] = "PFQL-N044";
-inline constexpr char kCodeProvablyInflationary[] = "PFQL-N052";
-// Cost-model / execution-planning codes (docs/ANALYSIS.md §cost model).
+// Evaluation-time codes: backend selection and the cost-model planner
+// (docs/ANALYSIS.md §cost model).
+inline constexpr char kCodeForcedCompileFailed[] = "PFQL-E060";
 inline constexpr char kCodePlanOverBudget[] = "PFQL-E070";
 inline constexpr char kCodeUnboundedStateSpace[] = "PFQL-W070";
 inline constexpr char kCodeReducibilityRisk[] = "PFQL-W071";

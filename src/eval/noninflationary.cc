@@ -1,6 +1,5 @@
 #include "eval/noninflationary.h"
 
-#include <functional>
 #include <memory>
 
 #include "eval/resumable.h"
@@ -8,16 +7,11 @@
 namespace pfql {
 namespace eval {
 
-namespace {
-
-// Thm 5.5 over the chain explored from `initial`; `holds` marks the event
-// states.
-StatusOr<ExactForeverResult> ExactForeverImpl(
-    const Interpretation& kernel, const Instance& initial,
-    const StateSpaceOptions& options,
-    const std::function<StatusOr<bool>(const Instance&)>& holds) {
+StatusOr<ExactForeverResult> ExactForever(const ForeverQuery& query,
+                                          const Instance& initial,
+                                          const StateSpaceOptions& options) {
   PFQL_ASSIGN_OR_RETURN(StateSpace space,
-                        BuildStateSpace(kernel, initial, options));
+                        BuildStateSpace(query.kernel, initial, options));
   ExactForeverResult result;
   result.num_states = space.states.size();
 
@@ -29,37 +23,12 @@ StatusOr<ExactForeverResult> ExactForeverImpl(
   result.irreducible = result.num_components == 1;
   result.aperiodic = space.chain.IsAperiodic();
 
-  std::vector<bool> event_states(space.states.size(), false);
-  for (size_t s = 0; s < space.states.size(); ++s) {
-    PFQL_ASSIGN_OR_RETURN(bool marked, holds(space.states[s]));
-    event_states[s] = marked;
-  }
+  const std::vector<bool> event_states = space.EventStates(query.event);
   PFQL_ASSIGN_OR_RETURN(
       result.probability,
       space.chain.ExactLongRunProbability(
           0, [&](size_t s) { return event_states[s]; }, options.cancel));
   return result;
-}
-
-}  // namespace
-
-StatusOr<ExactForeverResult> ExactForever(const ForeverQuery& query,
-                                          const Instance& initial,
-                                          const StateSpaceOptions& options) {
-  return ExactForeverImpl(
-      query.kernel, initial, options,
-      [&](const Instance& state) -> StatusOr<bool> {
-        return query.event.Holds(state);
-      });
-}
-
-StatusOr<ExactForeverResult> ExactForeverEvent(
-    const Interpretation& kernel, const Instance& initial,
-    const EventExpr::Ptr& event, const StateSpaceOptions& options) {
-  if (event == nullptr) return Status::InvalidArgument("null event");
-  return ExactForeverImpl(
-      kernel, initial, options,
-      [&](const Instance& state) { return event->Holds(state); });
 }
 
 StatusOr<McmcResult> McmcForever(const ForeverQuery& query,

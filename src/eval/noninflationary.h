@@ -8,7 +8,6 @@
 
 #include "eval/backend.h"
 #include "eval/inflationary.h"
-#include "lang/event.h"
 #include "lang/interpretation.h"
 #include "markov/compiled_chain.h"
 #include "markov/state_space.h"
@@ -35,12 +34,6 @@ struct ExactForeverResult {
 StatusOr<ExactForeverResult> ExactForever(
     const ForeverQuery& query, const Instance& initial,
     const StateSpaceOptions& options = {});
-
-/// General-event variant: Def 3.2 allows any low-complexity Boolean query
-/// as the event; `event` may combine tuple tests and RA non-emptiness.
-StatusOr<ExactForeverResult> ExactForeverEvent(
-    const Interpretation& kernel, const Instance& initial,
-    const EventExpr::Ptr& event, const StateSpaceOptions& options = {});
 
 /// MCMC approximation parameters (Thm 5.6).
 struct McmcParams {

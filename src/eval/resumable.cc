@@ -324,7 +324,7 @@ void ResumableMcmcChains::RefreshSnapshot() {
 
 ResumableTrajectory::ResumableTrajectory(
     std::shared_ptr<const CompiledKernel> kernel, Instance initial,
-    EventExpr::Ptr event,
+    QueryEvent event,
     std::shared_ptr<const CompiledSpace> compiled,
     const TrajectoryParams& params, Rng rng)
     : kernel_(std::move(kernel)),
@@ -337,20 +337,12 @@ ResumableTrajectory::ResumableTrajectory(
       rng_(rng) {
   snap_.budget = params.steps * params.runs;
   snap_.backend = compiled_ != nullptr ? "compiled" : "interpreted";
+  if (compiled_ != nullptr) event_states_ = EventStates(*compiled_, event_);
   per_run_.reserve(params.runs);
 }
 
 Status ResumableTrajectory::RunQuantum(size_t quantum,
                                        const CancellationToken* cancel) {
-  if (compiled_ != nullptr && event_states_.empty()) {
-    std::vector<uint8_t> indicator;
-    indicator.reserve(compiled_->states.size());
-    for (const Instance& state : compiled_->states) {
-      PFQL_ASSIGN_OR_RETURN(bool holds, event_->Holds(state));
-      indicator.push_back(holds ? 1 : 0);
-    }
-    event_states_ = std::move(indicator);
-  }
   Status status;
   for (size_t done = 0; status.ok() && done < quantum && !Exhausted();) {
     const size_t n = std::min(quantum - done, params_.steps - run_step_);
@@ -389,9 +381,7 @@ Status ResumableTrajectory::Advance(size_t n,
     for (size_t t = run_step_; t < run_step_ + n; ++t) {
       PFQL_RETURN_NOT_OK(poller.Tick());
       PFQL_RETURN_NOT_OK(kernel_->Step(&state_instance_, &rng_));
-      if (t < discard_) continue;
-      PFQL_ASSIGN_OR_RETURN(bool holds, event_->Holds(state_instance_));
-      if (holds) ++run_hits_;
+      if (t >= discard_ && event_.Holds(state_instance_)) ++run_hits_;
     }
   }
   run_step_ += n;

@@ -34,7 +34,6 @@
 #include "eval/inflationary.h"
 #include "eval/noninflationary.h"
 #include "eval/trajectory.h"
-#include "lang/event.h"
 #include "lang/interpretation.h"
 #include "markov/compiled_chain.h"
 #include "relational/instance.h"
@@ -208,7 +207,7 @@ class ResumableTrajectory : public ResumableSampler {
  public:
   ResumableTrajectory(std::shared_ptr<const CompiledKernel> kernel,
                       Instance initial,
-                      EventExpr::Ptr event,
+                      QueryEvent event,
                       std::shared_ptr<const CompiledSpace> compiled,
                       const TrajectoryParams& params, Rng rng);
 
@@ -223,13 +222,13 @@ class ResumableTrajectory : public ResumableSampler {
 
   const std::shared_ptr<const CompiledKernel> kernel_;
   const Instance initial_;
-  const EventExpr::Ptr event_;
+  const QueryEvent event_;
   const std::shared_ptr<const CompiledSpace> compiled_;
   const TrajectoryParams params_;
   const size_t discard_;
   Rng rng_;
 
-  std::vector<uint8_t> event_states_;  ///< compiled tier, built lazily
+  std::vector<uint8_t> event_states_;  ///< compiled tier
   uint32_t state_id_ = 0;              ///< compiled tier
   Instance state_instance_;            ///< interpreted tier
 

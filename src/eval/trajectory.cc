@@ -7,12 +7,10 @@
 namespace pfql {
 namespace eval {
 
-StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
+StatusOr<TrajectoryResult> TimeAverageEstimate(const ForeverQuery& query,
                                                const Instance& initial,
-                                               const EventExpr::Ptr& event,
                                                const TrajectoryParams& params,
                                                Rng* rng) {
-  if (event == nullptr) return Status::InvalidArgument("null event");
   if (params.steps == 0 || params.runs == 0) {
     return Status::InvalidArgument("steps and runs must be positive");
   }
@@ -21,10 +19,10 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
   }
   PFQL_RETURN_NOT_OK(CheckDelta(params.delta));
   PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> compiled_kernel,
-                        kernel.Compile(initial));
+                        query.kernel.Compile(initial));
   PFQL_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledSpace> compiled,
-      CompileOrFallBack(kernel, initial, params.backend,
+      CompileOrFallBack(query.kernel, initial, params.backend,
                         params.compile_max_states, params.cancel));
   // Trajectory runs on one thread: a single shard draws every run.
   PFQL_ASSIGN_OR_RETURN(
@@ -33,7 +31,8 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
           "trajectory", params.runs, /*threads=*/1,
           [&](size_t, Rng shard_rng) {
             return std::make_unique<ResumableTrajectory>(
-                compiled_kernel, initial, event, compiled, params, shard_rng);
+                compiled_kernel, initial, query.event, compiled, params,
+                shard_rng);
           },
           params.delta, rng, params.cancel, params.allow_partial));
   TrajectoryResult result;
@@ -51,14 +50,6 @@ StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
     result.compiled_edges = compiled->chain.num_edges();
   }
   return result;
-}
-
-StatusOr<TrajectoryResult> TimeAverageEstimate(const ForeverQuery& query,
-                                               const Instance& initial,
-                                               const TrajectoryParams& params,
-                                               Rng* rng) {
-  return TimeAverageEstimate(query.kernel, initial,
-                             EventExpr::From(query.event), params, rng);
 }
 
 }  // namespace eval

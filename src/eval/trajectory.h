@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "eval/backend.h"
-#include "lang/event.h"
 #include "lang/interpretation.h"
 #include "util/cancellation.h"
 #include "util/random.h"
@@ -70,14 +69,7 @@ struct TrajectoryResult {
   size_t compiled_edges = 0;   ///< chain transitions, when compiled
 };
 
-/// Time-average estimate of a general-event forever query.
-StatusOr<TrajectoryResult> TimeAverageEstimate(const Interpretation& kernel,
-                                               const Instance& initial,
-                                               const EventExpr::Ptr& event,
-                                               const TrajectoryParams& params,
-                                               Rng* rng);
-
-/// Convenience overload for the canonical tuple-membership event.
+/// Time-average estimate of a forever query.
 StatusOr<TrajectoryResult> TimeAverageEstimate(const ForeverQuery& query,
                                                const Instance& initial,
                                                const TrajectoryParams& params,

@@ -46,12 +46,6 @@ Status BayesNet::Validate() const {
   return Status::OK();
 }
 
-size_t BayesNet::MaxInDegree() const {
-  size_t k = 0;
-  for (const auto& node : nodes) k = std::max(k, node.parents.size());
-  return k;
-}
-
 BigRational BayesNet::JointProbability(
     const std::vector<bool>& assignment) const {
   BigRational joint(1);
@@ -107,29 +101,6 @@ BayesNet ChainBayesNet(size_t n) {
     } else {
       node.parents = {i - 1};
       node.p_true = {BigRational(1, 4), BigRational(3, 4)};
-    }
-    net.nodes.push_back(std::move(node));
-  }
-  return net;
-}
-
-BayesNet RandomBayesNet(size_t n, size_t max_parents, Rng* rng) {
-  BayesNet net;
-  for (size_t i = 0; i < n; ++i) {
-    BayesNode node;
-    node.name = "x" + std::to_string(i);
-    const size_t limit = std::min(max_parents, i);
-    const size_t k = limit == 0 ? 0 : rng->NextIndex(limit + 1);
-    std::set<size_t> parents;
-    while (parents.size() < k) {
-      parents.insert(rng->NextIndex(i));
-    }
-    node.parents.assign(parents.begin(), parents.end());
-    const size_t rows = size_t{1} << node.parents.size();
-    for (size_t r = 0; r < rows; ++r) {
-      // Probabilities in {1/8, ..., 7/8}: bounded away from 0 and 1.
-      node.p_true.emplace_back(
-          static_cast<int64_t>(1 + rng->NextIndex(7)), int64_t{8});
     }
     net.nodes.push_back(std::move(node));
   }

@@ -13,7 +13,6 @@
 
 #include "datalog/program.h"
 #include "lang/interpretation.h"
-#include "util/random.h"
 #include "util/rational.h"
 #include "util/status.h"
 
@@ -38,9 +37,6 @@ struct BayesNet {
   /// Checks topological parent order, CPT sizes, and probability ranges.
   Status Validate() const;
 
-  /// Largest in-degree (the paper's bound K).
-  size_t MaxInDegree() const;
-
   /// Exact joint probability of an assignment (one bool per node).
   BigRational JointProbability(const std::vector<bool>& assignment) const;
 
@@ -53,8 +49,6 @@ struct BayesNet {
 /// Markov chain X0 -> X1 -> ... -> Xn-1 with Pr[X0=1] = 1/2,
 /// Pr[Xi=1 | parent=1] = 3/4 and Pr[Xi=1 | parent=0] = 1/4.
 BayesNet ChainBayesNet(size_t n);
-/// Random DAG with in-degree <= max_parents and random CPTs (denominator 8).
-BayesNet RandomBayesNet(size_t n, size_t max_parents, Rng* rng);
 /// The classic 4-node sprinkler network (Cloudy, Sprinkler, Rain, WetGrass).
 BayesNet SprinklerNet();
 

@@ -2,13 +2,6 @@
 
 namespace pfql {
 
-bool Interpretation::IsDeterministic() const {
-  for (const auto& [_, q] : queries_) {
-    if (q->IsProbabilistic()) return false;
-  }
-  return true;
-}
-
 StatusOr<std::shared_ptr<const CompiledKernel>> Interpretation::Compile(
     const Instance& initial) const {
   const std::map<std::string, Schema> schemas = initial.Schemas();
@@ -90,29 +83,6 @@ StatusOr<Distribution<Instance>> CompiledKernel::Exact(
     if (i == 0) break;
   }
   return out;
-}
-
-Interpretation Interpretation::Inflationary() const {
-  Interpretation out;
-  for (const auto& [name, query] : queries_) {
-    out.Define(name, RaExpr::Union(RaExpr::Base(name), query));
-  }
-  return out;
-}
-
-StatusOr<bool> Interpretation::IsInflationaryOn(
-    const Instance& instance, const ExactEvalOptions& options) const {
-  PFQL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledKernel> kernel,
-                        Compile(instance));
-  PFQL_ASSIGN_OR_RETURN(Distribution<Instance> worlds,
-                        kernel->Exact(instance, options));
-  for (const auto& w : worlds.outcomes()) {
-    for (const auto& [name, rel] : instance.relations()) {
-      const Relation* next_rel = w.value.Find(name);
-      if (next_rel == nullptr || !rel->IsSubsetOf(*next_rel)) return false;
-    }
-  }
-  return true;
 }
 
 std::string Interpretation::ToString() const {

@@ -41,9 +41,6 @@ class Interpretation {
     return queries_.count(name) > 0;
   }
 
-  /// True iff no query contains repair-key.
-  bool IsDeterministic() const;
-
   /// Compiles every query against the schemas of `initial` (ra/plan.h),
   /// once, for a walk that starts there. Fails with the compiler's errors,
   /// and with InvalidArgument if a query's output schema differs from its
@@ -51,15 +48,6 @@ class Interpretation {
   /// relation must keep its schema from step to step.
   StatusOr<std::shared_ptr<const CompiledKernel>> Compile(
       const Instance& initial) const;
-
-  /// Returns a kernel computing R := R ∪ Q_R for each defined query — the
-  /// canonical way to build an inflationary query (Def 3.4).
-  Interpretation Inflationary() const;
-
-  /// Dynamic inflationarity check: does every successor of `instance`
-  /// contain it? (Def 3.4 quantifies over all instances; this tests one.)
-  StatusOr<bool> IsInflationaryOn(const Instance& instance,
-                                  const ExactEvalOptions& options = {}) const;
 
   std::string ToString() const;
 
@@ -106,13 +94,6 @@ struct QueryEvent {
 
 /// A noninflationary ("forever") query: kernel + event (Def 3.2).
 struct ForeverQuery {
-  Interpretation kernel;
-  QueryEvent event;
-};
-
-/// An inflationary query (Def 3.4). Use Interpretation::Inflationary() to
-/// guarantee the containment property by construction.
-struct InflationaryQuery {
   Interpretation kernel;
   QueryEvent event;
 };

@@ -333,27 +333,10 @@ StatusOr<std::vector<BigRational>> MarkovChain::ExactStationaryDistribution()
   return CheckedStationary<BigRational>(*this);
 }
 
-StatusOr<std::vector<double>> MarkovChain::DistributionAfter(
-    std::vector<double> start, size_t steps) const {
-  if (start.size() != num_states()) {
-    return Status::InvalidArgument("start distribution size mismatch");
-  }
-  for (size_t t = 0; t < steps; ++t) {
-    start = StepDistribution(start);
-  }
-  return start;
-}
-
 StatusOr<std::vector<double>> MarkovChain::AbsorptionProbabilities(
     size_t start) const {
   if (start >= num_states()) return Status::OutOfRange("start out of range");
   return AbsorptionImpl<double>(*this, DecomposeScc(), start, nullptr);
-}
-
-StatusOr<std::vector<BigRational>> MarkovChain::ExactAbsorptionProbabilities(
-    size_t start) const {
-  if (start >= num_states()) return Status::OutOfRange("start out of range");
-  return AbsorptionImpl<BigRational>(*this, DecomposeScc(), start, nullptr);
 }
 
 StatusOr<double> MarkovChain::LongRunProbability(
@@ -402,20 +385,6 @@ StatusOr<double> MarkovChain::ExpectedHittingTime(
         "target not reached almost surely from the start state");
   }
   return result;
-}
-
-StatusOr<double> MarkovChain::ExpectedReturnTime(size_t state) const {
-  if (state >= num_states()) return Status::OutOfRange("state out of range");
-  // 1 + sum_j P(state, j) * E[hit state from j]  (j = state contributes 0).
-  double total = 1.0;
-  for (const auto& [j, p] : Row(state)) {
-    if (j == state) continue;
-    PFQL_ASSIGN_OR_RETURN(
-        double h,
-        ExpectedHittingTime(j, [&](size_t s) { return s == state; }));
-    total += p.ToDouble() * h;
-  }
-  return total;
 }
 
 double MarkovChain::TotalVariation(const std::vector<double>& a,
@@ -477,19 +446,6 @@ StatusOr<size_t> MarkovChain::MixingTimeFrom(
   PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, ErgodicStationary(*this));
   return StepsUntilWithin(*this, start, pi, epsilon, max_steps,
                           &MaxNormDistance, cancel);
-}
-
-StatusOr<size_t> MarkovChain::MixingTime(double epsilon,
-                                         size_t max_steps) const {
-  PFQL_ASSIGN_OR_RETURN(std::vector<double> pi, ErgodicStationary(*this));
-  size_t worst = 0;
-  for (size_t s = 0; s < num_states(); ++s) {
-    PFQL_ASSIGN_OR_RETURN(size_t t,
-                          StepsUntilWithin(*this, s, pi, epsilon, max_steps,
-                                           &MaxNormDistance, nullptr));
-    worst = std::max(worst, t);
-  }
-  return worst;
 }
 
 StatusOr<size_t> MarkovChain::TvMixingTimeFrom(

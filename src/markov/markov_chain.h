@@ -91,16 +91,10 @@ class MarkovChain {
   StatusOr<std::vector<double>> StationaryDistribution() const;
   StatusOr<std::vector<BigRational>> ExactStationaryDistribution() const;
 
-  /// Distribution after `steps` steps from the given start distribution.
-  StatusOr<std::vector<double>> DistributionAfter(
-      std::vector<double> start, size_t steps) const;
-
   /// Probability, for each bottom SCC, that a walk from `start` is
   /// eventually absorbed there (indexed like SccDecomposition::components,
   /// zero for non-bottom components).
   StatusOr<std::vector<double>> AbsorptionProbabilities(size_t start) const;
-  StatusOr<std::vector<BigRational>> ExactAbsorptionProbabilities(
-      size_t start) const;
 
   /// The paper's query-result semantics (Def 3.2 / Thm 5.5): the long-run
   /// fraction of time spent in states satisfying `event`, starting from
@@ -120,11 +114,6 @@ class MarkovChain {
   StatusOr<double> ExpectedHittingTime(
       size_t start, const std::function<bool(size_t)>& target) const;
 
-  /// Expected number of steps to first *return* to `state` (Kac's formula:
-  /// equals 1/π(state) for irreducible chains — tested as a consistency
-  /// check between the hitting-time and stationary solvers).
-  StatusOr<double> ExpectedReturnTime(size_t state) const;
-
   // ---- Mixing ---------------------------------------------------------
   /// Total variation distance ½·Σ|aᵢ−bᵢ|.
   static double TotalVariation(const std::vector<double>& a,
@@ -137,9 +126,6 @@ class MarkovChain {
                                   size_t max_steps = 1 << 20,
                                   const CancellationToken* cancel = nullptr)
       const;
-  /// Worst case over all start states.
-  StatusOr<size_t> MixingTime(double epsilon,
-                              size_t max_steps = 1 << 20) const;
 
   /// Total-variation mixing time from a start state: smallest t with
   /// TV(P^t(start, ·), L) < ε, where L is the walk's long-run distribution:

@@ -1,7 +1,6 @@
 #include "prob/ctable.h"
 
 #include <algorithm>
-#include <functional>
 
 namespace pfql {
 
@@ -134,24 +133,6 @@ void Condition::CollectVariables(std::vector<std::string>* out) const {
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-std::string Condition::ToString() const {
-  switch (kind_) {
-    case Kind::kTrue:
-      return "true";
-    case Kind::kEq:
-      return var_ + " = " + value_.ToString();
-    case Kind::kNe:
-      return var_ + " != " + value_.ToString();
-    case Kind::kAnd:
-      return "(" + lhs_->ToString() + " and " + rhs_->ToString() + ")";
-    case Kind::kOr:
-      return "(" + lhs_->ToString() + " or " + rhs_->ToString() + ")";
-    case Kind::kNot:
-      return "not (" + lhs_->ToString() + ")";
-  }
-  return "<corrupt>";
-}
-
 Status PCDatabase::AddVariable(RandomVariable var) {
   PFQL_RETURN_NOT_OK(var.Validate());
   if (variables_.count(var.name)) {
@@ -200,26 +181,6 @@ Status PCDatabase::AddTable(const std::string& relation_name, CTable table) {
   return Status::OK();
 }
 
-Status PCDatabase::AddCertainRelation(const std::string& relation_name,
-                                      Relation rel) {
-  CTable table;
-  table.schema = rel.schema();
-  for (const auto& t : rel.tuples()) {
-    table.rows.push_back({t, Condition::True()});
-  }
-  return AddTable(relation_name, std::move(table));
-}
-
-uint64_t PCDatabase::WorldCount(uint64_t cap) const {
-  uint64_t count = 1;
-  for (const auto& [_, var] : variables_) {
-    uint64_t n = var.domain.size();
-    if (n != 0 && count > cap / n) return cap;
-    count *= n;
-  }
-  return count;
-}
-
 StatusOr<Instance> PCDatabase::InstanceFor(const Valuation& valuation) const {
   Instance instance;
   for (const auto& [name, table] : tables_) {
@@ -233,45 +194,6 @@ StatusOr<Instance> PCDatabase::InstanceFor(const Valuation& valuation) const {
     instance.Set(name, std::move(sealed));
   }
   return instance;
-}
-
-StatusOr<Distribution<Instance>> PCDatabase::EnumerateWorlds(
-    uint64_t max_worlds) const {
-  if (WorldCount(max_worlds) >= max_worlds) {
-    return Status::ResourceExhausted(
-        "pc-database has more than " + std::to_string(max_worlds) +
-        " valuations; use sampling instead");
-  }
-  std::vector<const RandomVariable*> vars;
-  vars.reserve(variables_.size());
-  for (const auto& [_, v] : variables_) vars.push_back(&v);
-
-  Distribution<Instance> dist;
-  Valuation valuation;
-  Status failure = Status::OK();
-  std::function<void(size_t, BigRational)> recurse = [&](size_t depth,
-                                                         BigRational prob) {
-    if (!failure.ok()) return;
-    if (depth == vars.size()) {
-      auto instance = InstanceFor(valuation);
-      if (!instance.ok()) {
-        failure = instance.status();
-        return;
-      }
-      dist.Add(std::move(instance).value(), std::move(prob));
-      return;
-    }
-    const RandomVariable& var = *vars[depth];
-    for (const auto& [value, p] : var.domain) {
-      valuation[var.name] = value;
-      recurse(depth + 1, prob * p);
-    }
-    valuation.erase(var.name);
-  };
-  recurse(0, BigRational(1));
-  PFQL_RETURN_NOT_OK(failure);
-  dist.Normalize();
-  return dist;
 }
 
 Valuation PCDatabase::SampleValuation(Rng* rng) const {
@@ -289,30 +211,6 @@ Valuation PCDatabase::SampleValuation(Rng* rng) const {
 
 StatusOr<Instance> PCDatabase::SampleWorld(Rng* rng) const {
   return InstanceFor(SampleValuation(rng));
-}
-
-StatusOr<BigRational> PCDatabase::ValuationProbability(
-    const Valuation& v) const {
-  BigRational prob(1);
-  for (const auto& [name, var] : variables_) {
-    auto it = v.find(name);
-    if (it == v.end()) {
-      return Status::NotFound("valuation missing variable '" + name + "'");
-    }
-    bool found = false;
-    for (const auto& [value, p] : var.domain) {
-      if (value == it->second) {
-        prob *= p;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument("value " + it->second.ToString() +
-                                     " not in domain of '" + name + "'");
-    }
-  }
-  return prob;
 }
 
 }  // namespace pfql

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "prob/distribution.h"
 #include "relational/instance.h"
 #include "relational/relation.h"
 #include "util/random.h"
@@ -58,8 +57,6 @@ class Condition {
   /// Names of all referenced variables (deduplicated).
   void CollectVariables(std::vector<std::string>* out) const;
 
-  std::string ToString() const;
-
  private:
   Kind kind_ = Kind::kTrue;
   std::string var_;
@@ -92,33 +89,18 @@ class PCDatabase {
   /// Adds a pc-table under `relation_name` (fresh).
   Status AddTable(const std::string& relation_name, CTable table);
 
-  /// Adds a certain relation (all conditions True).
-  Status AddCertainRelation(const std::string& relation_name, Relation rel);
-
   const std::map<std::string, RandomVariable>& variables() const {
     return variables_;
   }
   const std::map<std::string, CTable>& tables() const { return tables_; }
 
-  /// Number of possible variable valuations (capped).
-  uint64_t WorldCount(uint64_t cap = UINT64_MAX) const;
-
   /// The instance induced by one valuation.
   StatusOr<Instance> InstanceFor(const Valuation& valuation) const;
-
-  /// Exact possible-worlds distribution; instances arising from different
-  /// valuations are merged (summing probabilities). Errors with
-  /// ResourceExhausted if the valuation count exceeds `max_worlds`.
-  StatusOr<Distribution<Instance>> EnumerateWorlds(
-      uint64_t max_worlds = 1 << 20) const;
 
   /// Samples a valuation variable-by-variable, then builds the instance.
   StatusOr<Instance> SampleWorld(Rng* rng) const;
   /// Samples just the valuation.
   Valuation SampleValuation(Rng* rng) const;
-
-  /// Exact probability of one valuation (product over variables).
-  StatusOr<BigRational> ValuationProbability(const Valuation& v) const;
 
  private:
   std::map<std::string, RandomVariable> variables_;

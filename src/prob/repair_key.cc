@@ -202,18 +202,4 @@ StatusOr<Relation> RepairKeySample(const Relation& rel,
   return Relation::Make(rel.schema(), std::move(world));
 }
 
-StatusOr<uint64_t> RepairKeyWorldCount(const Relation& rel,
-                                       const RepairKeySpec& spec,
-                                       uint64_t cap) {
-  PFQL_ASSIGN_OR_RETURN(RepairKeyColumns columns,
-                        ResolveRepairKey(rel.schema(), spec));
-  uint64_t count = 1;
-  for (const auto& [first, last] : GroupRows(rel.tuples(), columns.key).bounds) {
-    const uint64_t n = last - first;
-    if (n != 0 && count > cap / n) return cap;
-    count *= n;
-  }
-  return count;
-}
-
 }  // namespace pfql

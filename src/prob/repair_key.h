@@ -55,12 +55,6 @@ struct RepairKeyGroup {
 StatusOr<std::vector<RepairKeyGroup>> RepairKeyGroups(
     const Relation& rel, const RepairKeySpec& spec);
 
-/// The number of possible worlds repair-key would enumerate (product of
-/// group sizes), capped at `cap` to avoid overflow; returns cap when larger.
-StatusOr<uint64_t> RepairKeyWorldCount(const Relation& rel,
-                                       const RepairKeySpec& spec,
-                                       uint64_t cap = UINT64_MAX);
-
 // ---- Positional core -------------------------------------------------
 // The functions above resolve the spec's column names against the
 // relation's schema and call these; compiled plans (ra/plan.h) and the

@@ -17,20 +17,19 @@ bool IsNullaryUnit(const RaExpr::Ptr& e) {
          e->const_relation().size() == 1;
 }
 
-// Attempts to compute the (empty) result relation for a node whose value is
-// statically empty; needs the output schema, so it may fail without schema
-// knowledge — in that case the rewrite is skipped.
+// The (empty) result relation for a node whose value is statically empty;
+// needs the output schema, so when it cannot be inferred the rewrite is
+// skipped.
 RaExpr::Ptr EmptyConstFor(const RaExpr::Ptr& original,
-                          const std::map<std::string, Schema>* schemas) {
-  if (schemas == nullptr) return nullptr;
-  auto schema = InferSchema(original, *schemas);
+                          const std::map<std::string, Schema>& schemas) {
+  auto schema = InferSchema(original, schemas);
   if (!schema.ok()) return nullptr;
   return RaExpr::Const(Relation(std::move(schema).value()));
 }
 
 class Optimizer {
  public:
-  explicit Optimizer(const std::map<std::string, Schema>* schemas)
+  explicit Optimizer(const std::map<std::string, Schema>& schemas)
       : schemas_(schemas) {}
 
   RaExpr::Ptr Rewrite(const RaExpr::Ptr& e) {
@@ -152,10 +151,10 @@ class Optimizer {
     }
     if (IsEmptyConst(child)) return child;
     // Pushdown into join/product when the predicate touches only one side.
-    if (schemas_ != nullptr && (child->kind() == RaExpr::Kind::kJoin ||
-                                child->kind() == RaExpr::Kind::kProduct)) {
-      auto left_schema = InferSchema(child->left(), *schemas_);
-      auto right_schema = InferSchema(child->right(), *schemas_);
+    if (child->kind() == RaExpr::Kind::kJoin ||
+        child->kind() == RaExpr::Kind::kProduct) {
+      auto left_schema = InferSchema(child->left(), schemas_);
+      auto right_schema = InferSchema(child->right(), schemas_);
       if (left_schema.ok() && right_schema.ok()) {
         std::vector<std::string> used;
         pred->CollectColumns(&used);
@@ -187,21 +186,15 @@ class Optimizer {
     return RaExpr::Select(std::move(child), std::move(pred));
   }
 
-  const std::map<std::string, Schema>* schemas_;
+  const std::map<std::string, Schema>& schemas_;
 };
 
 }  // namespace
 
-RaExpr::Ptr Optimize(const RaExpr::Ptr& expr) {
-  if (expr == nullptr) return expr;
-  Optimizer optimizer(nullptr);
-  return optimizer.Rewrite(expr);
-}
-
 RaExpr::Ptr Optimize(const RaExpr::Ptr& expr,
                      const std::map<std::string, Schema>& schemas) {
   if (expr == nullptr) return expr;
-  Optimizer optimizer(&schemas);
+  Optimizer optimizer(schemas);
   return optimizer.Rewrite(expr);
 }
 

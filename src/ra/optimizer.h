@@ -15,7 +15,7 @@
 //   * repair-key(const r) with all-singleton groups -> const r
 //     (the choice is deterministic)
 //
-// Schema-aware rule (applied when base-relation schemas are supplied):
+// Schema-aware rule:
 //   * σ_p(a ⋈ b) -> σ_p(a) ⋈ b when p only references columns of a
 //     (and symmetrically), including through products.
 #ifndef PFQL_RA_OPTIMIZER_H_
@@ -28,9 +28,6 @@
 #include "util/status.h"
 
 namespace pfql {
-
-/// Structural optimization only (no schema knowledge required).
-RaExpr::Ptr Optimize(const RaExpr::Ptr& expr);
 
 /// Structural + schema-aware optimization. `schemas` maps base relation
 /// names to their schemas (as in InferSchema); expressions referencing

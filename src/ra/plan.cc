@@ -17,8 +17,7 @@ struct RaPlan::Node {
     kScan,        ///< a base relation, read in place
     kConst,       ///< a literal relation, read in place
     kSelect,      ///< σ, evaluated by name against `schema`
-    kMap,         ///< fused π / extend-by-column-or-constant
-    kExtend,      ///< arithmetic extend, evaluated by name against `schema`
+    kMap,         ///< fused π / extend by a column or a constant
     kJoin,        ///< natural join on resolved key positions
     kProduct,     ///< ×
     kUnion,       ///< ∪
@@ -37,8 +36,8 @@ struct RaPlan::Node {
   int right = -1;
   bool probabilistic = false;
   std::string relation;           // kScan
-  Schema schema;                  // kScan: as compiled; kSelect/kExtend: input
-  RaExpr::Ptr source;             // kConst, kSelect, kExtend: the RaExpr node
+  Schema schema;                  // kScan: as compiled; kSelect: input
+  RaExpr::Ptr source;             // kConst, kSelect: the RaExpr node
   std::vector<MapColumn> map;     // kMap
   std::vector<size_t> left_key;   // kJoin
   std::vector<size_t> right_key;  // kJoin
@@ -123,7 +122,7 @@ class Compiler {
         return Compiled{child.node, std::move(out)};
       }
       case RaExpr::Kind::kExtend:
-        return CompileExtend(e, expr);
+        return CompileExtend(e);
       case RaExpr::Kind::kJoin: {
         PFQL_ASSIGN_OR_RETURN(Compiled a, Compile(e.left()));
         PFQL_ASSIGN_OR_RETURN(Compiled b, Compile(e.right()));
@@ -226,47 +225,33 @@ class Compiler {
     return Compiled{MapOver(child.node, std::move(map)), std::move(out)};
   }
 
-  // Extend by a column or a constant joins the map below it (or starts
-  // one); arithmetic extends evaluate by name.
-  StatusOr<Compiled> CompileExtend(const RaExpr& e, const RaExpr::Ptr& expr) {
+  // An extend (by a column or a constant) joins the map below it, or
+  // starts one.
+  StatusOr<Compiled> CompileExtend(const RaExpr& e) {
     PFQL_ASSIGN_OR_RETURN(Compiled child, Compile(e.left()));
     if (child.schema.Contains(e.extend_column())) {
       return Status::AlreadyExists("extend column '" + e.extend_column() +
                                    "' already in " + child.schema.ToString());
     }
-    std::vector<std::string> used;
-    e.extend_expr()->CollectColumns(&used);
-    for (const auto& c : used) {
-      if (!child.schema.Contains(c)) {
-        return Status::NotFound("extend references unknown column '" + c +
-                                "'");
-      }
-    }
-    std::vector<std::string> cols = child.schema.columns();
-    cols.push_back(e.extend_column());
-    Schema out(std::move(cols));
-
     const ScalarExpr& value = *e.extend_expr();
-    if (value.kind() != ScalarExpr::Kind::kColumn &&
-        value.kind() != ScalarExpr::Kind::kConst) {
-      Node node;
-      node.op = Op::kExtend;
-      node.left = child.node;
-      node.schema = std::move(child.schema);
-      node.source = expr;
-      return Compiled{Add(std::move(node)), std::move(out)};
-    }
     std::vector<Node::MapColumn> map;
     map.reserve(child.schema.size() + 1);
     for (size_t i = 0; i < child.schema.size(); ++i) {
       map.push_back(SourceOf(child.node, i));
     }
     if (value.kind() == ScalarExpr::Kind::kColumn) {
-      map.push_back(
-          SourceOf(child.node, *child.schema.IndexOf(value.column_name())));
+      auto from = child.schema.IndexOf(value.column_name());
+      if (!from) {
+        return Status::NotFound("extend references unknown column '" +
+                                value.column_name() + "'");
+      }
+      map.push_back(SourceOf(child.node, *from));
     } else {
       map.push_back({0, value.constant()});
     }
+    std::vector<std::string> cols = child.schema.columns();
+    cols.push_back(e.extend_column());
+    Schema out(std::move(cols));
     return Compiled{MapOver(child.node, std::move(map)), std::move(out)};
   }
 
@@ -501,17 +486,6 @@ class Evaluator {
           out.emplace_back(std::move(values));
         }
         return Rows(Canonical(std::move(out)));
-      }
-      case Op::kExtend: {
-        const ScalarExpr& value = *node.source->extend_expr();
-        out.reserve(in.size());
-        for (const Tuple& row : in) {
-          PFQL_ASSIGN_OR_RETURN(Value v, value.Eval(node.schema, row));
-          Tuple extended = row;
-          extended.Append(std::move(v));
-          out.push_back(std::move(extended));
-        }
-        return Rows(std::move(out));  // appending a column keeps the order
       }
       case Op::kJoin:
         return Rows(Join(node, in, *right));

@@ -1,10 +1,10 @@
 // Compiled RA + repair-key plans. RaPlan::Compile resolves an expression
 // against the schemas of the instance it will run on, once: every column
 // reference becomes a position, renames and identity projections compile
-// away, and projections over extends by a column or a constant fuse into
+// away, and projections and extends (by a column or a constant) fuse into
 // one positional map. At run time a plan builds and validates no Schema,
-// looks up no column by name (select predicates and arithmetic extends
-// aside), and reads base relations in place.
+// looks up no column by name (select predicates aside), and reads base
+// relations in place.
 //
 // Every node yields the same set as the by-name semantics of Sec 2.2, in
 // canonical form wherever it is read as a set, and repair-key draws in the

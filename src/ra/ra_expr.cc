@@ -1,7 +1,5 @@
 #include "ra/ra_expr.h"
 
-#include <algorithm>
-
 #include "util/string_util.h"
 
 namespace pfql {
@@ -82,29 +80,6 @@ RaExpr::Ptr RaExpr::RepairKey(Ptr child, RepairKeySpec spec) {
   e->left_ = std::move(child);
   e->repair_spec_ = std::move(spec);
   return e;
-}
-
-bool RaExpr::IsProbabilistic() const {
-  if (kind_ == Kind::kRepairKey) return true;
-  if (left_ && left_->IsProbabilistic()) return true;
-  if (right_ && right_->IsProbabilistic()) return true;
-  return false;
-}
-
-namespace {
-void CollectInputs(const RaExpr& e, std::vector<std::string>* out) {
-  if (e.kind() == RaExpr::Kind::kBase) out->push_back(e.relation_name());
-  if (e.left()) CollectInputs(*e.left(), out);
-  if (e.right()) CollectInputs(*e.right(), out);
-}
-}  // namespace
-
-std::vector<std::string> RaExpr::InputRelations() const {
-  std::vector<std::string> out;
-  CollectInputs(*this, &out);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 namespace {

@@ -31,7 +31,7 @@ class RaExpr {
     kSelect,     ///< σ_pred
     kProject,    ///< π_cols
     kRename,     ///< ρ_{old→new}
-    kExtend,     ///< add computed column
+    kExtend,     ///< add a column copying a column or holding a constant
     kJoin,       ///< natural join
     kProduct,    ///< ×
     kUnion,      ///< ∪
@@ -72,12 +72,6 @@ class RaExpr {
     return extend_expr_;
   }
   const RepairKeySpec& repair_spec() const { return repair_spec_; }
-
-  /// True iff the subtree contains a repair-key node (i.e. is probabilistic).
-  bool IsProbabilistic() const;
-
-  /// Names of base relations read by the subtree (sorted, distinct).
-  std::vector<std::string> InputRelations() const;
 
   std::string ToString() const;
 

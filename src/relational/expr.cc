@@ -16,42 +16,6 @@ std::shared_ptr<ScalarExpr> ScalarExpr::Const(Value v) {
   return e;
 }
 
-std::shared_ptr<ScalarExpr> ScalarExpr::Add(std::shared_ptr<ScalarExpr> l,
-                                            std::shared_ptr<ScalarExpr> r) {
-  auto e = std::make_shared<ScalarExpr>();
-  e->kind_ = Kind::kAdd;
-  e->lhs_ = std::move(l);
-  e->rhs_ = std::move(r);
-  return e;
-}
-
-std::shared_ptr<ScalarExpr> ScalarExpr::Sub(std::shared_ptr<ScalarExpr> l,
-                                            std::shared_ptr<ScalarExpr> r) {
-  auto e = std::make_shared<ScalarExpr>();
-  e->kind_ = Kind::kSub;
-  e->lhs_ = std::move(l);
-  e->rhs_ = std::move(r);
-  return e;
-}
-
-std::shared_ptr<ScalarExpr> ScalarExpr::Mul(std::shared_ptr<ScalarExpr> l,
-                                            std::shared_ptr<ScalarExpr> r) {
-  auto e = std::make_shared<ScalarExpr>();
-  e->kind_ = Kind::kMul;
-  e->lhs_ = std::move(l);
-  e->rhs_ = std::move(r);
-  return e;
-}
-
-std::shared_ptr<ScalarExpr> ScalarExpr::Div(std::shared_ptr<ScalarExpr> l,
-                                            std::shared_ptr<ScalarExpr> r) {
-  auto e = std::make_shared<ScalarExpr>();
-  e->kind_ = Kind::kDiv;
-  e->lhs_ = std::move(l);
-  e->rhs_ = std::move(r);
-  return e;
-}
-
 StatusOr<Value> ScalarExpr::Eval(const Schema& schema,
                                  const Tuple& row) const {
   switch (kind_) {
@@ -65,58 +29,12 @@ StatusOr<Value> ScalarExpr::Eval(const Schema& schema,
     }
     case Kind::kConst:
       return constant_;
-    case Kind::kAdd:
-    case Kind::kSub:
-    case Kind::kMul:
-    case Kind::kDiv: {
-      PFQL_ASSIGN_OR_RETURN(Value lv, lhs_->Eval(schema, row));
-      PFQL_ASSIGN_OR_RETURN(Value rv, rhs_->Eval(schema, row));
-      // Exact integer arithmetic when both sides are ints (except division).
-      if (lv.is_int() && rv.is_int() && kind_ != Kind::kDiv) {
-        int64_t a = lv.AsInt(), b = rv.AsInt();
-        switch (kind_) {
-          case Kind::kAdd:
-            return Value(a + b);
-          case Kind::kSub:
-            return Value(a - b);
-          case Kind::kMul:
-            return Value(a * b);
-          default:
-            break;
-        }
-      }
-      PFQL_ASSIGN_OR_RETURN(double a, lv.ToNumeric());
-      PFQL_ASSIGN_OR_RETURN(double b, rv.ToNumeric());
-      switch (kind_) {
-        case Kind::kAdd:
-          return Value(a + b);
-        case Kind::kSub:
-          return Value(a - b);
-        case Kind::kMul:
-          return Value(a * b);
-        case Kind::kDiv:
-          if (b == 0.0) return Status::InvalidArgument("division by zero");
-          return Value(a / b);
-        default:
-          break;
-      }
-      return Status::Internal("unreachable scalar kind");
-    }
   }
   return Status::Internal("corrupt ScalarExpr");
 }
 
 void ScalarExpr::CollectColumns(std::vector<std::string>* out) const {
-  switch (kind_) {
-    case Kind::kColumn:
-      out->push_back(column_);
-      break;
-    case Kind::kConst:
-      break;
-    default:
-      lhs_->CollectColumns(out);
-      rhs_->CollectColumns(out);
-  }
+  if (kind_ == Kind::kColumn) out->push_back(column_);
 }
 
 std::string ScalarExpr::ToString() const {
@@ -130,14 +48,6 @@ std::string ScalarExpr::ToString() const {
       const char quote = text.find('\'') == std::string::npos ? '\'' : '"';
       return quote + text + quote;
     }
-    case Kind::kAdd:
-      return "(" + lhs_->ToString() + " + " + rhs_->ToString() + ")";
-    case Kind::kSub:
-      return "(" + lhs_->ToString() + " - " + rhs_->ToString() + ")";
-    case Kind::kMul:
-      return "(" + lhs_->ToString() + " * " + rhs_->ToString() + ")";
-    case Kind::kDiv:
-      return "(" + lhs_->ToString() + " / " + rhs_->ToString() + ")";
   }
   return "<corrupt>";
 }

@@ -13,31 +13,24 @@
 
 namespace pfql {
 
-/// Scalar expression over a row: column reference, constant, or arithmetic.
+/// Scalar expression over a row: a column reference or a constant. There is
+/// no arithmetic, so no expression invents a value outside the active
+/// domain (Prop 5.4).
 class ScalarExpr {
  public:
-  enum class Kind { kColumn, kConst, kAdd, kSub, kMul, kDiv };
+  enum class Kind { kColumn, kConst };
 
   /// Reference to a named column.
   static std::shared_ptr<ScalarExpr> Column(std::string name);
   /// Literal value.
   static std::shared_ptr<ScalarExpr> Const(Value v);
-  static std::shared_ptr<ScalarExpr> Add(std::shared_ptr<ScalarExpr> l,
-                                         std::shared_ptr<ScalarExpr> r);
-  static std::shared_ptr<ScalarExpr> Sub(std::shared_ptr<ScalarExpr> l,
-                                         std::shared_ptr<ScalarExpr> r);
-  static std::shared_ptr<ScalarExpr> Mul(std::shared_ptr<ScalarExpr> l,
-                                         std::shared_ptr<ScalarExpr> r);
-  static std::shared_ptr<ScalarExpr> Div(std::shared_ptr<ScalarExpr> l,
-                                         std::shared_ptr<ScalarExpr> r);
 
   Kind kind() const { return kind_; }
   const std::string& column_name() const { return column_; }
   const Value& constant() const { return constant_; }
 
   /// Evaluates against one row. Column lookups are resolved by name in
-  /// `schema`; arithmetic coerces numerics to double (int op int stays int
-  /// for +,-,* when exact).
+  /// `schema`.
   StatusOr<Value> Eval(const Schema& schema, const Tuple& row) const;
 
   /// Column names referenced anywhere in the expression.
@@ -49,7 +42,6 @@ class ScalarExpr {
   Kind kind_ = Kind::kConst;
   std::string column_;
   Value constant_;
-  std::shared_ptr<ScalarExpr> lhs_, rhs_;
 };
 
 /// Comparison operator for predicates.

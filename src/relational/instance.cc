@@ -57,14 +57,6 @@ void Instance::Set(const std::string& name, RelationPtr relation) {
   InvalidateHash();
 }
 
-StatusOr<Relation> Instance::Get(const std::string& name) const {
-  const Relation* rel = Find(name);
-  if (rel == nullptr) {
-    return Status::NotFound("relation '" + name + "' not in instance");
-  }
-  return *rel;
-}
-
 const Relation* Instance::Find(const std::string& name) const {
   auto it = Slot(name);
   return it == relations_.end() || it->first != name ? nullptr
@@ -88,18 +80,6 @@ size_t Instance::TotalTuples() const {
   size_t n = 0;
   for (const auto& [_, rel] : relations_) n += rel->size();
   return n;
-}
-
-std::vector<Value> Instance::ActiveDomain() const {
-  std::vector<Value> domain;
-  for (const auto& [_, rel] : relations_) {
-    for (const auto& t : rel->tuples()) {
-      for (const auto& v : t.values()) domain.push_back(v);
-    }
-  }
-  std::sort(domain.begin(), domain.end());
-  domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
-  return domain;
 }
 
 bool Instance::operator==(const Instance& o) const {

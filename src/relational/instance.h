@@ -59,9 +59,6 @@ class Instance {
 
   bool Has(const std::string& name) const { return Find(name) != nullptr; }
 
-  /// A copy of the relation; error if absent.
-  StatusOr<Relation> Get(const std::string& name) const;
-
   /// The relation, or nullptr if absent. The pointer stays valid while this
   /// instance holds that relation: a Set of `name` (or the instance's
   /// destruction) may free or overwrite it.
@@ -78,9 +75,6 @@ class Instance {
 
   /// Total tuple count across relations.
   size_t TotalTuples() const;
-
-  /// All distinct Values appearing in any tuple (the active domain).
-  std::vector<Value> ActiveDomain() const;
 
   /// Equality and order skip the relations both sides share.
   bool operator==(const Instance& o) const;

@@ -77,30 +77,8 @@ size_t Relation::InsertAll(std::vector<Tuple> tuples) {
   return fresh.size();
 }
 
-bool Relation::Erase(const Tuple& t) {
-  auto it = std::lower_bound(tuples_.begin(), tuples_.end(), t);
-  if (it == tuples_.end() || *it != t) return false;
-  tuples_.erase(it);
-  InvalidateHash();
-  return true;
-}
-
 bool Relation::Contains(const Tuple& t) const {
   return std::binary_search(tuples_.begin(), tuples_.end(), t);
-}
-
-StatusOr<Relation> Relation::WithSchema(Schema schema) const {
-  PFQL_RETURN_NOT_OK(schema.Validate());
-  if (!tuples_.empty() && schema.size() != schema_.size()) {
-    return Status::TypeError("schema rebind from arity " +
-                             std::to_string(schema_.size()) + " to arity " +
-                             std::to_string(schema.size()));
-  }
-  Relation out(std::move(schema));
-  out.tuples_ = tuples_;
-  // Hashes cover tuples only, so the cache carries over.
-  out.SetCachedHash(CachedHash());
-  return out;
 }
 
 StatusOr<Relation> Relation::UnionWith(const Relation& other) const {
@@ -119,35 +97,6 @@ StatusOr<Relation> Relation::UnionWith(const Relation& other) const {
   std::set_union(tuples_.begin(), tuples_.end(), other.tuples_.begin(),
                  other.tuples_.end(), std::back_inserter(out.tuples_));
   return out;
-}
-
-StatusOr<Relation> Relation::DifferenceWith(const Relation& other) const {
-  if (!empty() && !other.empty() && schema_.size() != other.schema_.size()) {
-    return Status::TypeError("difference of arity " +
-                             std::to_string(schema_.size()) + " with arity " +
-                             std::to_string(other.schema_.size()));
-  }
-  Relation out(schema_);
-  std::set_difference(tuples_.begin(), tuples_.end(), other.tuples_.begin(),
-                      other.tuples_.end(), std::back_inserter(out.tuples_));
-  return out;
-}
-
-StatusOr<Relation> Relation::IntersectWith(const Relation& other) const {
-  if (!empty() && !other.empty() && schema_.size() != other.schema_.size()) {
-    return Status::TypeError("intersection of arity " +
-                             std::to_string(schema_.size()) + " with arity " +
-                             std::to_string(other.schema_.size()));
-  }
-  Relation out(schema_);
-  std::set_intersection(tuples_.begin(), tuples_.end(), other.tuples_.begin(),
-                        other.tuples_.end(), std::back_inserter(out.tuples_));
-  return out;
-}
-
-bool Relation::IsSubsetOf(const Relation& other) const {
-  return std::includes(other.tuples_.begin(), other.tuples_.end(),
-                       tuples_.begin(), tuples_.end());
 }
 
 int Relation::Compare(const Relation& other) const {

@@ -69,26 +69,14 @@ class Relation {
   /// tuples newly added. Tuple arities must match the schema.
   size_t InsertAll(std::vector<Tuple> tuples);
 
-  /// Removes a tuple if present; returns true if it was there.
-  bool Erase(const Tuple& t);
-
   bool Contains(const Tuple& t) const;
 
-  /// Returns a relation with this relation's canonical tuple vector but the
-  /// given schema's column names (arity must match). O(n) copy with no
-  /// re-canonicalization — the rebind path used by column renaming, which
-  /// never reorders tuples.
-  StatusOr<Relation> WithSchema(Schema schema) const;
-
-  /// Set ops require equal *arity*; the receiver's schema is kept.
-  /// (Column names may differ, matching the positional semantics of
+  /// Union requires equal *arity*; the receiver's schema is kept. (Column
+  /// names may differ, matching the positional semantics of
   /// datalog-produced relations.) A union with a zero-column receiver takes
   /// the other side's schema, so the default Relation() accumulates; any
   /// union whose tuples would not fit its schema's arity is a TypeError.
   StatusOr<Relation> UnionWith(const Relation& other) const;
-  StatusOr<Relation> DifferenceWith(const Relation& other) const;
-  StatusOr<Relation> IntersectWith(const Relation& other) const;
-  bool IsSubsetOf(const Relation& other) const;
 
   /// Equality compares tuple sets only (schemas may differ in names).
   bool operator==(const Relation& o) const { return tuples_ == o.tuples_; }

@@ -40,14 +40,6 @@ StatusOr<std::vector<size_t>> Schema::IndicesOf(
   return out;
 }
 
-std::vector<std::string> Schema::CommonColumns(const Schema& other) const {
-  std::vector<std::string> out;
-  for (const auto& c : columns_) {
-    if (other.Contains(c)) out.push_back(c);
-  }
-  return out;
-}
-
 Schema Schema::JoinWith(const Schema& other) const {
   std::vector<std::string> cols = columns_;
   for (const auto& c : other.columns()) {

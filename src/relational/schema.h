@@ -39,9 +39,6 @@ class Schema {
   StatusOr<std::vector<size_t>> IndicesOf(
       const std::vector<std::string>& names) const;
 
-  /// Columns occurring in both schemas, in this schema's order.
-  std::vector<std::string> CommonColumns(const Schema& other) const;
-
   /// This schema followed by `other`'s columns not already present
   /// (the natural-join output schema).
   Schema JoinWith(const Schema& other) const;

@@ -106,14 +106,10 @@ class TextParser {
       std::string num;
       num.push_back(c);
       Advance();
-      bool is_double = false;
       while (!AtEnd() &&
              (std::isdigit(static_cast<unsigned char>(Peek())) ||
               Peek() == '.' || Peek() == 'e' || Peek() == 'E' ||
               Peek() == '-' || Peek() == '+')) {
-        if (Peek() == '.' || Peek() == 'e' || Peek() == 'E') {
-          is_double = true;
-        }
         // Signs are only valid right after an exponent marker.
         if ((Peek() == '-' || Peek() == '+') &&
             !(num.back() == 'e' || num.back() == 'E')) {
@@ -263,14 +259,6 @@ StatusOr<Instance> LoadInstanceFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return ParseInstanceText(buffer.str());
-}
-
-Status SaveInstanceFile(const Instance& instance, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot write '" + path + "'");
-  out << FormatInstance(instance);
-  if (!out) return Status::Internal("write to '" + path + "' failed");
-  return Status::OK();
 }
 
 }  // namespace pfql

@@ -29,9 +29,8 @@ StatusOr<Instance> ParseInstanceText(std::string_view text);
 /// Serializes an instance; output parses back to an equal instance.
 std::string FormatInstance(const Instance& instance);
 
-/// File convenience wrappers.
+/// Reads and parses an instance file.
 StatusOr<Instance> LoadInstanceFile(const std::string& path);
-Status SaveInstanceFile(const Instance& instance, const std::string& path);
 
 }  // namespace pfql
 

@@ -7,18 +7,6 @@
 
 namespace pfql {
 
-const char* ValueTypeToString(ValueType t) {
-  switch (t) {
-    case ValueType::kInt:
-      return "int";
-    case ValueType::kDouble:
-      return "double";
-    case ValueType::kString:
-      return "string";
-  }
-  return "unknown";
-}
-
 StatusOr<double> Value::ToNumeric() const {
   switch (type()) {
     case ValueType::kInt:

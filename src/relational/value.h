@@ -20,8 +20,6 @@ namespace pfql {
 /// Runtime type tag of a Value.
 enum class ValueType { kInt = 0, kDouble = 1, kString = 2 };
 
-const char* ValueTypeToString(ValueType t);
-
 /// A scalar constant: 64-bit integer, double, or string.
 ///
 /// Total order: first by type tag (int < double < string), then by value.

@@ -41,13 +41,6 @@ const char* PolicyToString(Policy policy) {
   return "adaptive";
 }
 
-StatusOr<Policy> PolicyFromString(const std::string& name) {
-  if (name == "adaptive") return Policy::kAdaptive;
-  if (name == "round_robin") return Policy::kRoundRobin;
-  return Status::InvalidArgument("unknown scheduler policy '" + name +
-                                 "' (want adaptive|round_robin)");
-}
-
 struct SampleScheduler::Subscriber {
   std::string id;
   UpdateSink sink;
@@ -214,7 +207,6 @@ bool SampleScheduler::Unsubscribe(const std::string& id) {
     ActiveSubsGauge()->Set(static_cast<int64_t>(active_subscriptions_));
     ActiveTasksGauge()->Set(static_cast<int64_t>(tasks_.size()));
   }
-  drain_cv_.notify_all();
   Deliver(std::move(deliveries));
   return true;
 }
@@ -252,19 +244,7 @@ void SampleScheduler::Shutdown() {
     ActiveSubsGauge()->Set(0);
     ActiveTasksGauge()->Set(0);
   }
-  drain_cv_.notify_all();
   Deliver(std::move(deliveries));
-}
-
-void SampleScheduler::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [this] {
-    if (stopping_) return true;
-    for (const auto& t : tasks_) {
-      if (t->running || (!t->done && !t->subs.empty())) return false;
-    }
-    return true;
-  });
 }
 
 size_t SampleScheduler::ActiveSubscriptions() const {
@@ -514,7 +494,6 @@ void SampleScheduler::WorkerLoop() {
                                 }),
                  tasks_.end());
     ActiveTasksGauge()->Set(static_cast<int64_t>(tasks_.size()));
-    drain_cv_.notify_all();
     if (!deliveries.empty()) {
       lock.unlock();
       Deliver(std::move(deliveries));

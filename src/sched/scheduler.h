@@ -52,7 +52,6 @@ enum class Policy {
 };
 
 const char* PolicyToString(Policy policy);
-StatusOr<Policy> PolicyFromString(const std::string& name);
 
 struct SchedulerOptions {
   /// Threads running sampler quanta.
@@ -131,9 +130,6 @@ class SampleScheduler {
   /// the workers. Idempotent; the destructor calls it.
   void Shutdown();
 
-  /// Blocks until no task is runnable or mid-quantum (tests/bench).
-  void Drain();
-
   size_t ActiveSubscriptions() const;
   size_t ActiveTasks() const;
   /// Total sample units spent across all tasks (fusion economics bench).
@@ -173,7 +169,6 @@ class SampleScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< workers wait here for runnable tasks
-  std::condition_variable drain_cv_;  ///< Drain() waits here
   bool stopping_ = false;
   CancellationToken shutdown_token_;
   uint64_t next_sub_id_ = 1;

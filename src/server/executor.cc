@@ -426,6 +426,30 @@ StatusOr<Json> ExecuteTrajectory(const Request& request,
   return payload;
 }
 
+// The request's event (Def 3.2's t ∈ R), checked against the program.
+// Every evaluation starts from Program::InitialInstance, which holds the
+// program's own predicates only, so an event on another relation, or with
+// another arity, could never hold: it is refused rather than answered 0.
+StatusOr<QueryEvent> ParseEvent(const Request& request,
+                                const datalog::Program& program) {
+  PFQL_ASSIGN_OR_RETURN(QueryEvent event,
+                        datalog::ParseGroundAtom(request.event));
+  const auto it = program.arities().find(event.relation);
+  if (it == program.arities().end()) {
+    return Status::InvalidArgument(
+        "event relation '" + event.relation +
+        "' is not a predicate of the program, so the event can never hold");
+  }
+  if (it->second != event.tuple.size()) {
+    return Status::InvalidArgument(
+        "event " + event.ToString() + " has " +
+        std::to_string(event.tuple.size()) + " values, but '" +
+        event.relation + "' has arity " + std::to_string(it->second) +
+        " in the program, so the event can never hold");
+  }
+  return event;
+}
+
 // "plan": run the cost-model pass suite and return the CostReport without
 // executing anything. The payload carries the report, the budgets it was
 // judged against, whether the executor *would* reject upfront, and the
@@ -450,8 +474,7 @@ StatusOr<Json> ExecutePlan(const Request& request,
     // Validate the event against the program even though the analysis
     // itself is event-independent, so `plan` catches the same typos the
     // query kinds would.
-    PFQL_ASSIGN_OR_RETURN(QueryEvent event,
-                          datalog::ParseGroundAtom(request.event));
+    PFQL_ASSIGN_OR_RETURN(QueryEvent event, ParseEvent(request, program));
     payload.Set("event", event.ToString());
   }
   Json diags = Json::Array();
@@ -483,8 +506,7 @@ StatusOr<Json> ExecuteQuery(const Request& request,
   if (request.kind == RequestKind::kPlan) {
     return ExecutePlan(request, program, edb);
   }
-  PFQL_ASSIGN_OR_RETURN(QueryEvent event,
-                        datalog::ParseGroundAtom(request.event));
+  PFQL_ASSIGN_OR_RETURN(QueryEvent event, ParseEvent(request, program));
   switch (request.kind) {
     case RequestKind::kExact:
       return ExecuteExactWithFallback(request, program, edb, event, cancel);
@@ -510,8 +532,7 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
     std::shared_ptr<const datalog::Program> program,
     std::shared_ptr<const Instance> edb) {
   PFQL_ASSIGN_OR_RETURN(RequestKind inner, request.TargetKind());
-  PFQL_ASSIGN_OR_RETURN(QueryEvent event,
-                        datalog::ParseGroundAtom(request.event));
+  PFQL_ASSIGN_OR_RETURN(QueryEvent event, ParseEvent(request, *program));
   // Every target reads epsilon (the CI target) and delta (its confidence):
   // reject bad values here, before the subscribe ack.
   PFQL_ASSIGN_OR_RETURN(const size_t budget,
@@ -575,7 +596,7 @@ StatusOr<sched::SubscriptionSpec> BuildSubscription(
   const eval::TrajectoryParams params =
       TrajectoryParamsFor(request, backend, nullptr);
   spec.factory = [interpretation = tq.kernel, kernel, initial = tq.initial,
-                  event = EventExpr::From(event), params,
+                  event = std::move(event), params,
                   seed](const CancellationToken* cancel)
       -> StatusOr<std::unique_ptr<eval::ResumableSampler>> {
     PFQL_ASSIGN_OR_RETURN(

@@ -73,22 +73,6 @@ Status QueryService::RegisterInstance(const std::string& name,
   return Status::OK();
 }
 
-std::vector<std::string> QueryService::ProgramNames() const {
-  const auto snapshot = RegistrySnapshot();
-  std::vector<std::string> names;
-  names.reserve(snapshot->programs.size());
-  for (const auto& [name, _] : snapshot->programs) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> QueryService::InstanceNames() const {
-  const auto snapshot = RegistrySnapshot();
-  std::vector<std::string> names;
-  names.reserve(snapshot->instances.size());
-  for (const auto& [name, _] : snapshot->instances) names.push_back(name);
-  return names;
-}
-
 StatusOr<QueryService::ProgramEntry> QueryService::ResolveProgram(
     const Request& request) const {
   if (!request.program.empty()) {

@@ -69,9 +69,6 @@ class QueryService {
   /// The structural hash is computed up front.
   Status RegisterInstance(const std::string& name, Instance instance);
 
-  std::vector<std::string> ProgramNames() const;
-  std::vector<std::string> InstanceNames() const;
-
   /// Serves one request. Control-plane kinds (ping/stats/list/register_*)
   /// run inline on the calling thread; query kinds go through admission
   /// control onto the worker pool and this call blocks until the result

@@ -151,12 +151,6 @@ BigInt BigInt::operator-() const {
   return result;
 }
 
-BigInt BigInt::Abs() const {
-  BigInt result = *this;
-  result.negative_ = false;
-  return result;
-}
-
 void BigInt::AddMagnitude(const Limbs& a, const Limbs& b, Limbs* out) {
   const Limbs& longer = a.size() >= b.size() ? a : b;
   const Limbs& shorter = a.size() >= b.size() ? b : a;
@@ -346,12 +340,6 @@ BigInt BigInt::operator/(const BigInt& other) const {
   return q;
 }
 
-BigInt BigInt::operator%(const BigInt& other) const {
-  BigInt q, r;
-  DivMod(*this, other, &q, &r);
-  return r;
-}
-
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
   auto word = [](const Limbs& limbs) {
     uint64_t w = 0;
@@ -383,14 +371,6 @@ BigInt BigInt::Pow(const BigInt& base, uint64_t exp) {
     if (exp != 0) cur *= cur;
   }
   return result;
-}
-
-size_t BigInt::Hash() const {
-  size_t h = negative_ ? 0x9e3779b97f4a7c15ULL : 0;
-  for (size_t i = 0; i < limbs_.size(); ++i) {
-    h ^= limbs_[i] + 0x9e3779b9ULL + (h << 6) + (h >> 2);
-  }
-  return h;
 }
 
 }  // namespace pfql

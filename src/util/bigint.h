@@ -74,21 +74,17 @@ class BigInt {
   int Compare(const BigInt& other) const;
 
   BigInt operator-() const;
-  BigInt Abs() const;
 
   BigInt operator+(const BigInt& other) const;
   BigInt operator-(const BigInt& other) const;
   BigInt operator*(const BigInt& other) const;
   /// Truncated division (C++ semantics); other must be nonzero.
   BigInt operator/(const BigInt& other) const;
-  /// Remainder with the sign of the dividend; other must be nonzero.
-  BigInt operator%(const BigInt& other) const;
 
   BigInt& operator+=(const BigInt& other) { return *this = *this + other; }
   BigInt& operator-=(const BigInt& other) { return *this = *this - other; }
   BigInt& operator*=(const BigInt& other) { return *this = *this * other; }
   BigInt& operator/=(const BigInt& other) { return *this = *this / other; }
-  BigInt& operator%=(const BigInt& other) { return *this = *this % other; }
 
   bool operator==(const BigInt& o) const { return Compare(o) == 0; }
   bool operator!=(const BigInt& o) const { return Compare(o) != 0; }
@@ -106,9 +102,6 @@ class BigInt {
   /// Quotient and remainder in one pass; divisor must be nonzero.
   static void DivMod(const BigInt& dividend, const BigInt& divisor,
                      BigInt* quotient, BigInt* remainder);
-
-  /// Hash suitable for unordered containers.
-  size_t Hash() const;
 
  private:
   /// Limb storage: up to kInline limbs inside the object, the heap beyond.

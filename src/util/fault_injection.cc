@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <optional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -86,6 +88,9 @@ Status FaultRegistry::ArmFromSpec(std::string_view spec) {
   // Entries are separated by ',' or ';'. Each is point=trigger[:delay_ms]
   // with trigger p<prob> or n<hit>; `seed=<n>` seeds the trigger RNG. Each
   // number is read whole: a sign or a value that would wrap is refused.
+  // Nothing is armed or seeded unless every entry parses.
+  std::vector<std::pair<std::string, FaultSpec>> arms;
+  std::optional<uint64_t> seed;
   size_t pos = 0;
   while (pos <= spec.size()) {
     size_t end = spec.find_first_of(",;", pos);
@@ -107,14 +112,12 @@ Status FaultRegistry::ArmFromSpec(std::string_view spec) {
     std::string_view trigger = entry.substr(eq + 1);
 
     if (point == "seed") {
-      const std::optional<uint64_t> seed =
-          ParseDecimal(trigger, 0, kMaxFaultSeed);
+      seed = ParseDecimal(trigger, 0, kMaxFaultSeed);
       if (!seed) {
         return Status::InvalidArgument(
             "fault seed '" + std::string(trigger) +
             "' must be a number from 0 to " + std::to_string(kMaxFaultSeed));
       }
-      SetSeed(*seed);
       continue;
     }
 
@@ -148,7 +151,7 @@ Status FaultRegistry::ArmFromSpec(std::string_view spec) {
         return Status::InvalidArgument("fault probability '" + value +
                                        "' must be in [0, 1]");
       }
-      Arm(point, FaultSpec::Probability(p, delay_ms));
+      arms.emplace_back(point, FaultSpec::Probability(p, delay_ms));
     } else if (mode == 'n') {
       const std::optional<uint64_t> n = ParseDecimal(value, 1, kMaxFaultHit);
       if (!n) {
@@ -156,13 +159,15 @@ Status FaultRegistry::ArmFromSpec(std::string_view spec) {
             "fault hit index '" + value + "' must be a number from 1 to " +
             std::to_string(kMaxFaultHit));
       }
-      Arm(point, FaultSpec::NthHit(*n, delay_ms));
+      arms.emplace_back(point, FaultSpec::NthHit(*n, delay_ms));
     } else {
       return Status::InvalidArgument(
           "fault trigger '" + std::string(trigger) +
           "' must start with p (probability) or n (nth hit)");
     }
   }
+  if (seed) SetSeed(*seed);
+  for (const auto& [point, fault] : arms) Arm(point, fault);
   return Status::OK();
 }
 

@@ -99,56 +99,6 @@ const std::vector<int64_t>& DefaultLatencyBucketsUs() {
   return kBuckets;
 }
 
-void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  auto find_counter = [this](const CounterSample& s) -> CounterSample* {
-    for (auto& mine : counters) {
-      if (mine.name == s.name && mine.labels == s.labels) return &mine;
-    }
-    return nullptr;
-  };
-  for (const auto& s : other.counters) {
-    if (CounterSample* mine = find_counter(s)) {
-      mine->value += s.value;
-    } else {
-      counters.push_back(s);
-    }
-  }
-  auto find_gauge = [this](const GaugeSample& s) -> GaugeSample* {
-    for (auto& mine : gauges) {
-      if (mine.name == s.name && mine.labels == s.labels) return &mine;
-    }
-    return nullptr;
-  };
-  for (const auto& s : other.gauges) {
-    if (GaugeSample* mine = find_gauge(s)) {
-      mine->value = s.value;  // gauges: last write wins
-      mine->is_double = s.is_double;
-      mine->dvalue = s.dvalue;
-    } else {
-      gauges.push_back(s);
-    }
-  }
-  auto find_histogram =
-      [this](const HistogramSample& s) -> HistogramSample* {
-    for (auto& mine : histograms) {
-      if (mine.name == s.name && mine.labels == s.labels) return &mine;
-    }
-    return nullptr;
-  };
-  for (const auto& s : other.histograms) {
-    HistogramSample* mine = find_histogram(s);
-    if (mine == nullptr || mine->bounds != s.bounds) {
-      histograms.push_back(s);
-      continue;
-    }
-    for (size_t b = 0; b < mine->counts.size() && b < s.counts.size(); ++b) {
-      mine->counts[b] += s.counts[b];
-    }
-    mine->count += s.count;
-    mine->sum += s.sum;
-  }
-}
-
 Json MetricsSnapshot::ToJson() const {
   Json out = Json::Object();
   Json counters_json = Json::Object();
@@ -239,11 +189,6 @@ MetricRegistry& MetricRegistry::Instance() {
 }
 
 MetricRegistry::Shard& MetricRegistry::ShardFor(std::string_view name) {
-  return shards_[std::hash<std::string_view>{}(name) % kRegistryShards];
-}
-
-const MetricRegistry::Shard& MetricRegistry::ShardFor(
-    std::string_view name) const {
   return shards_[std::hash<std::string_view>{}(name) % kRegistryShards];
 }
 

@@ -173,11 +173,6 @@ struct MetricsSnapshot {
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
 
-  /// Adds `other` into this snapshot: counters/histograms sum, gauges take
-  /// the other's value (last write wins). Series are matched by
-  /// (name, labels); unmatched series are appended.
-  void MergeFrom(const MetricsSnapshot& other);
-
   /// {"counters":{"name{labels}":N,...},"gauges":{...},
   ///  "histograms":{"name{labels}":{"le":[...],"counts":[...],
   ///                "sum":N,"count":N},...}}
@@ -234,7 +229,6 @@ class MetricRegistry {
   };
 
   Shard& ShardFor(std::string_view name);
-  const Shard& ShardFor(std::string_view name) const;
 
   Shard shards_[kRegistryShards];
 };

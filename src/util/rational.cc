@@ -26,58 +26,6 @@ void BigRational::Normalize() {
   }
 }
 
-StatusOr<BigRational> BigRational::FromString(std::string_view s) {
-  if (s.empty()) return Status::ParseError("empty rational literal");
-  // "p/q" form.
-  size_t slash = s.find('/');
-  if (slash != std::string_view::npos) {
-    PFQL_ASSIGN_OR_RETURN(BigInt num, BigInt::FromString(s.substr(0, slash)));
-    PFQL_ASSIGN_OR_RETURN(BigInt den, BigInt::FromString(s.substr(slash + 1)));
-    if (den.IsZero()) return Status::ParseError("zero denominator");
-    return BigRational(std::move(num), std::move(den));
-  }
-  // Decimal with optional exponent: [-+]ddd[.ddd][e[-+]ddd]
-  bool neg = false;
-  size_t i = 0;
-  if (s[0] == '+' || s[0] == '-') {
-    neg = s[0] == '-';
-    i = 1;
-  }
-  std::string digits;
-  int64_t frac_digits = 0;
-  bool seen_dot = false, seen_digit = false;
-  int64_t exp10 = 0;
-  for (; i < s.size(); ++i) {
-    char c = s[i];
-    if (c >= '0' && c <= '9') {
-      digits.push_back(c);
-      seen_digit = true;
-      if (seen_dot) ++frac_digits;
-    } else if (c == '.') {
-      if (seen_dot) return Status::ParseError("multiple decimal points");
-      seen_dot = true;
-    } else if (c == 'e' || c == 'E') {
-      PFQL_ASSIGN_OR_RETURN(BigInt e, BigInt::FromString(s.substr(i + 1)));
-      PFQL_ASSIGN_OR_RETURN(exp10, e.ToInt64());
-      break;
-    } else {
-      return Status::ParseError(std::string("invalid character '") + c +
-                                "' in rational literal");
-    }
-  }
-  if (!seen_digit) return Status::ParseError("no digits in rational literal");
-  PFQL_ASSIGN_OR_RETURN(BigInt mantissa, BigInt::FromString(digits));
-  if (neg) mantissa = -mantissa;
-  int64_t net_exp = exp10 - frac_digits;
-  BigInt num = std::move(mantissa), den(1);
-  if (net_exp > 0) {
-    num *= BigInt::Pow(BigInt(10), static_cast<uint64_t>(net_exp));
-  } else if (net_exp < 0) {
-    den = BigInt::Pow(BigInt(10), static_cast<uint64_t>(-net_exp));
-  }
-  return BigRational(std::move(num), std::move(den));
-}
-
 StatusOr<BigRational> BigRational::FromDouble(double v) {
   if (!std::isfinite(v)) {
     return Status::InvalidArgument("non-finite double in FromDouble");
@@ -135,18 +83,6 @@ BigRational BigRational::operator*(const BigRational& o) const {
 BigRational BigRational::operator/(const BigRational& o) const {
   assert(!o.IsZero() && "division by zero BigRational");
   return BigRational(num_ * o.den_, den_ * o.num_);
-}
-
-BigRational BigRational::operator-() const {
-  BigRational r = *this;
-  r.num_ = -r.num_;
-  return r;
-}
-
-size_t BigRational::Hash() const {
-  size_t h = num_.Hash();
-  h ^= den_.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
 }
 
 }  // namespace pfql

@@ -7,7 +7,6 @@
 
 #include <ostream>
 #include <string>
-#include <string_view>
 
 #include "util/bigint.h"
 #include "util/status.h"
@@ -25,9 +24,6 @@ class BigRational {
   BigRational(BigInt num, BigInt den);
   BigRational(int64_t num, int64_t den)
       : BigRational(BigInt(num), BigInt(den)) {}
-
-  /// Parses "p", "p/q", or a decimal like "0.125" / "-3.5e-2" (exactly).
-  static StatusOr<BigRational> FromString(std::string_view s);
 
   /// The exact rational equal to the given double (doubles are dyadic
   /// rationals). NaN/inf are invalid.
@@ -52,7 +48,6 @@ class BigRational {
   BigRational operator*(const BigRational& o) const;
   /// o must be nonzero.
   BigRational operator/(const BigRational& o) const;
-  BigRational operator-() const;
 
   BigRational& operator+=(const BigRational& o) { return *this = *this + o; }
   BigRational& operator-=(const BigRational& o) { return *this = *this - o; }
@@ -65,10 +60,6 @@ class BigRational {
   bool operator<=(const BigRational& o) const { return Compare(o) <= 0; }
   bool operator>(const BigRational& o) const { return Compare(o) > 0; }
   bool operator>=(const BigRational& o) const { return Compare(o) >= 0; }
-
-  /// Hash suitable for unordered containers (normalization makes equal
-  /// rationals hash equal).
-  size_t Hash() const;
 
  private:
   void Normalize();

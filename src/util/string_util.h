@@ -25,12 +25,6 @@ std::string JoinStrings(const Container& items, std::string_view sep) {
   return out;
 }
 
-/// Splits on a single character, keeping empty pieces.
-std::vector<std::string> SplitString(std::string_view s, char sep);
-
-/// Strips ASCII whitespace from both ends.
-std::string_view StripWhitespace(std::string_view s);
-
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 

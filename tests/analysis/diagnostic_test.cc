@@ -123,16 +123,58 @@ TEST(DiagnosticCodesTest, RegistryHasUniqueWellFormedCodes) {
   }
 }
 
-TEST(DiagnosticCodesTest, EveryCodeIsCatalogedInDocs) {
+std::string ReadAnalysisDocs() {
   std::ifstream in(std::string(PFQL_REPO_DIR) + "/docs/ANALYSIS.md");
-  ASSERT_TRUE(in.good()) << "docs/ANALYSIS.md missing";
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string docs = buffer.str();
+  return buffer.str();
+}
+
+std::set<std::string> RegisteredCodes() {
+  std::set<std::string> codes;
+  for (const auto& info : AllDiagnosticCodes()) codes.insert(info.code);
+  return codes;
+}
+
+TEST(DiagnosticCodesTest, EveryCodeIsCatalogedInDocs) {
+  const std::string docs = ReadAnalysisDocs();
+  ASSERT_FALSE(docs.empty()) << "docs/ANALYSIS.md missing";
   for (const auto& info : AllDiagnosticCodes()) {
     EXPECT_NE(docs.find(info.code), std::string::npos)
         << info.code << " is not documented in docs/ANALYSIS.md";
   }
+}
+
+// The converse: the catalog presents no code the registry lacks, and the
+// retired codes it lists stay out of the registry.
+TEST(DiagnosticCodesTest, EveryCatalogedCodeIsRegisteredUnlessRetired) {
+  const std::string docs = ReadAnalysisDocs();
+  const size_t retired_at = docs.find("\n## Retired codes\n");
+  ASSERT_NE(retired_at, std::string::npos)
+      << "docs/ANALYSIS.md has no retired-codes section";
+  const size_t retired_end = docs.find("\n## ", retired_at + 1);
+  const std::set<std::string> registered = RegisteredCodes();
+  size_t headings = 0;
+  for (size_t at = docs.find("\n### PFQL-"); at != std::string::npos;
+       at = docs.find("\n### PFQL-", at + 1)) {
+    const std::string code = docs.substr(at + 5, 9);
+    EXPECT_LT(at, retired_at) << code << " is headed in the retired section";
+    EXPECT_TRUE(registered.count(code))
+        << code << " is cataloged in docs/ANALYSIS.md but not registered";
+    ++headings;
+  }
+  EXPECT_EQ(headings, registered.size());
+  const std::string retired =
+      docs.substr(retired_at, retired_end - retired_at);
+  size_t listed = 0;
+  for (size_t at = retired.find("PFQL-"); at != std::string::npos;
+       at = retired.find("PFQL-", at + 1)) {
+    const std::string code = retired.substr(at, 9);
+    EXPECT_FALSE(registered.count(code))
+        << code << " is retired in docs/ANALYSIS.md but registered again";
+    ++listed;
+  }
+  EXPECT_GT(listed, 0u);
 }
 
 }  // namespace

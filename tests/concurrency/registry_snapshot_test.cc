@@ -150,13 +150,14 @@ TEST(RegistrySnapshotConcurrencyTest, ResolveKeepsSnapshotAcrossReplace) {
   QueryService service;
   ASSERT_TRUE(
       service.RegisterInstance("db", VersionInstance(0, 0)).ok());
-  const std::vector<std::string> before = service.InstanceNames();
-  ASSERT_EQ(before.size(), 1u);
+  Request list;
+  list.kind = RequestKind::kList;
+  const Response before = service.Call(list);
+  ASSERT_TRUE(before.status.ok());
+  ASSERT_EQ(before.result.Find("instances")->items().size(), 1u);
   ASSERT_TRUE(
       service.RegisterInstance("db", VersionInstance(0, 1)).ok());
   // Old snapshots are frozen; new reads see the replacement.
-  Request list;
-  list.kind = RequestKind::kList;
   const Response response = service.Call(list);
   ASSERT_TRUE(response.status.ok());
   const Json* instances = response.result.Find("instances");

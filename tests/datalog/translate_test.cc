@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datalog/engine.h"
 #include "markov/state_space.h"
 
@@ -104,12 +106,23 @@ TEST(TranslateInflationaryTest, NonlinearDistributionMatchesEngine) {
   EXPECT_TRUE(total.IsOne());
 }
 
+// Prop 3.8: every successor of the initial instance contains it.
 TEST(TranslateInflationaryTest, KernelIsInflationary) {
   auto tq = TranslateInflationary(ReachProgram(), TwoEdgeGraph());
   ASSERT_TRUE(tq.ok());
-  auto check = tq->kernel.IsInflationaryOn(tq->initial);
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check.value());
+  auto kernel = tq->kernel.Compile(tq->initial);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  auto successors = (*kernel)->Exact(tq->initial);
+  ASSERT_TRUE(successors.ok()) << successors.status();
+  for (const auto& w : successors->outcomes()) {
+    for (const auto& [name, rel] : tq->initial.relations()) {
+      const Relation* next = w.value.Find(name);
+      ASSERT_NE(next, nullptr) << name;
+      EXPECT_TRUE(std::includes(next->tuples().begin(), next->tuples().end(),
+                                rel->tuples().begin(), rel->tuples().end()))
+          << name;
+    }
+  }
 }
 
 TEST(TranslateInflationaryTest, AuxiliaryOldValsRelationsAdded) {

@@ -126,7 +126,7 @@ TEST_P(ResumableTierTest, TrajectoryIsQuantumInvariant) {
   params.runs = 4;
   ExpectQuantumInvariant([&] {
     return std::make_unique<ResumableTrajectory>(
-        Kernel(*wq), wq->initial, EventExpr::From(gadgets::WalkAtNode(1)),
+        Kernel(*wq), wq->initial, gadgets::WalkAtNode(1),
         compiled, params, Rng(6));
   });
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/noninflationary.h"
 #include "gadgets/graphs.h"
 
 namespace pfql {
@@ -63,34 +62,6 @@ TEST(TrajectoryTest, ReducibleChainAveragesOverAbsorption) {
   EXPECT_GT(extreme, static_cast<int>(result->per_run.size() * 3 / 4));
 }
 
-TEST(TrajectoryTest, GeneralEventWithNonEmptyQuery) {
-  // Event: the walk cursor sits on a node with an outgoing edge to node 0
-  // — expressed as non-emptiness of cur ⋈ σ_{j=0}(e).
-  gadgets::Graph g = gadgets::Cycle(4);
-  auto wq = gadgets::RandomWalkQuery(g, 0);
-  ASSERT_TRUE(wq.ok());
-  auto event = EventExpr::NonEmpty(RaExpr::Join(
-      RaExpr::Base("cur"),
-      RaExpr::Select(RaExpr::Base("e"),
-                     Predicate::ColumnEquals("j", Value(int64_t{0})))));
-  ASSERT_TRUE(event.ok());
-  TrajectoryParams params;
-  params.steps = 4000;
-  params.runs = 2;
-  params.discard_fraction = 0.0;
-  Rng rng(4);
-  auto estimate = TimeAverageEstimate(wq->kernel, wq->initial, *event,
-                                      params, &rng);
-  ASSERT_TRUE(estimate.ok()) << estimate.status();
-  // Only node 3 has an edge into 0 on the 4-cycle: stationary mass 1/4.
-  EXPECT_NEAR(estimate->estimate, 0.25, 0.02);
-
-  // Cross-check against the exact general-event evaluator.
-  auto exact = ExactForeverEvent(wq->kernel, wq->initial, *event);
-  ASSERT_TRUE(exact.ok()) << exact.status();
-  EXPECT_EQ(exact->probability, BigRational(1, 4));
-}
-
 TEST(TrajectoryTest, CountsEventStepsAfterTheDiscardOnBothTiers) {
   // The 2-cycle walk is deterministic: step t (0-indexed) lands on node
   // (t+1) % 2. With 10 steps and a discard of 3, steps 3..9 are counted
@@ -132,17 +103,6 @@ TEST(TrajectoryTest, ParameterValidation) {
   EXPECT_FALSE(TimeAverageEstimate({wq->kernel, gadgets::WalkAtNode(0)},
                                    wq->initial, bad, &rng)
                    .ok());
-}
-
-TEST(ExactForeverEventTest, BooleanCombination) {
-  // Pr[at node 1 or node 2] on a complete 4-graph = 1/2, exactly.
-  auto wq = gadgets::RandomWalkQuery(gadgets::Complete(4), 0);
-  ASSERT_TRUE(wq.ok());
-  auto event = EventExpr::Or(EventExpr::TupleIn("cur", Tuple{Value(1)}),
-                             EventExpr::TupleIn("cur", Tuple{Value(2)}));
-  auto exact = ExactForeverEvent(wq->kernel, wq->initial, event);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(exact->probability, BigRational(1, 2));
 }
 
 }  // namespace

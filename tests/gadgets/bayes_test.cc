@@ -2,11 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "eval/inflationary.h"
+#include "util/random.h"
 
 namespace pfql {
 namespace gadgets {
 namespace {
+
+// A random DAG with in-degree <= max_parents and CPT entries in
+// {1/8, ..., 7/8}.
+BayesNet RandomBayesNet(size_t n, size_t max_parents, Rng* rng) {
+  BayesNet net;
+  for (size_t i = 0; i < n; ++i) {
+    BayesNode node;
+    node.name = "x" + std::to_string(i);
+    const size_t limit = std::min(max_parents, i);
+    const size_t k = limit == 0 ? 0 : rng->NextIndex(limit + 1);
+    std::set<size_t> parents;
+    while (parents.size() < k) parents.insert(rng->NextIndex(i));
+    node.parents.assign(parents.begin(), parents.end());
+    for (size_t r = 0; r < (size_t{1} << node.parents.size()); ++r) {
+      node.p_true.emplace_back(static_cast<int64_t>(1 + rng->NextIndex(7)),
+                               int64_t{8});
+    }
+    net.nodes.push_back(std::move(node));
+  }
+  return net;
+}
 
 TEST(BayesNetTest, ValidateCatchesBadNetworks) {
   BayesNet net = ChainBayesNet(3);

@@ -90,24 +90,6 @@ TEST(InterpretationTest, ApplySampleReadsOldState) {
   EXPECT_TRUE(next.Find("b")->Contains(Tuple{Value(1)}));
 }
 
-TEST(InterpretationTest, IsDeterministicDetection) {
-  Interpretation det;
-  det.Define("a", RaExpr::Base("b"));
-  EXPECT_TRUE(det.IsDeterministic());
-  EXPECT_FALSE(WalkKernel().IsDeterministic());
-}
-
-TEST(InterpretationTest, InflationaryWrapperContainsOldState) {
-  Interpretation infl = WalkKernel().Inflationary();
-  auto check = infl.IsInflationaryOn(WalkInstance());
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check.value());
-  // The raw walk kernel is destructive, not inflationary.
-  auto raw = WalkKernel().IsInflationaryOn(WalkInstance());
-  ASSERT_TRUE(raw.ok());
-  EXPECT_FALSE(raw.value());
-}
-
 TEST(InterpretationTest, ExactSampleAgreement) {
   // Empirical sample frequencies of Step match Exact.
   Interpretation q = WalkKernel();

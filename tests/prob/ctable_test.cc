@@ -73,10 +73,6 @@ PCDatabase TwoCoinDatabase() {
   return pc;
 }
 
-TEST(PCDatabaseTest, WorldCountMultipliesDomains) {
-  EXPECT_EQ(TwoCoinDatabase().WorldCount(), 4u);
-}
-
 TEST(PCDatabaseTest, RejectsDuplicatesAndUnknownVariables) {
   PCDatabase pc;
   ASSERT_TRUE(pc.AddVariable(Coin("x")).ok());
@@ -85,27 +81,6 @@ TEST(PCDatabaseTest, RejectsDuplicatesAndUnknownVariables) {
   t.schema = Schema({"v"});
   t.rows.push_back({Tuple{Value(1)}, Condition::Eq("ghost", Value(1))});
   EXPECT_FALSE(pc.AddTable("r", std::move(t)).ok());
-}
-
-TEST(PCDatabaseTest, EnumerateWorldsExactProbabilities) {
-  auto dist = TwoCoinDatabase().EnumerateWorlds();
-  ASSERT_TRUE(dist.ok());
-  EXPECT_TRUE(dist->ValidateProper().ok());
-  // Worlds by (x, y): 11 -> {both, anyx, always}; 10 -> {anyx, always};
-  // 0? -> {always}. The two x=0 worlds collapse to the same instance.
-  ASSERT_EQ(dist->size(), 3u);
-  BigRational p_both = dist->ProbabilityOf([](const Instance& db) {
-    return db.Find("r")->Contains(Tuple{Value("both")});
-  });
-  EXPECT_EQ(p_both, BigRational(1, 4));
-  BigRational p_anyx = dist->ProbabilityOf([](const Instance& db) {
-    return db.Find("r")->Contains(Tuple{Value("anyx")});
-  });
-  EXPECT_EQ(p_anyx, BigRational(1, 2));
-  BigRational p_always = dist->ProbabilityOf([](const Instance& db) {
-    return db.Find("r")->Contains(Tuple{Value("always")});
-  });
-  EXPECT_TRUE(p_always.IsOne());
 }
 
 TEST(PCDatabaseTest, InstanceForSpecificValuation) {
@@ -118,18 +93,6 @@ TEST(PCDatabaseTest, InstanceForSpecificValuation) {
   EXPECT_FALSE(r->Contains(Tuple{Value("both")}));
   EXPECT_TRUE(r->Contains(Tuple{Value("anyx")}));
   EXPECT_TRUE(r->Contains(Tuple{Value("always")}));
-}
-
-TEST(PCDatabaseTest, ValuationProbability) {
-  PCDatabase pc = TwoCoinDatabase();
-  Valuation v{{"x", Value(int64_t{1})}, {"y", Value(int64_t{0})}};
-  auto p = pc.ValuationProbability(v);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.value(), BigRational(1, 4));
-  Valuation missing{{"x", Value(int64_t{1})}};
-  EXPECT_FALSE(pc.ValuationProbability(missing).ok());
-  Valuation bad{{"x", Value(int64_t{7})}, {"y", Value(int64_t{0})}};
-  EXPECT_FALSE(pc.ValuationProbability(bad).ok());
 }
 
 TEST(PCDatabaseTest, SampleWorldFrequencies) {
@@ -145,16 +108,6 @@ TEST(PCDatabaseTest, SampleWorldFrequencies) {
   EXPECT_NEAR(both / static_cast<double>(n), 0.25, 0.015);
 }
 
-TEST(PCDatabaseTest, EnumerateWorldsRespectsCap) {
-  PCDatabase pc;
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(pc.AddVariable(Coin("x" + std::to_string(i))).ok());
-  }
-  auto dist = pc.EnumerateWorlds(/*max_worlds=*/1024);
-  EXPECT_FALSE(dist.ok());
-  EXPECT_EQ(dist.status().code(), StatusCode::kResourceExhausted);
-}
-
 TEST(PCDatabaseTest, AddBooleanVariableShorthand) {
   PCDatabase pc;
   ASSERT_TRUE(pc.AddBooleanVariable("b", BigRational(1, 3)).ok());
@@ -162,18 +115,6 @@ TEST(PCDatabaseTest, AddBooleanVariableShorthand) {
   ASSERT_EQ(var.domain.size(), 2u);
   EXPECT_EQ(var.domain[0].second, BigRational(1, 3));
   EXPECT_EQ(var.domain[1].second, BigRational(2, 3));
-}
-
-TEST(PCDatabaseTest, AddCertainRelation) {
-  PCDatabase pc;
-  Relation r(Schema({"x"}));
-  r.Insert(Tuple{Value(1)});
-  ASSERT_TRUE(pc.AddCertainRelation("facts", r).ok());
-  auto dist = pc.EnumerateWorlds();
-  ASSERT_TRUE(dist.ok());
-  ASSERT_EQ(dist->size(), 1u);
-  EXPECT_TRUE(dist->outcomes()[0].value.Find("facts")->Contains(
-      Tuple{Value(1)}));
 }
 
 }  // namespace

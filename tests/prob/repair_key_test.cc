@@ -161,15 +161,6 @@ TEST(RepairKeyTest, MissingColumnsAreErrors) {
   EXPECT_FALSE(RepairKeyEnumerate(r, bad_weight).ok());
 }
 
-TEST(RepairKeyTest, WorldCount) {
-  auto count = RepairKeyWorldCount(BasketballTable(), PlayerAtBelief());
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(count.value(), 4u);
-  auto capped = RepairKeyWorldCount(BasketballTable(), PlayerAtBelief(), 3);
-  ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(capped.value(), 3u);
-}
-
 TEST(RepairKeyTest, GroupsExposeNormalizedAlternatives) {
   auto groups = RepairKeyGroups(BasketballTable(), PlayerAtBelief());
   ASSERT_TRUE(groups.ok());

@@ -1,4 +1,4 @@
-#include "relational/algebra.h"
+#include "ra/algebra.h"
 
 #include <unordered_map>
 
@@ -35,13 +35,14 @@ StatusOr<Relation> RenameColumns(
     }
     cols[*idx] = to;
   }
-  // Renaming never reorders tuples, so rebind the schema onto the existing
-  // canonical tuple vector instead of re-sorting through Relation::Make.
-  return rel.WithSchema(Schema(std::move(cols)));
+  return Relation::Make(Schema(std::move(cols)), rel.tuples());
 }
 
 StatusOr<Relation> NaturalJoin(const Relation& a, const Relation& b) {
-  const std::vector<std::string> common = a.schema().CommonColumns(b.schema());
+  std::vector<std::string> common;
+  for (const auto& c : a.schema().columns()) {
+    if (b.schema().Contains(c)) common.push_back(c);
+  }
   if (common.empty()) return Product(a, b);
 
   PFQL_ASSIGN_OR_RETURN(std::vector<size_t> a_key,
@@ -94,12 +95,32 @@ StatusOr<Relation> Union(const Relation& a, const Relation& b) {
   return a.UnionWith(b);
 }
 
+namespace {
+
+// a − b or a ∩ b, keeping a's schema.
+StatusOr<Relation> Filter(const Relation& a, const Relation& b, bool keep_in_b,
+                          const char* op) {
+  if (!a.empty() && !b.empty() && a.schema().size() != b.schema().size()) {
+    return Status::TypeError(std::string(op) + " of arity " +
+                             std::to_string(a.schema().size()) +
+                             " with arity " +
+                             std::to_string(b.schema().size()));
+  }
+  std::vector<Tuple> out;
+  for (const auto& t : a.tuples()) {
+    if (b.Contains(t) == keep_in_b) out.push_back(t);
+  }
+  return Relation::Make(a.schema(), std::move(out));
+}
+
+}  // namespace
+
 StatusOr<Relation> Difference(const Relation& a, const Relation& b) {
-  return a.DifferenceWith(b);
+  return Filter(a, b, false, "difference");
 }
 
 StatusOr<Relation> Intersect(const Relation& a, const Relation& b) {
-  return a.IntersectWith(b);
+  return Filter(a, b, true, "intersection");
 }
 
 StatusOr<Relation> Extend(const Relation& rel, const std::string& new_column,

@@ -1,8 +1,9 @@
 // Deterministic relational-algebra operator kernels over canonical
-// Relations. These are the building blocks used by the probabilistic RA
-// evaluator (src/ra) and the datalog engine (src/datalog).
-#ifndef PFQL_RELATIONAL_ALGEBRA_H_
-#define PFQL_RELATIONAL_ALGEBRA_H_
+// Relations, evaluated by column name: the building blocks of the reference
+// evaluator (reference_eval.h), which checks compiled plans (ra/plan.h)
+// against Sec 2.2's by-name semantics.
+#ifndef PFQL_TESTS_RA_ALGEBRA_H_
+#define PFQL_TESTS_RA_ALGEBRA_H_
 
 #include <map>
 #include <memory>
@@ -37,12 +38,14 @@ StatusOr<Relation> NaturalJoin(const Relation& a, const Relation& b);
 /// a × b: product; schemas must be disjoint.
 StatusOr<Relation> Product(const Relation& a, const Relation& b);
 
-/// a ∪ b / a − b / a ∩ b with arity checking (see Relation set ops).
+/// a ∪ b / a − b / a ∩ b; the operands' arities must match, and the result
+/// keeps a's schema.
 StatusOr<Relation> Union(const Relation& a, const Relation& b);
 StatusOr<Relation> Difference(const Relation& a, const Relation& b);
 StatusOr<Relation> Intersect(const Relation& a, const Relation& b);
 
-/// Extends each row with a new column holding the expression's value.
+/// Extends each row with a new column holding the expression's value (a
+/// column's or a constant).
 StatusOr<Relation> Extend(const Relation& rel, const std::string& new_column,
                           const std::shared_ptr<ScalarExpr>& expr);
 
@@ -53,4 +56,4 @@ Relation SingletonColumn(const std::string& column,
 
 }  // namespace pfql
 
-#endif  // PFQL_RELATIONAL_ALGEBRA_H_
+#endif  // PFQL_TESTS_RA_ALGEBRA_H_

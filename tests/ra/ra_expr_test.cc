@@ -122,9 +122,8 @@ TEST(RaExprTest, DifferenceAndIntersect) {
 }
 
 TEST(RaExprTest, ExtendComputesColumn) {
-  auto expr = RaExpr::Extend(RaExpr::Base("c"), "twice",
-                             ScalarExpr::Mul(ScalarExpr::Column("i"),
-                                             ScalarExpr::Const(Value(2))));
+  auto expr = RaExpr::Extend(RaExpr::Base("c"), "two",
+                             ScalarExpr::Const(Value(2)));
   auto dist = PlanExact(expr, GraphInstance());
   ASSERT_TRUE(dist.ok());
   EXPECT_TRUE(dist->outcomes()[0].value.Contains(Tuple{Value(1), Value(2)}));
@@ -164,23 +163,6 @@ TEST(RaExprTest, MaxWorldsGuard) {
   auto dist = PlanExact(expr, GraphInstance(), options);
   EXPECT_FALSE(dist.ok());
   EXPECT_EQ(dist.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(RaExprTest, IsProbabilisticDetection) {
-  EXPECT_FALSE(RaExpr::Base("e")->IsProbabilistic());
-  EXPECT_FALSE(
-      RaExpr::Union(RaExpr::Base("e"), RaExpr::Base("e"))->IsProbabilistic());
-  EXPECT_TRUE(RaExpr::RepairKey(RaExpr::Base("e"), RepairKeySpec{})
-                  ->IsProbabilistic());
-  EXPECT_TRUE(RaExpr::Project(
-                  RaExpr::RepairKey(RaExpr::Base("e"), RepairKeySpec{}), {"i"})
-                  ->IsProbabilistic());
-}
-
-TEST(RaExprTest, InputRelationsCollected) {
-  auto expr = RaExpr::Union(RaExpr::Join(RaExpr::Base("c"), RaExpr::Base("e")),
-                            RaExpr::Base("c"));
-  EXPECT_EQ(expr->InputRelations(), (std::vector<std::string>{"c", "e"}));
 }
 
 TEST(RaExprTest, InferSchemaChecksColumns) {

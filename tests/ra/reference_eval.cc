@@ -4,7 +4,7 @@
 #include <map>
 
 #include "prob/repair_key.h"
-#include "relational/algebra.h"
+#include "ra/algebra.h"
 
 namespace pfql {
 namespace reference {
@@ -129,6 +129,15 @@ StatusOr<Relation> SampleRepair(const Relation& rel, const RepairKeySpec& spec,
 
 // ---- The walker ----------------------------------------------------------
 
+StatusOr<Relation> BaseRelation(const Instance& instance,
+                                const std::string& name) {
+  const Relation* rel = instance.Find(name);
+  if (rel == nullptr) {
+    return Status::NotFound("relation '" + name + "' not in instance");
+  }
+  return *rel;
+}
+
 // Applies the deterministic part of a unary node to one world.
 StatusOr<Relation> ApplyUnary(const RaExpr& e, const Relation& in) {
   switch (e.kind()) {
@@ -173,7 +182,8 @@ StatusOr<Distribution<Relation>> EvalExact(const RaExpr::Ptr& expr,
   const RaExpr& e = *expr;
   switch (e.kind()) {
     case RaExpr::Kind::kBase: {
-      PFQL_ASSIGN_OR_RETURN(Relation rel, instance.Get(e.relation_name()));
+      PFQL_ASSIGN_OR_RETURN(Relation rel,
+                            BaseRelation(instance, e.relation_name()));
       return Distribution<Relation>::Point(std::move(rel));
     }
     case RaExpr::Kind::kConst:
@@ -247,7 +257,7 @@ StatusOr<Relation> EvalSample(const RaExpr::Ptr& expr,
   const RaExpr& e = *expr;
   switch (e.kind()) {
     case RaExpr::Kind::kBase:
-      return instance.Get(e.relation_name());
+      return BaseRelation(instance, e.relation_name());
     case RaExpr::Kind::kConst:
       return e.const_relation();
     case RaExpr::Kind::kSelect:

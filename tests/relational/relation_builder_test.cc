@@ -9,9 +9,9 @@
 #include <map>
 #include <vector>
 
+#include "ra/algebra.h"
 #include "ra/plan.h"
 #include "ra/ra_expr.h"
-#include "relational/algebra.h"
 #include "util/random.h"
 
 namespace pfql {
@@ -106,23 +106,6 @@ TEST(RelationBuilderTest, InsertAllMatchesSequentialInsert) {
   }
 }
 
-TEST(RelationBuilderTest, WithSchemaRebindsNamesOnly) {
-  Rng rng(13);
-  Relation rel =
-      ReferenceInsert(ArbitrarySchema(2), RandomMultiset(64, 2, 5, &rng));
-  const size_t h = rel.Hash();
-
-  auto renamed = rel.WithSchema(Schema({"x", "y"}));
-  ASSERT_TRUE(renamed.ok());
-  EXPECT_EQ(renamed.value().tuples(), rel.tuples());
-  EXPECT_EQ(renamed.value().schema().ToString(), Schema({"x", "y"}).ToString());
-  // Hash covers tuples only, so the rebind carries the cache unchanged.
-  EXPECT_EQ(renamed.value().Hash(), h);
-
-  EXPECT_FALSE(rel.WithSchema(Schema({"x"})).ok());        // arity mismatch
-  EXPECT_FALSE(rel.WithSchema(Schema({"x", "x"})).ok());   // invalid schema
-}
-
 TEST(RelationBuilderTest, HashCacheInvalidatedByMutation) {
   Relation rel(Schema({"a"}));
   rel.Insert(Tuple{Value(1)});
@@ -138,14 +121,14 @@ TEST(RelationBuilderTest, HashCacheInvalidatedByMutation) {
   fresh.Insert(Tuple{Value(2)});
   EXPECT_EQ(h2, fresh.Hash());
 
-  rel.Erase(Tuple{Value(2)});
-  EXPECT_EQ(rel.Hash(), h1);
-
   // Batch mutation invalidates too.
+  Relation batched(Schema({"a"}));
+  batched.Insert(Tuple{Value(1)});
+  EXPECT_EQ(batched.Hash(), h1);
   std::vector<Tuple> batch;
   batch.push_back(Tuple{Value(2)});
-  rel.InsertAll(std::move(batch));
-  EXPECT_EQ(rel.Hash(), h2);
+  batched.InsertAll(std::move(batch));
+  EXPECT_EQ(batched.Hash(), h2);
 }
 
 // Naive per-tuple-Insert reference implementations of the operators that

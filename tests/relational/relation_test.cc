@@ -38,26 +38,13 @@ TEST(RelationTest, InsertMaintainsCanonicalForm) {
   EXPECT_FALSE(r.Contains(Tuple{Value(9)}));
 }
 
-TEST(RelationTest, EraseRemoves) {
-  Relation r = MakeRel({1, 2, 3});
-  EXPECT_TRUE(r.Erase(Tuple{Value(2)}));
-  EXPECT_FALSE(r.Erase(Tuple{Value(2)}));
-  EXPECT_EQ(r.size(), 2u);
-}
-
 TEST(RelationTest, SetOperations) {
   Relation a = MakeRel({1, 2, 3});
   Relation b = MakeRel({2, 3, 4});
   auto u = a.UnionWith(b);
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(u->size(), 4u);
-  auto d = a.DifferenceWith(b);
-  ASSERT_TRUE(d.ok());
-  ASSERT_EQ(d->size(), 1u);
-  EXPECT_TRUE(d->Contains(Tuple{Value(1)}));
-  auto i = a.IntersectWith(b);
-  ASSERT_TRUE(i.ok());
-  EXPECT_EQ(i->size(), 2u);
+  EXPECT_EQ(u->tuples(), MakeRel({1, 2, 3, 4}).tuples());
 }
 
 TEST(RelationTest, SetOperationsRejectArityMismatch) {
@@ -65,7 +52,6 @@ TEST(RelationTest, SetOperationsRejectArityMismatch) {
   Relation b(Schema({"x", "y"}));
   b.Insert(Tuple{Value(1), Value(2)});
   EXPECT_FALSE(a.UnionWith(b).ok());
-  EXPECT_FALSE(a.DifferenceWith(b).ok());
 }
 
 TEST(RelationTest, UnionWithEmptyKeepsOtherSchema) {
@@ -99,12 +85,6 @@ TEST(RelationTest, UnionWithKeepsTheArityInvariant) {
   EXPECT_EQ(acc->size(), 1u);
 }
 
-TEST(RelationTest, SubsetChecks) {
-  EXPECT_TRUE(MakeRel({1, 2}).IsSubsetOf(MakeRel({1, 2, 3})));
-  EXPECT_FALSE(MakeRel({1, 4}).IsSubsetOf(MakeRel({1, 2, 3})));
-  EXPECT_TRUE(MakeRel({}).IsSubsetOf(MakeRel({1})));
-}
-
 TEST(RelationTest, EqualityIgnoresSchemaNames) {
   Relation a(Schema({"x"})), b(Schema({"y"}));
   a.Insert(Tuple{Value(1)});
@@ -135,11 +115,8 @@ TEST(InstanceTest, GetSetFind) {
   db.Set("r", MakeRel({1, 2}));
   EXPECT_TRUE(db.Has("r"));
   EXPECT_FALSE(db.Has("s"));
-  auto r = db.Get("r");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 2u);
-  EXPECT_FALSE(db.Get("s").ok());
-  EXPECT_NE(db.Find("r"), nullptr);
+  ASSERT_NE(db.Find("r"), nullptr);
+  EXPECT_EQ(db.Find("r")->size(), 2u);
   EXPECT_EQ(db.Find("s"), nullptr);
 }
 
@@ -164,19 +141,6 @@ TEST(InstanceTest, CompareTotalOrder) {
   b.Set("s", MakeRel({}));
   EXPECT_NE(a.Compare(b), 0);
   EXPECT_EQ(a.Compare(b), -b.Compare(a));
-}
-
-TEST(InstanceTest, ActiveDomain) {
-  Instance db;
-  db.Set("r", MakeRel({3, 1}));
-  Relation s(Schema({"a", "b"}));
-  s.Insert(Tuple{Value(1), Value("x")});
-  db.Set("s", std::move(s));
-  auto domain = db.ActiveDomain();
-  ASSERT_EQ(domain.size(), 3u);  // 1, 3, "x" deduplicated
-  EXPECT_EQ(domain[0], Value(1));
-  EXPECT_EQ(domain[1], Value(3));
-  EXPECT_EQ(domain[2], Value("x"));
 }
 
 TEST(InstanceTest, TotalTuples) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "util/random.h"
 
 namespace pfql {
@@ -134,7 +136,7 @@ TEST(TextIoTest, FileRoundTrip) {
   r.Insert(Tuple{Value(42)});
   db.Set("r", std::move(r));
   const std::string path = "/tmp/pfql_text_io_test.db";
-  ASSERT_TRUE(SaveInstanceFile(db, path).ok());
+  std::ofstream(path) << FormatInstance(db);
   auto loaded = LoadInstanceFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, db);

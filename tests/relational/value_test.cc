@@ -109,7 +109,6 @@ TEST(SchemaTest, IndexOfAndIndicesOf) {
 TEST(SchemaTest, JoinWithComputesUnionSchema) {
   Schema a({"x", "y"}), b({"y", "z"});
   EXPECT_EQ(a.JoinWith(b), Schema({"x", "y", "z"}));
-  EXPECT_EQ(a.CommonColumns(b), std::vector<std::string>{"y"});
 }
 
 TEST(SchemaTest, ConcatDisjointRejectsOverlap) {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "relational/text_io.h"
@@ -256,6 +257,37 @@ TEST(QueryServiceTest, SampledKindsRejectEpsilonAndDeltaOutsideTheirRanges) {
   }
 }
 
+// Evaluation starts from the program's own predicates, so an event on any
+// other relation, or with another arity, could never hold: every kind
+// refuses it instead of answering 0.
+TEST(QueryServiceTest, EventsTheProgramCanNeverHoldAreRefused) {
+  QueryService service;
+  const std::pair<const char*, const char*> events[] = {
+      {"zz(1)", "'zz' is not a predicate of the program"},
+      {"flip(0)", "'flip' has arity 2 in the program"},
+      {"opts(0)", "'opts' has arity 2 in the program"}};
+  for (RequestKind kind :
+       {RequestKind::kExact, RequestKind::kApprox, RequestKind::kForever,
+        RequestKind::kMcmc, RequestKind::kPartition, RequestKind::kTrajectory,
+        RequestKind::kPlan}) {
+    for (const auto& [event, message] : events) {
+      Request request = CoinRequest(kind);
+      request.event = event;
+      const Response response = service.Call(request);
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+          << RequestKindToString(kind) << " " << event;
+      EXPECT_NE(response.status.message().find(message), std::string::npos)
+          << response.status.ToString();
+    }
+  }
+  // An event on an input relation the program reads is answered.
+  Request on_input = CoinRequest(RequestKind::kExact);
+  on_input.event = "opts(0, 1)";
+  const Response answered = service.Call(on_input);
+  ASSERT_TRUE(answered.status.ok()) << answered.status.ToString();
+  EXPECT_EQ(answered.result.Find("probability")->AsString(), "1");
+}
+
 TEST(QueryServiceTest, StateSpaceBudgetErrorReportsExploredStates) {
   QueryService service;
   Request request;
@@ -332,7 +364,11 @@ TEST(QueryServiceTest, RegisterProgramRejectsInvalidSource) {
   QueryService service;
   EXPECT_FALSE(service.RegisterProgram("bad", "p( :-").ok());
   EXPECT_FALSE(service.RegisterProgram("", kCoinProgram).ok());
-  EXPECT_TRUE(service.ProgramNames().empty());
+  Request list;
+  list.kind = RequestKind::kList;
+  const Response listing = service.Call(list);
+  ASSERT_TRUE(listing.status.ok());
+  EXPECT_TRUE(listing.result.Find("programs")->items().empty());
 }
 
 TEST(QueryServiceTest, ControlPlaneInline) {

@@ -206,6 +206,24 @@ TEST(SubscriptionServiceTest, SubscribeRejectsEpsilonAndDeltaOutsideTheirRanges)
   EXPECT_TRUE(stream.lines.empty());
 }
 
+TEST(SubscriptionServiceTest, SubscribeRefusesAnEventTheProgramCanNeverHold) {
+  QueryService service;
+  LineStream stream;
+  for (const char* target : {"approx", "mcmc", "trajectory"}) {
+    for (const char* event : {"zz(1)", "flip(0)"}) {
+      Json request = SubscribeJson(target, 0.3, 0);
+      request.Set("event", event);
+      const Response ack =
+          service.CallLineWithSink(request.Dump(), stream.Sink());
+      EXPECT_EQ(ack.status.code(), StatusCode::kInvalidArgument)
+          << target << " " << event;
+    }
+  }
+  EXPECT_EQ(service.scheduler().ActiveSubscriptions(), 0u);
+  std::lock_guard<std::mutex> lock(stream.mu);
+  EXPECT_TRUE(stream.lines.empty());
+}
+
 TEST(SubscriptionServiceTest, IdenticalRequestsFuseOntoOneTask) {
   LineStream a;
   LineStream b;

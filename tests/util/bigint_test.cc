@@ -12,6 +12,15 @@
 namespace pfql {
 namespace {
 
+BigInt Abs(const BigInt& x) { return x.IsNegative() ? -x : x; }
+
+// The remainder of truncated division, with the sign of the dividend.
+BigInt Rem(const BigInt& n, const BigInt& d) {
+  BigInt q, r;
+  BigInt::DivMod(n, d, &q, &r);
+  return r;
+}
+
 // A value of exactly `limbs` 32-bit limbs with the given sign. The top
 // limb has its high bit set when `top_bit` (Algorithm D's shift is then 0)
 // and clear otherwise. Limbs are drawn from the edge values 0 and 2^32 - 1
@@ -105,9 +114,9 @@ TEST(BigIntTest, FactorialKnownValue) {
 TEST(BigIntTest, DivisionBasics) {
   EXPECT_EQ((BigInt(42) / BigInt(7)).ToString(), "6");
   EXPECT_EQ((BigInt(43) / BigInt(7)).ToString(), "6");
-  EXPECT_EQ((BigInt(43) % BigInt(7)).ToString(), "1");
+  EXPECT_EQ(Rem(BigInt(43), BigInt(7)).ToString(), "1");
   EXPECT_EQ((BigInt(-43) / BigInt(7)).ToString(), "-6");
-  EXPECT_EQ((BigInt(-43) % BigInt(7)).ToString(), "-1");
+  EXPECT_EQ(Rem(BigInt(-43), BigInt(7)).ToString(), "-1");
   EXPECT_EQ((BigInt(43) / BigInt(-7)).ToString(), "-6");
 }
 
@@ -115,7 +124,7 @@ TEST(BigIntTest, DivisionLargeByLarge) {
   BigInt a = BigInt::Pow(BigInt(10), 40);
   BigInt b = BigInt::Pow(BigInt(10), 20);
   EXPECT_EQ((a / b).ToString(), b.ToString());
-  EXPECT_TRUE((a % b).IsZero());
+  EXPECT_TRUE(Rem(a, b).IsZero());
 }
 
 TEST(BigIntTest, DivModReconstructsDividend) {
@@ -133,7 +142,7 @@ TEST(BigIntTest, DivModReconstructsDividend) {
     BigInt q, r;
     BigInt::DivMod(n, d, &q, &r);
     EXPECT_EQ(q * d + r, n) << n << " / " << d;
-    EXPECT_LT(r.Abs(), d.Abs()) << n << " / " << d;
+    EXPECT_LT(Abs(r), Abs(d)) << n << " / " << d;
     EXPECT_TRUE(r.IsZero() || r.IsNegative() == n.IsNegative())
         << n << " / " << d;
     EXPECT_TRUE(q.IsZero() || q.IsNegative() == (n_negative != d_negative))
@@ -211,8 +220,8 @@ TEST(BigIntTest, GcdOfMultiLimbMultiplesScalesByTheFactor) {
 TEST(BigIntTest, GcdWithZeroIsTheAbsoluteValue) {
   const BigInt big = BigInt::Pow(BigInt(3), 150);
   for (const BigInt& x : {BigInt(0), BigInt(5), BigInt(-5), big, -big}) {
-    EXPECT_EQ(BigInt::Gcd(x, BigInt(0)), x.Abs()) << x;
-    EXPECT_EQ(BigInt::Gcd(BigInt(0), x), x.Abs()) << x;
+    EXPECT_EQ(BigInt::Gcd(x, BigInt(0)), Abs(x)) << x;
+    EXPECT_EQ(BigInt::Gcd(BigInt(0), x), Abs(x)) << x;
   }
 }
 
@@ -262,12 +271,6 @@ TEST(BigIntTest, BitLength) {
   EXPECT_EQ(BigInt(255).BitLength(), 8u);
   EXPECT_EQ(BigInt(256).BitLength(), 9u);
   EXPECT_EQ(BigInt::Pow(BigInt(2), 100).BitLength(), 101u);
-}
-
-TEST(BigIntTest, HashEqualForEqualValues) {
-  BigInt a = BigInt::Pow(BigInt(3), 50);
-  BigInt b = BigInt::Pow(BigInt(3), 50);
-  EXPECT_EQ(a.Hash(), b.Hash());
 }
 
 TEST(BigIntTest, CopyMoveAndSelfAssignment) {
@@ -327,7 +330,7 @@ TEST_P(BigIntPropertyTest, RingAxioms) {
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ((a + b) - b, a);
     EXPECT_EQ((a * b) / b, a);
-    EXPECT_TRUE(((a * b) % b).IsZero());
+    EXPECT_TRUE(Rem(a * b, b).IsZero());
     EXPECT_EQ(a - a, BigInt(0));
     EXPECT_EQ(a + BigInt(0), a);
     EXPECT_EQ(a * BigInt(1), a);

@@ -132,6 +132,17 @@ TEST_F(FaultInjectionTest, SpecNumbersAreReadWholeWithinBounds) {
   EXPECT_EQ(snapshot.Find("a")->Find("delay_ms")->AsInt(), 3600000);
 }
 
+TEST_F(FaultInjectionTest, SpecArmsNothingUnlessEveryEntryParses) {
+  auto& registry = FaultRegistry::Instance();
+  for (const char* spec : {"server.tcp.write=n1, bogus",
+                           "seed=7; server.tcp.write=p1; a=n0"}) {
+    EXPECT_EQ(registry.ArmFromSpec(spec).code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+    EXPECT_TRUE(registry.ArmedPoints().empty()) << spec;
+  }
+}
+
 TEST_F(FaultInjectionTest, ScopedFaultDisarmsOnDestruction) {
   {
     ScopedFault fault(points::kStateSpaceExpand, FaultSpec::Probability(1.0));

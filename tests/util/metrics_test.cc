@@ -152,29 +152,6 @@ TEST(RegistrySoakTest, SnapshotsDuringConcurrentUpdates) {
   EXPECT_EQ(hist->Count(), kWriters * kIterations);
 }
 
-TEST(SnapshotTest, MergeSumsCountersAndHistograms) {
-  MetricsSnapshot a;
-  a.counters.push_back({"c", "", 5});
-  a.gauges.push_back({"g", "", 1});
-  a.histograms.push_back({"h", "", {10}, {2, 1}, 3, 25});
-  MetricsSnapshot b;
-  b.counters.push_back({"c", "", 7});
-  b.counters.push_back({"c2", "", 1});
-  b.gauges.push_back({"g", "", 9});
-  b.histograms.push_back({"h", "", {10}, {1, 1}, 2, 111});
-
-  a.MergeFrom(b);
-  ASSERT_EQ(a.counters.size(), 2u);
-  EXPECT_EQ(a.counters[0].value, 12u);
-  EXPECT_EQ(a.counters[1].value, 1u);
-  EXPECT_EQ(a.gauges[0].value, 9);  // last write wins
-  ASSERT_EQ(a.histograms.size(), 1u);
-  EXPECT_EQ(a.histograms[0].counts[0], 3u);
-  EXPECT_EQ(a.histograms[0].counts[1], 2u);
-  EXPECT_EQ(a.histograms[0].count, 5u);
-  EXPECT_EQ(a.histograms[0].sum, 136);
-}
-
 // Golden-format test: the exact Prometheus text exposition for a small
 // fixed registry. Guards the output contract (# TYPE lines, label
 // merging, cumulative buckets, +Inf, _sum/_count).

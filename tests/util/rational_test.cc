@@ -27,7 +27,6 @@ TEST(BigRationalTest, ArithmeticKnownValues) {
   EXPECT_EQ((BigRational(1, 2) - BigRational(1, 3)).ToString(), "1/6");
   EXPECT_EQ((BigRational(2, 3) * BigRational(3, 4)).ToString(), "1/2");
   EXPECT_EQ((BigRational(2, 3) / BigRational(4, 3)).ToString(), "1/2");
-  EXPECT_EQ((-BigRational(2, 3)).ToString(), "-2/3");
 }
 
 TEST(BigRationalTest, SumsToOneExactly) {
@@ -57,31 +56,6 @@ TEST(BigRationalTest, CompareAcrossDenominators) {
   EXPECT_GT(BigRational(7, 8), BigRational(6, 7));
 }
 
-TEST(BigRationalTest, FromStringForms) {
-  auto check = [](const char* in, const char* expected) {
-    auto v = BigRational::FromString(in);
-    ASSERT_TRUE(v.ok()) << in << ": " << v.status();
-    EXPECT_EQ(v.value().ToString(), expected) << in;
-  };
-  check("3", "3");
-  check("-3", "-3");
-  check("3/6", "1/2");
-  check("0.5", "1/2");
-  check("0.125", "1/8");
-  check("-0.25", "-1/4");
-  check("2.5e1", "25");
-  check("25e-2", "1/4");
-  check("1e3", "1000");
-}
-
-TEST(BigRationalTest, FromStringRejectsGarbage) {
-  EXPECT_FALSE(BigRational::FromString("").ok());
-  EXPECT_FALSE(BigRational::FromString("1/0").ok());
-  EXPECT_FALSE(BigRational::FromString("a/b").ok());
-  EXPECT_FALSE(BigRational::FromString("1.2.3").ok());
-  EXPECT_FALSE(BigRational::FromString(".").ok());
-}
-
 TEST(BigRationalTest, FromDoubleIsExactForDyadics) {
   auto v = BigRational::FromDouble(0.375);
   ASSERT_TRUE(v.ok());
@@ -107,10 +81,6 @@ TEST(BigRationalTest, ToDoubleAccuracy) {
   BigInt big = BigInt::Pow(BigInt(7), 400);
   BigRational huge(big * BigInt(3), big * BigInt(2));
   EXPECT_DOUBLE_EQ(huge.ToDouble(), 1.5);
-}
-
-TEST(BigRationalTest, HashConsistentWithEquality) {
-  EXPECT_EQ(BigRational(2, 6).Hash(), BigRational(1, 3).Hash());
 }
 
 class BigRationalPropertyTest : public ::testing::TestWithParam<uint64_t> {};

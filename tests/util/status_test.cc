@@ -77,21 +77,6 @@ TEST(StatusTest, ReturnNotOkPropagates) {
   EXPECT_FALSE(NeedsEven(3).ok());
 }
 
-TEST(StringUtilTest, SplitString) {
-  auto parts = SplitString("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(SplitString("", ',').size(), 1u);
-}
-
-TEST(StringUtilTest, StripWhitespace) {
-  EXPECT_EQ(StripWhitespace("  hi \t\n"), "hi");
-  EXPECT_EQ(StripWhitespace(""), "");
-  EXPECT_EQ(StripWhitespace("   "), "");
-  EXPECT_EQ(StripWhitespace("x"), "x");
-}
-
 TEST(StringUtilTest, JoinStrings) {
   std::vector<std::string> v{"a", "b", "c"};
   EXPECT_EQ(JoinStrings(v, ", "), "a, b, c");
