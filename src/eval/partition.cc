@@ -89,7 +89,9 @@ StatusOr<FactRule> CompileFactRule(
 }  // namespace
 
 StatusOr<Partition> ComputePartition(const datalog::Program& program,
-                                     const Instance& edb) {
+                                     const Instance& edb,
+                                     const QueryEvent& event,
+                                     const CancellationToken* cancel) {
   PFQL_ASSIGN_OR_RETURN(Instance db, program.InitialInstance(edb));
   const std::vector<datalog::Rule>& rules = program.rules();
   const std::map<std::string, Schema> schemas = db.Schemas();
@@ -103,6 +105,7 @@ StatusOr<Partition> ComputePartition(const datalog::Program& program,
   // round adds no fact. The last round's rows are then every valuation.
   std::vector<std::vector<Tuple>> rows(rules.size());
   for (bool grew = true; grew;) {
+    if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
     grew = false;
     std::map<std::string, std::vector<Tuple>> heads;
     for (size_t r = 0; r < rules.size(); ++r) {
@@ -186,6 +189,12 @@ StatusOr<Partition> ComputePartition(const datalog::Program& program,
     members.emplace_back();
     partition.class_sizes.push_back(0);
   }
+  if (event.Holds(db)) {
+    // Every fact's component holds an EDB tuple, unless nothing does.
+    const auto it =
+        class_of_root.find(uf.Find(id_of(event.relation, event.tuple)));
+    partition.event_class = it == class_of_root.end() ? 0 : it->second;
+  }
   for (auto& keep : members) {
     Instance& cls = partition.classes.emplace_back();
     for (const auto& pred : program.edb_predicates()) {
@@ -201,21 +210,17 @@ StatusOr<Partition> ComputePartition(const datalog::Program& program,
 StatusOr<PartitionedResult> PartitionedExactForever(
     const datalog::Program& program, const Instance& edb,
     const QueryEvent& event, const StateSpaceOptions& options) {
-  PFQL_ASSIGN_OR_RETURN(Partition partition, ComputePartition(program, edb));
-  PartitionedResult result;
-  result.num_classes = partition.classes.size();
-  BigRational p_none(1);  // probability the event holds in no class
-  for (const auto& cls : partition.classes) {
-    PFQL_ASSIGN_OR_RETURN(datalog::TranslatedQuery tq,
-                          datalog::TranslateNonInflationary(program, cls));
-    ForeverQuery query{tq.kernel, event};
-    PFQL_ASSIGN_OR_RETURN(ExactForeverResult r,
-                          ExactForever(query, tq.initial, options));
-    result.states_per_class.push_back(r.num_states);
-    p_none *= BigRational(1) - r.probability;
-  }
-  result.probability = BigRational(1) - p_none;
-  return result;
+  PFQL_ASSIGN_OR_RETURN(Partition partition,
+                        ComputePartition(program, edb, event, options.cancel));
+  const size_t num_classes = partition.classes.size();
+  if (!partition.event_class) return PartitionedResult{{}, num_classes};
+  PFQL_ASSIGN_OR_RETURN(
+      datalog::TranslatedQuery tq,
+      datalog::TranslateNonInflationary(
+          program, partition.classes[*partition.event_class]));
+  PFQL_ASSIGN_OR_RETURN(ExactForeverResult forever,
+                        ExactForever({tq.kernel, event}, tq.initial, options));
+  return PartitionedResult{std::move(forever), num_classes};
 }
 
 }  // namespace eval

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <set>
-#include <type_traits>
 
 #include "markov/matrix.h"
 
@@ -187,47 +187,173 @@ bool MarkovChain::IsAperiodic() const {
 
 namespace {
 
-template <typename F>
-F FromRational(const BigRational& p) {
-  if constexpr (std::is_same_v<F, double>) {
-    return p.ToDouble();
-  } else {
-    return p;
-  }
-}
+// Grassmann–Taksar–Heyman state reduction (Operations Research 33(5),
+// 1985) over exact rationals, on sparse rows. Eliminating state k censors
+// the chain to the other states: each path i -> k -> j adds
+// p(i,k) p(k,j) / s_k to the entry i -> j, where the divisor s_k is the sum
+// of k's remaining out-entries, never 1 - p(k,k), so nothing is ever
+// subtracted. No diagonal entry is stored, since no formula reads one.
+class StateReduction {
+ public:
+  explicit StateReduction(size_t n) : out_(n), in_(n) {}
 
-// πP = π, Σπ = 1 over field F on the closed class `states`, which must be
-// irreducible (unchecked), with π indexed like `states`: solves
-// (P^T - I) π = 0 with the last equation replaced by Σπ = 1. A closed
-// class has no entries that leave it; any that do are skipped.
+  /// Adds p to the entry from -> to; a self-loop is dropped.
+  void Add(size_t from, size_t to, const BigRational& p) {
+    if (from == to) return;
+    auto [it, inserted] = out_[from].try_emplace(to);
+    it->second += p;
+    if (inserted) in_[to].insert(from);
+  }
+
+  /// The remaining out-entries of `state`.
+  const std::map<size_t, BigRational>& Out(size_t state) const {
+    return out_[state];
+  }
+
+  /// Eliminates `count` of the states marked `eliminable`, one at a time,
+  /// fewest in×out entries first and ties by lowest index, polling `cancel`
+  /// once per eliminated state. The order affects only the cost: reduced
+  /// rationals are canonical.
+  Status Reduce(const std::vector<bool>& eliminable, size_t count,
+                const CancellationToken* cancel) {
+    auto cost = [&](size_t k) { return in_[k].size() * out_[k].size(); };
+    std::vector<size_t> key(out_.size());
+    std::set<std::pair<size_t, size_t>> queue;  // (key, state)
+    for (size_t k = 0; k < out_.size(); ++k) {
+      if (eliminable[k]) queue.emplace(key[k] = cost(k), k);
+    }
+    for (; count > 0; --count) {
+      if (cancel != nullptr) PFQL_RETURN_NOT_OK(cancel->Check());
+      const size_t k = queue.begin()->second;
+      queue.erase(queue.begin());
+      // k's neighbours change cost: requeue them once k is gone.
+      std::vector<size_t> requeue;
+      auto dequeue = [&](size_t v) {
+        if (queue.erase({key[v], v}) != 0) requeue.push_back(v);
+      };
+      for (size_t i : in_[k]) dequeue(i);
+      for (const auto& [j, p] : out_[k]) dequeue(j);
+      PFQL_RETURN_NOT_OK(Eliminate(k));
+      for (size_t v : requeue) queue.emplace(key[v] = cost(v), v);
+    }
+    return Status::OK();
+  }
+
+  /// The stationary distribution of an irreducible chain reduced to one
+  /// state: that state gets 1, and back-substitution in reverse order gives
+  /// π(k) = Σ_i π(i) p(i,k) / s_k over the states left when k went. Then
+  /// normalized.
+  std::vector<BigRational> BackSubstitute() const {
+    std::vector<BigRational> pi(out_.size(), BigRational(1));
+    for (auto pivot = pivots_.rbegin(); pivot != pivots_.rend(); ++pivot) {
+      BigRational mass;
+      for (const auto& [i, f] : pivot->in) mass += pi[i] * f;
+      pi[pivot->state] = std::move(mass);
+    }
+    BigRational total;
+    for (const BigRational& p : pi) total += p;
+    for (BigRational& p : pi) p /= total;
+    return pi;
+  }
+
+ private:
+  // An eliminated state and its in-entries p(i,k) / s_k at that time.
+  struct Pivot {
+    size_t state;
+    std::vector<std::pair<size_t, BigRational>> in;
+  };
+
+  Status Eliminate(size_t k) {
+    BigRational divisor;
+    for (const auto& [j, p] : out_[k]) divisor += p;
+    if (divisor.IsZero()) {
+      return Status::Internal("state reduction met a state with no exit");
+    }
+    Pivot& pivot = pivots_.emplace_back();
+    pivot.state = k;
+    for (size_t i : in_[k]) {
+      BigRational f = out_[i].extract(k).mapped() / divisor;
+      for (const auto& [j, p] : out_[k]) {
+        if (j != i) Add(i, j, f * p);
+      }
+      pivot.in.emplace_back(i, std::move(f));
+    }
+    for (const auto& [j, p] : out_[k]) in_[j].erase(k);
+    out_[k].clear();
+    in_[k].clear();
+    return Status::OK();
+  }
+
+  std::vector<std::map<size_t, BigRational>> out_;
+  std::vector<std::set<size_t>> in_;
+  std::vector<Pivot> pivots_;
+};
+
+// πP = π, Σπ = 1 on the closed class `states`, which must be irreducible
+// (unchecked), with π indexed like `states`. A closed class has no entries
+// that leave it; any that do are skipped.
 template <typename F>
 StatusOr<std::vector<F>> StationaryImpl(const MarkovChain& chain,
                                         const std::vector<size_t>& states,
-                                        const CancellationToken* cancel) {
+                                        const CancellationToken* cancel);
+
+// Doubles: Gauss–Jordan on (P^T - I) π = 0 with the last equation replaced
+// by Σπ = 1.
+template <>
+StatusOr<std::vector<double>> StationaryImpl<double>(
+    const MarkovChain& chain, const std::vector<size_t>& states,
+    const CancellationToken* cancel) {
   const size_t n = states.size();
   std::vector<size_t> local(chain.num_states(), SIZE_MAX);
   for (size_t i = 0; i < n; ++i) local[states[i]] = i;
-  std::vector<std::vector<F>> a(n, std::vector<F>(n, F(0)));
+  std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
   for (size_t i = 0; i < n; ++i) {
     for (const auto& [j, p] : chain.Row(states[i])) {
-      if (local[j] != SIZE_MAX) a[local[j]][i] += FromRational<F>(p);
+      if (local[j] != SIZE_MAX) a[local[j]][i] += p.ToDouble();
     }
-    a[i][i] -= F(1);
+    a[i][i] -= 1.0;
   }
-  std::vector<F> b(n, F(0));
-  for (size_t j = 0; j < n; ++j) a[n - 1][j] = F(1);
-  b[n - 1] = F(1);
-  return SolveLinearSystemField<F>(std::move(a), std::move(b), cancel);
+  std::vector<double> b(n, 0.0);
+  for (size_t j = 0; j < n; ++j) a[n - 1][j] = 1.0;
+  b[n - 1] = 1.0;
+  return SolveLinearSystemField<double>(std::move(a), std::move(b), cancel);
 }
 
-// Absorption probabilities from `start` into each bottom SCC over field F.
+// Exact: the class reduced to one state, then back-substituted.
+template <>
+StatusOr<std::vector<BigRational>> StationaryImpl<BigRational>(
+    const MarkovChain& chain, const std::vector<size_t>& states,
+    const CancellationToken* cancel) {
+  const size_t n = states.size();
+  std::vector<size_t> local(chain.num_states(), SIZE_MAX);
+  for (size_t i = 0; i < n; ++i) local[states[i]] = i;
+  StateReduction reduction(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (const auto& [j, p] : chain.Row(states[i])) {
+      if (local[j] != SIZE_MAX) reduction.Add(i, local[j], p);
+    }
+  }
+  PFQL_RETURN_NOT_OK(
+      reduction.Reduce(std::vector<bool>(n, true), n - 1, cancel));
+  return reduction.BackSubstitute();
+}
+
+// Absorption probabilities from `start` into each bottom SCC (indexed like
+// scc.components, zero for the others).
 template <typename F>
 StatusOr<std::vector<F>> AbsorptionImpl(const MarkovChain& chain,
                                         const SccDecomposition& scc,
                                         size_t start,
-                                        const CancellationToken* cancel) {
+                                        const CancellationToken* cancel);
+
+// Doubles: one dense m×m solve of (I - P_TT) h = P_TB(comp) 1 over the m
+// transient states for each bottom SCC.
+template <>
+StatusOr<std::vector<double>> AbsorptionImpl<double>(
+    const MarkovChain& chain, const SccDecomposition& scc, size_t start,
+    const CancellationToken* cancel) {
   const size_t num_comps = scc.components.size();
-  std::vector<F> result(num_comps, F(0));
+  std::vector<double> result(num_comps, 0.0);
 
   // Transient states = states in non-bottom components.
   std::vector<size_t> transient;
@@ -240,20 +366,19 @@ StatusOr<std::vector<F>> AbsorptionImpl(const MarkovChain& chain,
   }
 
   if (scc.is_bottom[scc.component_of[start]]) {
-    result[scc.component_of[start]] = F(1);
+    result[scc.component_of[start]] = 1.0;
     return result;
   }
 
   const size_t m = transient.size();
   for (size_t comp = 0; comp < num_comps; ++comp) {
     if (!scc.is_bottom[comp]) continue;
-    // Solve (I - P_TT) h = P_TB(comp) * 1.
-    std::vector<std::vector<F>> a(m, std::vector<F>(m, F(0)));
-    std::vector<F> b(m, F(0));
+    std::vector<std::vector<double>> a(m, std::vector<double>(m, 0.0));
+    std::vector<double> b(m, 0.0);
     for (size_t ti = 0; ti < m; ++ti) {
-      a[ti][ti] = F(1);
+      a[ti][ti] = 1.0;
       for (const auto& [j, p] : chain.Row(transient[ti])) {
-        F pj = FromRational<F>(p);
+        const double pj = p.ToDouble();
         if (transient_index[j] != SIZE_MAX) {
           a[ti][transient_index[j]] = a[ti][transient_index[j]] - pj;
         } else if (scc.component_of[j] == comp) {
@@ -262,9 +387,46 @@ StatusOr<std::vector<F>> AbsorptionImpl(const MarkovChain& chain,
       }
     }
     PFQL_ASSIGN_OR_RETURN(
-        std::vector<F> h,
-        SolveLinearSystemField<F>(std::move(a), std::move(b), cancel));
+        std::vector<double> h,
+        SolveLinearSystemField<double>(std::move(a), std::move(b), cancel));
     result[comp] = h[transient_index[start]];
+  }
+  return result;
+}
+
+// Exact: one reduction for every bottom SCC. Each collapses into its first
+// state, which absorbs; eliminating every other transient state leaves the
+// start's row over those nodes, and dividing it by its sum gives the
+// probabilities.
+template <>
+StatusOr<std::vector<BigRational>> AbsorptionImpl<BigRational>(
+    const MarkovChain& chain, const SccDecomposition& scc, size_t start,
+    const CancellationToken* cancel) {
+  std::vector<BigRational> result(scc.components.size());
+  if (scc.is_bottom[scc.component_of[start]]) {
+    result[scc.component_of[start]] = BigRational(1);
+    return result;
+  }
+  const size_t n = chain.num_states();
+  StateReduction reduction(n);
+  std::vector<bool> eliminable(n, false);
+  size_t count = 0;
+  for (size_t v = 0; v < n; ++v) {
+    if (scc.is_bottom[scc.component_of[v]]) continue;
+    if (v != start) {
+      eliminable[v] = true;
+      ++count;
+    }
+    for (const auto& [j, p] : chain.Row(v)) {
+      const size_t comp = scc.component_of[j];
+      reduction.Add(v, scc.is_bottom[comp] ? scc.components[comp][0] : j, p);
+    }
+  }
+  PFQL_RETURN_NOT_OK(reduction.Reduce(eliminable, count, cancel));
+  BigRational total;
+  for (const auto& [node, p] : reduction.Out(start)) total += p;
+  for (const auto& [node, p] : reduction.Out(start)) {
+    result[scc.component_of[node]] = p / total;
   }
   return result;
 }

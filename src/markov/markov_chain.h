@@ -2,8 +2,8 @@
 // structure with exact rational probabilities, SCC decomposition,
 // irreducibility / aperiodicity / ergodicity tests, stationary distributions
 // and absorption probabilities into bottom SCCs (the general algorithm of
-// Thm 5.5), each solved at double or exactly by one templated body, step
-// distributions, and mixing time (Sec 2.3's t(ε)).
+// Thm 5.5), solved at double by Gauss–Jordan and exactly by sparse GTH state
+// reduction, step distributions, and mixing time (Sec 2.3's t(ε)).
 #ifndef PFQL_MARKOV_MARKOV_CHAIN_H_
 #define PFQL_MARKOV_MARKOV_CHAIN_H_
 
@@ -83,8 +83,10 @@ class MarkovChain {
   bool IsErgodic() const { return IsIrreducible() && IsAperiodic(); }
 
   // ---- Stationary analysis -------------------------------------------
-  /// Solves πP = π, Σπ = 1 by Gaussian elimination at double (or exactly,
-  /// over BigRational). Requires an irreducible chain (error otherwise).
+  /// Solves πP = π, Σπ = 1: at double by Gauss–Jordan elimination, and
+  /// exactly by the Grassmann–Taksar–Heyman state reduction on the sparse
+  /// rows (docs/INTERNALS.md §10). Requires an irreducible chain (error
+  /// otherwise).
   /// Valid for periodic chains too: the result is the Cesàro-limit
   /// occupation distribution used by the paper's query semantics. The one
   /// iterative solver is CompiledChain::Stationary.
@@ -99,7 +101,8 @@ class MarkovChain {
   /// The paper's query-result semantics (Def 3.2 / Thm 5.5): the long-run
   /// fraction of time spent in states satisfying `event`, starting from
   /// `start`. Handles reducible chains by absorption into bottom SCCs.
-  /// Cancelled/DeadlineExceeded when `cancel` fires during a solve.
+  /// Cancelled/DeadlineExceeded when `cancel` fires during a solve (polled
+  /// once per eliminated state by the exact one).
   StatusOr<double> LongRunProbability(
       size_t start, const std::function<bool(size_t)>& event,
       const CancellationToken* cancel = nullptr) const;

@@ -1,7 +1,9 @@
-// Gaussian elimination over any field type (double or BigRational): the one
-// linear solver behind stationary distributions (πP = π), absorption
-// probabilities and hitting times for Markov chains over database states
-// (paper Prop 5.4 / Thm 5.5).
+// Gaussian elimination over any field type (double or BigRational): the
+// linear solver behind the double stationary distributions (πP = π),
+// absorption probabilities and hitting times for Markov chains over database
+// states (paper Prop 5.4 / Thm 5.5). The exact solves use the sparse state
+// reduction in markov_chain.cc instead; the tests keep the BigRational
+// instantiation as their oracle.
 #ifndef PFQL_MARKOV_MATRIX_H_
 #define PFQL_MARKOV_MATRIX_H_
 

@@ -288,26 +288,37 @@ StatusOr<Json> ExecuteExactWithFallback(const Request& request,
   return payload;
 }
 
+// forever and partition: both answer on the chain of the event's Sec 5.1
+// class alone (eval/partition.h). Only forever keeps the upfront E070 gate,
+// judged on the whole input's chain: the planner does not learn the
+// partition, so forever refuses what its lower bound rules out, while
+// partition applies max_states to the class's chain only. The prediction
+// is accounted against the actual count only when the class chain is the
+// whole input's chain.
 StatusOr<Json> ExecuteForever(const Request& request,
                               const datalog::Program& program,
                               const Instance& edb, const QueryEvent& event,
                               const CancellationToken* cancel) {
+  const char* const kind = RequestKindToString(request.kind);
   const analysis::CostReport plan =
       PlanReport(request, program, edb, nullptr);
-  PFQL_RETURN_NOT_OK(CheckExactBudget(plan, request, "forever"));
-  PFQL_ASSIGN_OR_RETURN(datalog::TranslatedQuery tq,
-                        datalog::TranslateNonInflationary(program, edb));
+  if (request.kind == RequestKind::kForever) {
+    PFQL_RETURN_NOT_OK(CheckExactBudget(plan, request, kind));
+  }
   StateSpaceOptions options;
   options.max_states = request.max_states;
   options.threads = request.threads;
   options.cancel = cancel;
   PFQL_ASSIGN_OR_RETURN(
-      eval::ExactForeverResult r,
-      eval::ExactForever({tq.kernel, event}, tq.initial, options));
-  RecordPlanAccuracy(plan, r.num_states, "forever");
+      eval::PartitionedResult r,
+      eval::PartitionedExactForever(program, edb, event, options));
+  if (r.num_classes == 1 && r.num_states > 0) {
+    RecordPlanAccuracy(plan, r.num_states, kind);
+  }
   Json payload = Json::Object();
   payload.Set("event", event.ToString());
   SetProbability(r.probability, &payload);
+  payload.Set("classes", r.num_classes);
   payload.Set("states", r.num_states);
   payload.Set("components", r.num_components);
   payload.Set("bottom_components", r.num_bottom);
@@ -360,39 +371,6 @@ StatusOr<Json> ExecuteMcmc(const Request& request,
   SetBackend(r.compiled, r.compiled_states, r.compiled_edges, &payload);
   SetDegradation(r.degraded, r.interruption, r.ci_halfwidth, params.delta,
                  &payload);
-  return payload;
-}
-
-StatusOr<Json> ExecutePartition(const Request& request,
-                                const datalog::Program& program,
-                                const Instance& edb, const QueryEvent& event,
-                                const CancellationToken* cancel) {
-  // No E070 gate here: the partitioned evaluator applies max_states per
-  // independence class, so a joint-space lower bound over budget does not
-  // prove failure — factorization is exactly how such chains stay cheap.
-  // The joint bound is still predicted-vs-actual accounted against the
-  // *product* of per-class counts (the joint space they factorize).
-  const analysis::CostReport plan =
-      PlanReport(request, program, edb, nullptr);
-  StateSpaceOptions options;
-  options.max_states = request.max_states;
-  options.threads = request.threads;
-  options.cancel = cancel;
-  PFQL_ASSIGN_OR_RETURN(
-      eval::PartitionedResult r,
-      eval::PartitionedExactForever(program, edb, event, options));
-  size_t states = 0;
-  uint64_t joint_states = 1;
-  for (size_t s : r.states_per_class) {
-    states += s;
-    joint_states = analysis::CostMul(joint_states, s);
-  }
-  RecordPlanAccuracy(plan, joint_states, "partition");
-  Json payload = Json::Object();
-  payload.Set("event", event.ToString());
-  SetProbability(r.probability, &payload);
-  payload.Set("classes", r.num_classes);
-  payload.Set("states", states);
   return payload;
 }
 
@@ -513,11 +491,10 @@ StatusOr<Json> ExecuteQuery(const Request& request,
     case RequestKind::kApprox:
       return ExecuteApprox(request, program, edb, event, cancel);
     case RequestKind::kForever:
+    case RequestKind::kPartition:
       return ExecuteForever(request, program, edb, event, cancel);
     case RequestKind::kMcmc:
       return ExecuteMcmc(request, program, edb, event, cancel);
-    case RequestKind::kPartition:
-      return ExecutePartition(request, program, edb, event, cancel);
     case RequestKind::kTrajectory:
       return ExecuteTrajectory(request, program, edb, event, cancel);
     default:

@@ -32,11 +32,13 @@ TEST(ComputePartitionTest, IndependentKeysSplit) {
   opts.Insert(Tuple{Value("b"), Value(1)});
   opts.Insert(Tuple{Value("b"), Value(2)});
   edb.Set("opts", std::move(opts));
-  auto partition = ComputePartition(FlipPerComponent(), edb);
+  auto partition = ComputePartition(FlipPerComponent(), edb,
+                                    {"flip", Tuple{Value("b"), Value(1)}});
   ASSERT_TRUE(partition.ok()) << partition.status();
   ASSERT_EQ(partition->classes.size(), 2u);
   EXPECT_EQ(partition->class_sizes[0], 2u);
   EXPECT_EQ(partition->class_sizes[1], 2u);
+  EXPECT_EQ(partition->event_class, 1u);
 }
 
 TEST(ComputePartitionTest, JoinedTuplesMerge) {
@@ -49,13 +51,16 @@ TEST(ComputePartitionTest, JoinedTuplesMerge) {
   e.Insert(Tuple{Value(2), Value(3)});   // joins with the first
   e.Insert(Tuple{Value(10), Value(11)}); // isolated
   edb.Set("e", std::move(e));
-  auto partition = ComputePartition(*program, edb);
+  auto partition =
+      ComputePartition(*program, edb, {"t", Tuple{Value(1), Value(3)}});
   ASSERT_TRUE(partition.ok());
   ASSERT_EQ(partition->classes.size(), 2u);
   // One class has the two joined tuples, the other the isolated one.
   std::vector<size_t> sizes = partition->class_sizes;
   std::sort(sizes.begin(), sizes.end());
   EXPECT_EQ(sizes, (std::vector<size_t>{1, 2}));
+  ASSERT_TRUE(partition->event_class.has_value());
+  EXPECT_EQ(partition->class_sizes[*partition->event_class], 2u);
 }
 
 TEST(ComputePartitionTest, TransitiveChainMergesAll) {
@@ -70,10 +75,12 @@ TEST(ComputePartitionTest, TransitiveChainMergesAll) {
   e.Insert(Tuple{Value(2), Value(3)});
   e.Insert(Tuple{Value(3), Value(4)});
   edb.Set("e", std::move(e));
-  auto partition = ComputePartition(*program, edb);
+  auto partition =
+      ComputePartition(*program, edb, {"t", Tuple{Value(1), Value(4)}});
   ASSERT_TRUE(partition.ok());
   EXPECT_EQ(partition->classes.size(), 1u);
   EXPECT_EQ(partition->class_sizes[0], 3u);
+  EXPECT_EQ(partition->event_class, 0u);
 }
 
 TEST(ComputePartitionTest, EveryClassKeepsAllRelations) {
@@ -85,12 +92,13 @@ TEST(ComputePartitionTest, EveryClassKeepsAllRelations) {
   b.Insert(Tuple{Value(2)});
   edb.Set("a", std::move(a));
   edb.Set("b", std::move(b));
-  auto partition = ComputePartition(*program, edb);
+  auto partition = ComputePartition(*program, edb, {"u", Tuple{Value(2)}});
   ASSERT_TRUE(partition.ok());
   for (const auto& cls : partition->classes) {
     EXPECT_TRUE(cls.Has("a"));
     EXPECT_TRUE(cls.Has("b"));
   }
+  EXPECT_EQ(partition->event_class, 1u);
 }
 
 // The chain 1 -> 2 -> 3 and the isolated edge 9 -> 10.
@@ -104,14 +112,28 @@ Instance ChainEdb() {
   return edb;
 }
 
+StatusOr<Partition> Split(const std::string& source, const Instance& edb,
+                          const std::string& event_text) {
+  PFQL_ASSIGN_OR_RETURN(datalog::Program program,
+                        datalog::ParseProgram(source));
+  PFQL_ASSIGN_OR_RETURN(QueryEvent event, datalog::ParseGroundAtom(event_text));
+  return ComputePartition(program, edb, event);
+}
+
 std::vector<size_t> ClassSizes(const std::string& source,
                                const Instance& edb) {
-  auto program = datalog::ParseProgram(source);
-  EXPECT_TRUE(program.ok()) << program.status();
-  if (!program.ok()) return {};
-  auto partition = ComputePartition(*program, edb);
+  auto partition = Split(source, edb, "t(0, 0)");
   EXPECT_TRUE(partition.ok()) << partition.status();
   return partition.ok() ? partition->class_sizes : std::vector<size_t>{};
+}
+
+// The class holding the event's tuple, -1 for none.
+int EventClass(const std::string& source, const Instance& edb,
+               const std::string& event) {
+  auto partition = Split(source, edb, event);
+  EXPECT_TRUE(partition.ok()) << partition.status();
+  if (!partition.ok() || !partition->event_class) return -1;
+  return static_cast<int>(*partition->event_class);
 }
 
 TEST(ComputePartitionTest, UnjoinedTuplesAreSingletonClasses) {
@@ -154,6 +176,33 @@ TEST(ComputePartitionTest, BodyLessRuleMakesOneClass) {
             (std::vector<size_t>{0}));
 }
 
+// The event's class is the one whose fixpoint holds its tuple, derived or
+// base; a tuple outside the fixpoint has none.
+TEST(ComputePartitionTest, ReportsTheClassThatHoldsTheEvent) {
+  const char* transitive =
+      "t(X, Y) :- e(X, Y).\n"
+      "t(X, Z) :- t(X, Y), e(Y, Z).";
+  EXPECT_EQ(EventClass(transitive, ChainEdb(), "t(1, 3)"), 0);
+  EXPECT_EQ(EventClass(transitive, ChainEdb(), "t(9, 10)"), 1);
+  EXPECT_EQ(EventClass(transitive, ChainEdb(), "e(9, 10)"), 1);
+  EXPECT_EQ(EventClass(transitive, ChainEdb(), "t(1, 10)"), -1);
+  EXPECT_EQ(EventClass(transitive, ChainEdb(), "e(3, 1)"), -1);
+  // With no EDB tuple, the one class holds every fact.
+  EXPECT_EQ(EventClass("start(go).\nt(X) :- start(X).", Instance(), "t(go)"),
+            0);
+}
+
+TEST(ComputePartitionTest, HonoursACancelledToken) {
+  auto program = datalog::ParseProgram("t(X, Y) :- e(X, Y).");
+  ASSERT_TRUE(program.ok()) << program.status();
+  CancellationToken token;
+  token.Cancel();
+  auto partition = ComputePartition(*program, ChainEdb(),
+                                    {"t", Tuple{Value(1), Value(2)}}, &token);
+  ASSERT_FALSE(partition.ok());
+  EXPECT_EQ(partition.status().code(), StatusCode::kCancelled);
+}
+
 TEST(PartitionedExactForeverTest, MatchesMonolithicEvaluation) {
   // Two independent coins, event on one of them: partitioned result must
   // equal the monolithic exact result (1/2), with smaller chains.
@@ -176,12 +225,11 @@ TEST(PartitionedExactForeverTest, MatchesMonolithicEvaluation) {
   EXPECT_EQ(parted->probability, mono->probability);
   EXPECT_EQ(parted->probability, BigRational(1, 2));
 
-  // Cost comparison: the partitioned state spaces are smaller than the
-  // monolithic one (4 classes of <= 3 states vs 3^2 joint states... the
-  // monolithic chain has states for each (flip_a, flip_b) combination).
-  size_t total_part_states = 0;
-  for (size_t s : parted->states_per_class) total_part_states += s;
-  EXPECT_LT(total_part_states, mono->num_states + parted->num_classes);
+  // The monolithic chain has a state for each (flip_a, flip_b) combination
+  // plus the start; the event's class chain has one per flip of a.
+  EXPECT_EQ(mono->num_states, 5u);
+  EXPECT_EQ(parted->num_classes, 2u);
+  EXPECT_EQ(parted->num_states, 3u);
 }
 
 TEST(PartitionedExactForeverTest, EventInNoClassGivesZero) {
@@ -193,6 +241,13 @@ TEST(PartitionedExactForeverTest, EventInNoClassGivesZero) {
   auto parted = PartitionedExactForever(FlipPerComponent(), edb, event);
   ASSERT_TRUE(parted.ok());
   EXPECT_TRUE(parted->probability.IsZero());
+  // No chain is built.
+  EXPECT_EQ(parted->num_classes, 1u);
+  EXPECT_EQ(parted->num_states, 0u);
+  EXPECT_EQ(parted->num_components, 0u);
+  EXPECT_EQ(parted->num_bottom, 0u);
+  EXPECT_FALSE(parted->irreducible);
+  EXPECT_FALSE(parted->aperiodic);
 }
 
 // ---- Partitioned answers against the monolithic chain -------------------
@@ -212,7 +267,9 @@ Instance Edb(const std::string& text) {
 }
 
 // PartitionedExactForever on `source` and `data`, after checking that it
-// equals ExactForever on the whole chain.
+// equals ExactForever on the whole chain, that it counts ComputePartition's
+// classes, and that its chain is the whole chain on a one-class input and
+// no larger on a split one.
 StatusOr<PartitionedResult> Partitioned(const std::string& source,
                                         const std::string& data,
                                         const std::string& event_text) {
@@ -226,9 +283,20 @@ StatusOr<PartitionedResult> Partitioned(const std::string& source,
                         ExactForever({tq.kernel, event}, tq.initial));
   PFQL_ASSIGN_OR_RETURN(PartitionedResult parted,
                         PartitionedExactForever(program, edb, event));
+  PFQL_ASSIGN_OR_RETURN(Partition partition,
+                        ComputePartition(program, edb, event));
+  const std::string context = event_text + " for\n" + source + "over\n" + data;
   EXPECT_EQ(parted.probability, whole.probability)
-      << "partition differs from forever on " << event_text << " for\n"
-      << source << "over\n" << data;
+      << "partition differs from forever on " << context;
+  EXPECT_EQ(parted.num_classes, partition.classes.size()) << context;
+  if (parted.num_classes == 1 && parted.num_states > 0) {
+    EXPECT_EQ(parted.num_states, whole.num_states) << context;
+    EXPECT_EQ(parted.num_components, whole.num_components) << context;
+    EXPECT_EQ(parted.num_bottom, whole.num_bottom) << context;
+    EXPECT_EQ(parted.irreducible, whole.irreducible) << context;
+    EXPECT_EQ(parted.aperiodic, whole.aperiodic) << context;
+  }
+  EXPECT_LE(parted.num_states, whole.num_states) << context;
   return parted;
 }
 

@@ -185,6 +185,85 @@ TEST(ExecutorPlanGateTest, AccuracyGaugesRecordForeverRuns) {
             3);
 }
 
+// k weighted binary choices, 2^k + 1 states, which split into k classes of
+// 3 states; and a weighted walk on an n-ring, n * n + 2 states in one class.
+constexpr char kChoiceProgram[] = "pick(<K>, V) @W :- opt(K, V, W).\n";
+constexpr char kWalkProgram[] =
+    "cur(0).\n"
+    "mv(<K>, Y) @P :- one(K), cur(X), e(X, Y, P).\n"
+    "cur(Y) :- mv(K, Y).\n";
+
+std::string ChoiceData(int k) {
+  std::string out = "relation opt(k, v, w) {\n";
+  for (int i = 0; i < k; ++i) {
+    for (int v = 0; v < 2; ++v) {
+      out += "  (" + std::to_string(i) + ", " + std::to_string(v) + ", " +
+             std::to_string(1 + (i + 2 * v) % 4) + ")\n";
+    }
+  }
+  return out + "}\n";
+}
+
+std::string WalkData(int n) {
+  std::string out = "relation one(k) {\n  (0)\n}\nrelation e(i, j, p) {\n";
+  for (int i = 0; i < n; ++i) {
+    for (int j : {(i + 1) % n, (i + n - 1) % n}) {
+      out += "  (" + std::to_string(i) + ", " + std::to_string(j) + ", " +
+             std::to_string(1 + i % 3) + ")\n";
+    }
+  }
+  return out + "}\n";
+}
+
+// The planner predicts the whole input's chain. A split input answers on
+// one class's smaller chain, so only a one-class input is held against the
+// prediction; neither may count a bound violation.
+TEST(ExecutorPlanGateTest, ClassPathCountsNoBoundViolation) {
+  struct Case {
+    const char* program;
+    std::string data;
+    const char* event;
+    int64_t classes;
+    int64_t states;
+  };
+  const Case cases[] = {{kChoiceProgram, ChoiceData(4), "pick(1, 0)", 4, 3},
+                        {kChoiceProgram, ChoiceData(8), "pick(2, 1)", 8, 3},
+                        {kWalkProgram, WalkData(4), "cur(1)", 1, 18}};
+  QueryService service;
+  auto& registry = metrics::MetricRegistry::Instance();
+  for (RequestKind kind : {RequestKind::kForever, RequestKind::kPartition}) {
+    const std::string labels =
+        std::string("kind=\"") + RequestKindToString(kind) + '"';
+    const uint64_t violations_before =
+        CounterValue("pfql_plan_bound_violations_total", labels);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(labels + " " + c.event);
+      Request request;
+      request.kind = kind;
+      request.program_text = c.program;
+      request.data_text = c.data;
+      request.event = c.event;
+      request.no_cache = true;
+      const Response response = service.Call(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.result.Find("classes")->AsInt(), c.classes);
+      EXPECT_EQ(response.result.Find("states")->AsInt(), c.states);
+    }
+    // The walk ran last: its count lies in its certified interval.
+    const int64_t actual =
+        registry.GetGauge("pfql_plan_actual_states", labels)->Value();
+    EXPECT_EQ(actual, 18);
+    EXPECT_LE(
+        registry.GetGauge("pfql_plan_predicted_states_lo", labels)->Value(),
+        actual);
+    EXPECT_GE(
+        registry.GetGauge("pfql_plan_predicted_states_hi", labels)->Value(),
+        actual);
+    EXPECT_EQ(CounterValue("pfql_plan_bound_violations_total", labels),
+              violations_before);
+  }
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace pfql

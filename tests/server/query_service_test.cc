@@ -184,13 +184,13 @@ TEST(QueryServiceTest, ForeverWithShortDeadlineReturnsStructuredTimeout) {
 }
 
 TEST(QueryServiceTest, ForeverDeadlineInterruptsTheExactSolve) {
-  // 146 states explore in milliseconds; the exact Thm 5.5 solve over them
+  // 402 states explore in milliseconds; the exact Thm 5.5 solve over them
   // takes seconds, so the deadline has to fire inside the elimination.
   QueryService service;
   Request request;
   request.kind = RequestKind::kForever;
   request.program_text = ReadTestData("walk.dl");
-  request.data_text = ReadTestData("ring12.db");
+  request.data_text = ReadTestData("ring20.db");
   request.event = "cur(1)";
   request.timeout_ms = 300;
   const auto started = std::chrono::steady_clock::now();

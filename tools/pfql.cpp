@@ -6,10 +6,13 @@
 //   pfql approx     --program prog.dl --data db.txt --event 'cur(3)'
 //                   [--epsilon E] [--delta D] [--seed N]
 //   pfql forever    --program prog.dl --data db.txt --event 'cur(3)'
-//                   [--max-states N]           (noninflationary exact)
+//                   [--max-states N]           (noninflationary exact, on
+//                   the chain of the event's Sec 5.1 class)
 //   pfql mcmc       --program prog.dl --data db.txt --event 'cur(3)'
 //                   [--burn-in N | auto] [--epsilon E] [--delta D] [--seed N]
 //   pfql partition  --program prog.dl --data db.txt --event 'cur(3)'
+//                   [--max-states N]           (forever without the
+//                   planner's gate on the whole input's chain)
 //   pfql trajectory --program prog.dl --data db.txt --event 'cur(3)'
 //                   [--steps N] [--runs N] [--seed N]
 //   pfql plan       --program prog.dl [--data db.txt] [--event 'cur(3)']
@@ -291,11 +294,18 @@ void PrintHumanResult(server::RequestKind kind, const Json& payload) {
                   GetDouble(payload, "delta"));
       break;
     case server::RequestKind::kForever:
+    case server::RequestKind::kPartition:
+      std::printf("Pr[%s] = %s (%.6f)\n%% %lld classes; ", event.c_str(),
+                  GetString(payload, "probability").c_str(),
+                  GetDouble(payload, "probability_double"),
+                  static_cast<long long>(GetInt(payload, "classes")));
+      if (GetInt(payload, "states") == 0) {
+        std::printf("no class holds the event\n");
+        break;
+      }
       std::printf(
-          "Pr[%s] = %s (%.6f)\n%% %lld states, %lld SCCs (%lld bottom), "
-          "%s, %s\n",
-          event.c_str(), GetString(payload, "probability").c_str(),
-          GetDouble(payload, "probability_double"),
+          "the event's class: %lld states, %lld SCCs (%lld bottom), %s, "
+          "%s\n",
           static_cast<long long>(GetInt(payload, "states")),
           static_cast<long long>(GetInt(payload, "components")),
           static_cast<long long>(GetInt(payload, "bottom_components")),
@@ -311,13 +321,6 @@ void PrintHumanResult(server::RequestKind kind, const Json& payload) {
                   event.c_str(), GetDouble(payload, "estimate"),
                   static_cast<long long>(GetInt(payload, "samples")),
                   static_cast<long long>(GetInt(payload, "burn_in")));
-      break;
-    case server::RequestKind::kPartition:
-      std::printf("Pr[%s] = %s (%.6f)\n%% %lld classes, %lld total states\n",
-                  event.c_str(), GetString(payload, "probability").c_str(),
-                  GetDouble(payload, "probability_double"),
-                  static_cast<long long>(GetInt(payload, "classes")),
-                  static_cast<long long>(GetInt(payload, "states")));
       break;
     case server::RequestKind::kTrajectory:
       std::printf("Pr[%s] ~= %.6f  (%lld runs x %lld steps)\n",
